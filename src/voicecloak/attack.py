@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import Waveform, add_gaussian_noise
+from .audio_io import CANONICAL_RATE, Waveform, add_gaussian_noise
 from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backward
 from .metrics import snr_db
 from .spectral import StftConfig, istft, log_mel, log_mel_backward, mel_matrix, stft
 
-CANONICAL_RATE = 16000
 BUDGET_SLACK = 1e-12
 
 
@@ -67,8 +66,8 @@ class AttackResult:
     loss_trajectory holds the loss at every iterate x0..xI (I+1 values,
     the last one evaluated after the final update). delta_cosd_final is
     the trajectory endpoint, i.e. the embedding distance measured at the
-    magnitude level; the waveform-level pipeline overwrites it with the
-    value recomputed from re-analyzed audio.
+    magnitude level; `protect_utterance` reports the distance recomputed
+    from re-analyzed audio instead.
     """
 
     adv_magnitude: np.ndarray
@@ -105,15 +104,11 @@ def clip_linf(
     return out
 
 
-def _features(x_tilde: np.ndarray, mel: np.ndarray, ws: WeightStore):
-    return log_mel(x_tilde, mel)
-
-
 def compute_loss(
     x_tilde: np.ndarray, mel: np.ndarray, ws: WeightStore, e_ref: np.ndarray
 ) -> float:
     """Loss only (no gradient): negative cosine between e_ref and f(x_tilde)."""
-    embedding, _ = forward(_features(x_tilde, mel, ws), ws)
+    embedding, _ = forward(log_mel(x_tilde, mel), ws)
     return cosine_loss(e_ref, embedding)
 
 
@@ -126,16 +121,10 @@ def loss_and_grad(
     chain. e_ref must be precomputed from the original magnitude and held
     fixed across iterations.
     """
-    feat = _features(x_tilde, mel, ws)
-    embedding, cache = forward(feat, ws)
+    embedding, cache = forward(log_mel(x_tilde, mel), ws)
     loss = cosine_loss(e_ref, embedding)
     grad_feat = backward(cache, cosine_loss_grad(e_ref, embedding))
     return loss, log_mel_backward(grad_feat, x_tilde, mel)
-
-
-def _mel_for(x: np.ndarray, ws: WeightStore, sample_rate: int = CANONICAL_RATE) -> np.ndarray:
-    fft_size = (x.shape[1] - 1) * 2
-    return mel_matrix(fft_size, ws.config.n_mels, sample_rate)
 
 
 def ifgsm(
@@ -148,7 +137,7 @@ def ifgsm(
     exactly zero matrix; a sign step of all ones is substituted in that
     case so the iteration can leave the plateau deterministically.
     """
-    mel = _mel_for(x, ws)
+    mel = mel_matrix((x.shape[1] - 1) * 2, ws.config.n_mels, CANONICAL_RATE)
     x_tilde = x.copy()
     trajectory: list[float] = []
     for _ in range(cfg.iterations):
@@ -225,13 +214,10 @@ def protect_utterance(
 
     re_spec = stft(protected, stft_config)
     e_protected, _ = forward(log_mel(re_spec.magnitude, mel), ws)
-    delta = cosine_loss(e_ref, e_protected)
     report = ProtectionReport(
         method=method,
         snr_db=snr_db(w, protected),
-        delta_cosd=delta,
+        delta_cosd=cosine_loss(e_ref, e_protected),
         loss_trajectory=trajectory,
     )
-    if method != "gaussian":
-        result.delta_cosd_final = delta
     return protected, report

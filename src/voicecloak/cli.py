@@ -193,14 +193,13 @@ def run_eval(trials: str, enroll: str, test: str, out: str, seed: int = 0) -> di
     with open(f"{out}.scores.txt", "w", encoding="utf-8") as fh:
         for t, s in zip(trial_list, scores):
             fh.write(f"{t.enroll_id} {t.test_id} {t.label} {s:.12g}\n")
-    target = [s for t, s in zip(trial_list, scores) if t.label == "target"]
-    nontarget = [s for t, s in zip(trial_list, scores) if t.label == "nontarget"]
-    eer, threshold = compute_eer(target, nontarget)
+    is_target = np.array([t.label == "target" for t in trial_list])
+    eer, threshold = compute_eer(scores[is_target], scores[~is_target])
     summary = {
         "eer": eer,
         "threshold": threshold,
-        "n_target": len(target),
-        "n_nontarget": len(nontarget),
+        "n_target": int(is_target.sum()),
+        "n_nontarget": int((~is_target).sum()),
     }
     Path(f"{out}.eer.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     _write_manifest(f"{out}.manifest.json", "eval", {

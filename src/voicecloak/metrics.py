@@ -3,18 +3,24 @@
 Scoring convention: a trial score is the plain cosine similarity between
 the enrollment and test embeddings, so higher means "same speaker". An
 EER above 0.5 therefore signals inverted score polarity.
+
+Cost and numeric contract: the EER sweep sorts each score set once and
+counts by binary search, O(n log n); its error rates are exact integer
+counts, so EER values are exact. Scores and similarity matrices are one
+product of row-normalised matrices, which sums in a different order than
+a per-pair cosine, so they may differ from `cosine_similarity` (and the
+EER threshold with them) in the last few ulps.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .audio_io import Waveform
-from .encoder import cosine_loss
+from .encoder import NORM_EPS, cosine_loss
 
 SNR_DENOM_FLOOR = 1e-300
 VALID_LABELS = ("target", "nontarget")
@@ -91,8 +97,15 @@ def parse_trials(path) -> list[Trial]:
     return trials
 
 
-def format_trials(trials: list[Trial]) -> str:
-    return "".join(f"{t.enroll_id} {t.test_id} {t.label}\n" for t in trials)
+def _unit_rows(embeddings: dict[str, np.ndarray], keys) -> np.ndarray:
+    """Stack the embeddings of `keys` as rows scaled to unit norm."""
+    matrix = np.array([embeddings[k] for k in keys], dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    small = np.flatnonzero(norms <= NORM_EPS)
+    if small.size:
+        i = small[0]
+        raise ValueError(f"near-zero-norm embedding for key {keys[i]!r} (norm {norms[i]:.3e})")
+    return matrix / norms[:, None]
 
 
 def score_trials(
@@ -102,19 +115,28 @@ def score_trials(
 ) -> np.ndarray:
     """Cosine similarity per trial, aligned with the trial list order.
 
-    With a single embedding map, both sides look up the same map. Missing
-    keys are reported by name.
+    With a single embedding map, both sides look up the same map. Every
+    key is checked, and a missing one reported by name, before any
+    arithmetic. The scores are cells of one Gram matrix between the
+    distinct enrollment and test keys.
     """
     if test_embeddings is None:
         test_embeddings = enroll_embeddings
-    scores = np.zeros(len(trials))
-    for i, t in enumerate(trials):
+    if not trials:
+        return np.zeros(0)
+    enroll_index: dict[str, int] = {}
+    test_index: dict[str, int] = {}
+    ei, ti = [], []
+    for t in trials:
         if t.enroll_id not in enroll_embeddings:
             raise KeyError(f"enrollment key {t.enroll_id!r} missing from embeddings")
         if t.test_id not in test_embeddings:
             raise KeyError(f"test key {t.test_id!r} missing from embeddings")
-        scores[i] = cosine_similarity(enroll_embeddings[t.enroll_id], test_embeddings[t.test_id])
-    return scores
+        ei.append(enroll_index.setdefault(t.enroll_id, len(enroll_index)))
+        ti.append(test_index.setdefault(t.test_id, len(test_index)))
+    enroll = _unit_rows(enroll_embeddings, list(enroll_index))
+    test = _unit_rows(test_embeddings, list(test_index))
+    return (enroll @ test.T)[ei, ti]
 
 
 def _operating_points(target_scores: np.ndarray, nontarget_scores: np.ndarray):
@@ -122,12 +144,13 @@ def _operating_points(target_scores: np.ndarray, nontarget_scores: np.ndarray):
 
     FAR(t) counts nontargets >= t, FRR(t) counts targets < t; both are
     step functions that only change at score values, so this sweep visits
-    every achievable operating point.
+    every achievable operating point, counted by binary search.
     """
     thresholds = np.unique(np.concatenate([target_scores, nontarget_scores]))
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    far = np.array([np.mean(nontarget_scores >= t) for t in thresholds])
-    frr = np.array([np.mean(target_scores < t) for t in thresholds])
+    n_non, n_target = len(nontarget_scores), len(target_scores)
+    far = (n_non - np.searchsorted(np.sort(nontarget_scores), thresholds, "left")) / n_non
+    frr = np.searchsorted(np.sort(target_scores), thresholds, "left") / n_target
     return thresholds, far, frr
 
 
@@ -185,10 +208,7 @@ def similarity_matrix(
         cols = average_by_speaker(cols)
     row_keys = sorted(rows)
     col_keys = sorted(cols)
-    matrix = np.zeros((len(row_keys), len(col_keys)))
-    for i, rk in enumerate(row_keys):
-        for j, ck in enumerate(col_keys):
-            matrix[i, j] = cosine_similarity(rows[rk], cols[ck])
+    matrix = _unit_rows(rows, row_keys) @ _unit_rows(cols, col_keys).T
     return matrix, row_keys, col_keys
 
 
@@ -198,16 +218,3 @@ def write_similarity_csv(path, matrix: np.ndarray, row_keys: list[str], col_keys
         writer.writerow([""] + col_keys)
         for key, row in zip(row_keys, matrix):
             writer.writerow([key] + [f"{v:.12g}" for v in row])
-
-
-def read_similarity_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        col_keys = header[1:]
-        row_keys = []
-        values = []
-        for record in reader:
-            row_keys.append(record[0])
-            values.append([float(v) for v in record[1:]])
-    return np.array(values), row_keys, col_keys

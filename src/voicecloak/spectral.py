@@ -22,6 +22,7 @@ stay tight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,9 +177,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=8)
 def mel_matrix(fft_size: int = 512, n_mels: int = 64, sample_rate: int = 16000) -> np.ndarray:
     """Triangular mel filterbank, [n_mels x bins], spanning 0 to Nyquist.
 
+    Built once per parameter set and shared, so the array is read-only.
     Raises on degenerate parameterizations where some filter covers no
     FFT bin at all.
     """
@@ -200,6 +203,7 @@ def mel_matrix(fft_size: int = 512, n_mels: int = 64, sample_rate: int = 16000) 
                 f"mel filter {m} ({lo:.1f}-{hi:.1f} Hz) covers no FFT bin;"
                 " reduce n_mels or increase fft_size"
             )
+    weights.flags.writeable = False
     return weights
 
 

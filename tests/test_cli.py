@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from metrics_io import read_similarity_csv
 from synth import speaker_key, speaker_utterance
 from voicecloak import tensorfile
 from voicecloak.audio_io import read_wav, write_wav
 from voicecloak.cli import cli
 from voicecloak.encoder import load_weights
-from voicecloak.metrics import read_similarity_csv
 
 SMALL_CONFIG = {
     "conv_channels": [2, 2],

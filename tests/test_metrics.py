@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metrics_io import format_trials, read_similarity_csv
 from voicecloak.audio_io import Waveform
 from voicecloak.metrics import (
     Trial,
@@ -9,9 +12,7 @@ from voicecloak.metrics import (
     compute_eer,
     cosine_similarity,
     delta_cosd,
-    format_trials,
     parse_trials,
-    read_similarity_csv,
     score_trials,
     similarity_matrix,
     snr_db,
@@ -37,6 +38,44 @@ def brute_force_eer(target, nontarget):
         return float(far[0])
     t = diff[k - 1] / (diff[k - 1] - diff[k])
     return float(far[k - 1] + t * (far[k] - far[k - 1]))
+
+
+def sweep_eer(target, nontarget):
+    """Reference per-threshold scan: one full pass over both score sets per
+    distinct score (plus one beyond the maximum), interpolated between the
+    two points where FAR - FRR changes sign. Returns (eer, threshold)."""
+    target = np.asarray(target, dtype=float)
+    nontarget = np.asarray(nontarget, dtype=float)
+    thresholds = np.unique(np.concatenate([target, nontarget]))
+    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    far = np.array([np.mean(nontarget >= t) for t in thresholds])
+    frr = np.array([np.mean(target < t) for t in thresholds])
+    diff = far - frr
+    k = int(np.argmax(diff <= 0.0))
+    if k == 0:
+        return float(far[0]), float(thresholds[0])
+    t = diff[k - 1] / (diff[k - 1] - diff[k])
+    return (
+        float(far[k - 1] + t * (far[k] - far[k - 1])),
+        float(thresholds[k - 1] + t * (thresholds[k] - thresholds[k - 1])),
+    )
+
+
+def _tied_scores(max_size):
+    """Score lists on a coarse grid, so that ties within and across sets abound."""
+    return st.lists(st.integers(-30, 30), min_size=1, max_size=max_size).map(
+        lambda v: np.array(v) / 20.0
+    )
+
+
+def _free_scores(max_size):
+    return st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=max_size
+    ).map(np.array)
+
+
+def _embedding_map(rng, keys, dim=128):
+    return {k: rng.standard_normal(dim) for k in keys}
 
 
 class TestSnr:
@@ -123,6 +162,66 @@ class TestTrials:
         with pytest.raises(KeyError, match="'ghost'"):
             score_trials([Trial("ghost", "x", "target")], {"x": np.ones(2)})
 
+    def test_missing_key_is_reported_before_any_arithmetic(self):
+        # The first trial's zero embedding would raise ValueError if any
+        # score were computed before every key had been checked.
+        embeddings = {"zero": np.zeros(4), "x": np.ones(4)}
+        trials = [Trial("zero", "x", "target"), Trial("x", "ghost", "nontarget")]
+        with pytest.raises(KeyError, match="test key 'ghost' missing from embeddings"):
+            score_trials(trials, embeddings)
+        trials = [Trial("zero", "x", "target"), Trial("ghost", "x", "nontarget")]
+        with pytest.raises(KeyError, match="enrollment key 'ghost' missing from embeddings"):
+            score_trials(trials, embeddings)
+
+    @pytest.mark.parametrize("side", ["enroll", "test"])
+    def test_near_zero_norm_names_the_key(self, side):
+        enroll = {"a": np.ones(3), "b": np.ones(3)}
+        test = {"a": np.ones(3), "b": np.ones(3)}
+        (enroll if side == "enroll" else test)["b"] = np.full(3, 1e-14)
+        trials = [Trial("a", "a", "target"), Trial("b", "b", "target")]
+        with pytest.raises(ValueError, match="near-zero-norm embedding for key 'b'"):
+            score_trials(trials, enroll, test)
+
+    def test_empty_trial_list_gives_no_scores(self):
+        assert score_trials([], {"x": np.ones(2)}).shape == (0,)
+
+
+class TestVectorisedScoringOracle:
+    """Gram-matrix scoring against one `cosine_similarity` call per pair."""
+
+    def test_score_trials_matches_per_pair_cosines(self):
+        rng = np.random.default_rng(5)
+        keys = [f"spk{s:02d}-utt{u}" for s in range(8) for u in range(5)]
+        embeddings = _embedding_map(rng, keys)
+        pairs = rng.integers(0, len(keys), size=(3000, 2))  # keys repeat many times
+        trials = [Trial(keys[a], keys[b], "target") for a, b in pairs]
+        scores = score_trials(trials, embeddings)
+        expected = [cosine_similarity(embeddings[t.enroll_id], embeddings[t.test_id]) for t in trials]
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+    def test_score_trials_with_separate_maps(self):
+        rng = np.random.default_rng(6)
+        enroll = _embedding_map(rng, [f"e{i}" for i in range(12)] + ["shared"])
+        test = _embedding_map(rng, [f"t{i}" for i in range(7)] + ["shared"])
+        trials = [Trial(e, t, "nontarget") for e in enroll for t in test]
+        trials += trials[::3]  # repeated trials
+        scores = score_trials(trials, enroll, test)
+        expected = [cosine_similarity(enroll[t.enroll_id], test[t.test_id]) for t in trials]
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("speaker_level", [False, True])
+    def test_similarity_matrix_matches_per_pair_cosines(self, speaker_level):
+        rng = np.random.default_rng(7)
+        rows = _embedding_map(rng, [f"spk{s:02d}-utt{u}" for s in range(9) for u in range(4)])
+        cols = _embedding_map(rng, [f"spk{s:02d}-utt{u}" for s in range(5, 12) for u in range(3)])
+        matrix, row_keys, col_keys = similarity_matrix(rows, cols, speaker_level)
+        if speaker_level:
+            rows, cols = average_by_speaker(rows), average_by_speaker(cols)
+            assert row_keys == [f"spk{s:02d}" for s in range(9)]
+        assert row_keys == sorted(rows) and col_keys == sorted(cols)
+        expected = [[cosine_similarity(rows[r], cols[c]) for c in col_keys] for r in row_keys]
+        np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-12)
+
 
 class TestEer:
     def test_perfectly_separated_scores(self):
@@ -170,6 +269,26 @@ class TestEer:
         with pytest.raises(ValueError, match="at least one"):
             compute_eer([], [0.1])
 
+    @pytest.mark.parametrize("n_target, n_nontarget, shift", [
+        (1500, 6000, 0.3),
+        (5000, 5000, 0.1),
+        (6000, 400, -0.2),
+    ])
+    def test_equals_per_threshold_sweep_at_scale_with_ties(self, n_target, n_nontarget, shift):
+        rng = np.random.default_rng(n_target + n_nontarget)
+        target = np.round(rng.normal(0.3 + shift, 0.2, n_target), 2)
+        nontarget = np.round(rng.normal(0.3, 0.2, n_nontarget), 2)
+        assert np.unique(np.concatenate([target, nontarget])).size < 200  # heavy ties
+        assert compute_eer(target, nontarget) == sweep_eer(target, nontarget)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(_tied_scores(300), _free_scores(40)),
+        st.one_of(_tied_scores(300), _free_scores(40)),
+    )
+    def test_property_equals_per_threshold_sweep(self, target, nontarget):
+        assert compute_eer(target, nontarget) == sweep_eer(target, nontarget)
+
 
 class TestSimilarityMatrix:
     def test_values_are_pairwise_cosines(self):
@@ -200,6 +319,17 @@ class TestSimilarityMatrix:
     def test_rejects_empty_maps(self):
         with pytest.raises(ValueError, match="nonempty"):
             similarity_matrix({}, {"a": np.ones(2)})
+
+    def test_near_zero_norm_names_the_key(self):
+        rows = {"a": np.ones(3), "quiet": np.zeros(3)}
+        with pytest.raises(ValueError, match="near-zero-norm embedding for key 'quiet'"):
+            similarity_matrix({"a": np.ones(3)}, rows)
+        with pytest.raises(ValueError, match="near-zero-norm embedding for key 's2'"):
+            similarity_matrix(
+                {"s1-a": np.ones(3), "s2-a": np.ones(3), "s2-b": -np.ones(3)},
+                {"s1-a": np.ones(3)},
+                speaker_level=True,
+            )
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

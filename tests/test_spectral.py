@@ -125,6 +125,12 @@ class TestMelFilterbank:
         with pytest.raises(ValueError, match="mel filter|n_mels"):
             mel_matrix(64, 32, 16000)
 
+    def test_built_once_and_read_only(self):
+        mel = mel_matrix(512, 64, 16000)
+        assert mel_matrix(512, 64, 16000) is mel
+        with pytest.raises(ValueError, match="read-only"):
+            mel[0, 0] = 1.0
+
 
 class TestLogMel:
     def test_values_match_manual_computation(self, mel64):
