@@ -12,7 +12,7 @@ from .encoder import (
     save_weights,
 )
 from .metrics import compute_eer, delta_cosd, parse_trials, score_trials, similarity_matrix, snr_db
-from .spectral import MelFeatures, Spectrogram, StftConfig, istft, log_mel, mel_matrix, stft
+from .spectral import Spectrogram, StftConfig, istft, log_mel, mel_matrix, stft
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "AttackConfig",
     "AttackResult",
     "EncoderConfig",
-    "MelFeatures",
     "ProtectionReport",
     "Spectrogram",
     "StftConfig",

@@ -28,7 +28,9 @@ from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backwa
 from .metrics import snr_db
 from .spectral import StftConfig, istft, log_mel, log_mel_backward, mel_matrix, stft
 
-BUDGET_SLACK = 1e-12
+
+class AttackConfigError(ValueError):
+    """Raised for a budget or schedule that `AttackConfig` rejects."""
 
 
 @dataclass(frozen=True)
@@ -43,17 +45,16 @@ class AttackConfig:
     epsilon: float = 0.02
     alpha: float = 0.0004
     iterations: int = 50
-    clamp_nonnegative: bool = True
 
     def __post_init__(self):
         if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+            raise AttackConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+            raise AttackConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+            raise AttackConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.iterations > 1 and not 0 < self.alpha <= self.epsilon:
-            raise ValueError(
+            raise AttackConfigError(
                 f"iterative schedule needs 0 < alpha <= epsilon,"
                 f" got alpha={self.alpha}, epsilon={self.epsilon}"
             )
@@ -64,15 +65,13 @@ class AttackResult:
     """Outcome of a magnitude-domain attack.
 
     loss_trajectory holds the loss at every iterate x0..xI (I+1 values,
-    the last one evaluated after the final update). delta_cosd_final is
-    the trajectory endpoint, i.e. the embedding distance measured at the
-    magnitude level; `protect_utterance` reports the distance recomputed
-    from re-analyzed audio instead.
+    the last one evaluated after the final update), so its endpoint is the
+    embedding distance measured at the magnitude level; `protect_utterance`
+    reports the distance recomputed from re-analyzed audio instead.
     """
 
     adv_magnitude: np.ndarray
     loss_trajectory: list[float]
-    delta_cosd_final: float
 
 
 @dataclass
@@ -92,16 +91,11 @@ def sign_matrix(g: np.ndarray) -> np.ndarray:
     return np.sign(g)
 
 
-def clip_linf(
-    x_tilde: np.ndarray, x: np.ndarray, epsilon: float, clamp_nonnegative: bool = True
-) -> np.ndarray:
+def clip_linf(x_tilde: np.ndarray, x: np.ndarray, epsilon: float) -> np.ndarray:
     """Project onto the epsilon-band around x, then onto [0, inf)."""
     if x_tilde.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_tilde.shape} vs {x.shape}")
-    out = np.clip(x_tilde, x - epsilon, x + epsilon)
-    if clamp_nonnegative:
-        out = np.maximum(out, 0.0)
-    return out
+    return np.maximum(np.clip(x_tilde, x - epsilon, x + epsilon), 0.0)
 
 
 def compute_loss(
@@ -146,31 +140,18 @@ def ifgsm(
         step_sign = sign_matrix(grad)
         if not step_sign.any():
             step_sign = np.ones_like(x_tilde)
-        x_tilde = clip_linf(x_tilde + cfg.alpha * step_sign, x, cfg.epsilon, cfg.clamp_nonnegative)
+        x_tilde = clip_linf(x_tilde + cfg.alpha * step_sign, x, cfg.epsilon)
     trajectory.append(compute_loss(x_tilde, mel, ws, e_ref))
-    return AttackResult(
-        adv_magnitude=x_tilde,
-        loss_trajectory=trajectory,
-        delta_cosd_final=trajectory[-1],
-    )
+    return AttackResult(adv_magnitude=x_tilde, loss_trajectory=trajectory)
 
 
-def fgsm(
-    x: np.ndarray,
-    ws: WeightStore,
-    e_ref: np.ndarray,
-    epsilon: float = 0.02,
-    clamp_nonnegative: bool = True,
-) -> AttackResult:
+def fgsm(x: np.ndarray, ws: WeightStore, e_ref: np.ndarray, epsilon: float = 0.02) -> AttackResult:
     """Single-step attack: one full-budget sign step.
 
     Implemented as the one-iteration schedule with alpha = epsilon, which
     it equals bit for bit.
     """
-    cfg = AttackConfig(
-        epsilon=epsilon, alpha=epsilon, iterations=1, clamp_nonnegative=clamp_nonnegative
-    )
-    return ifgsm(x, ws, e_ref, cfg)
+    return ifgsm(x, ws, e_ref, AttackConfig(epsilon=epsilon, alpha=epsilon, iterations=1))
 
 
 def protect_utterance(
@@ -206,7 +187,7 @@ def protect_utterance(
         protected = add_gaussian_noise(w, target_snr_db, seed)
     else:
         if method == "fgsm":
-            result = fgsm(spec.magnitude, ws, e_ref, cfg.epsilon, cfg.clamp_nonnegative)
+            result = fgsm(spec.magnitude, ws, e_ref, cfg.epsilon)
         else:
             result = ifgsm(spec.magnitude, ws, e_ref, cfg)
         trajectory = result.loss_trajectory

@@ -114,7 +114,10 @@ def read_wav(path) -> Waveform:
             f"{dtype.itemsize}-byte sample size (truncated file)"
         )
     samples = np.frombuffer(body, dtype=dtype).astype(np.float64) * scale
-    return Waveform(samples, rate)
+    try:
+        return Waveform(samples, rate)
+    except ValueError as exc:  # a zero sample rate, or NaN/inf float samples
+        raise WavFormatError(f"{path}: {exc}") from exc
 
 
 def write_wav(path, w: Waveform) -> None:

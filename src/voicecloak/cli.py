@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import os
@@ -22,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__, tensorfile
-from .attack import AttackConfig, protect_utterance
+from .attack import AttackConfig, AttackConfigError, protect_utterance
 from .audio_io import CANONICAL_RATE, Waveform, read_wav, resample_linear, write_wav
 from .encoder import EncoderConfig, forward, init_random, load_weights, save_weights
 from .metrics import (
@@ -103,9 +104,9 @@ def run_protect(
     dump_spectrograms: bool = False,
 ) -> int:
     """Protect every input file; returns the number of failures."""
+    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, iterations=iterations)
     files = _collect_wavs(inputs)
     ws = load_weights(weights)
-    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, iterations=iterations)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
@@ -164,7 +165,7 @@ def _embed_file(path: Path, ws, mel: np.ndarray) -> np.ndarray:
     return embedding
 
 
-def run_embed(inputs: tuple[str, ...], weights: str, out: str, seed: int = 0) -> None:
+def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     files: list[Path] = []
     for item in inputs:
         files.extend(_collect_wavs(item))
@@ -181,11 +182,11 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str, seed: int = 0) ->
         "weights": str(weights),
     })
     _write_manifest(str(out) + ".manifest.json", "embed", {
-        "inputs": list(inputs), "weights": weights, "out": out, "seed": seed,
+        "inputs": list(inputs), "weights": weights, "out": out,
     })
 
 
-def run_eval(trials: str, enroll: str, test: str, out: str, seed: int = 0) -> dict:
+def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
     trial_list = parse_trials(trials)
     enroll_embeddings, _ = tensorfile.load(enroll)
     test_embeddings, _ = tensorfile.load(test)
@@ -203,26 +204,24 @@ def run_eval(trials: str, enroll: str, test: str, out: str, seed: int = 0) -> di
     }
     Path(f"{out}.eer.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     _write_manifest(f"{out}.manifest.json", "eval", {
-        "trials": trials, "enroll": enroll, "test": test, "out": out, "seed": seed,
+        "trials": trials, "enroll": enroll, "test": test, "out": out,
     })
     return summary
 
 
-def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = False, seed: int = 0) -> None:
+def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = False) -> None:
     row_embeddings, _ = tensorfile.load(rows)
     col_embeddings = row_embeddings if cols is None else tensorfile.load(cols)[0]
     matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings, speaker_level)
     write_similarity_csv(out, matrix, row_keys, col_keys)
     _write_manifest(str(out) + ".manifest.json", "simmat", {
-        "rows": rows, "cols": cols, "out": out, "speaker_level": speaker_level, "seed": seed,
+        "rows": rows, "cols": cols, "out": out, "speaker_level": speaker_level,
     })
 
 
-def run_dump_spec(input: str, out: str, seed: int = 0) -> None:
+def run_dump_spec(input: str, out: str) -> None:
     write_magnitude_csv(stft(_load_waveform_16k(Path(input))), out)
-    _write_manifest(str(out) + ".manifest.json", "dump-spec", {
-        "input": input, "out": out, "seed": seed,
-    })
+    _write_manifest(str(out) + ".manifest.json", "dump-spec", {"input": input, "out": out})
 
 
 _RERUN_DISPATCH = {
@@ -236,14 +235,29 @@ _RERUN_DISPATCH = {
 
 
 def run_rerun(manifest_path: str):
+    """Check a manifest against the recorded command's signature, then run it."""
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     command = manifest.get("command")
-    if command not in _RERUN_DISPATCH:
+    if not isinstance(command, str) or command not in _RERUN_DISPATCH:
         raise ValueError(f"{manifest_path}: unknown command {command!r}")
-    params = dict(manifest["params"])
+    params = manifest.get("params")
+    if not isinstance(params, dict):
+        raise ValueError(f"{manifest_path}: 'params' must be a JSON object")
+    run = _RERUN_DISPATCH[command]
+    signature = inspect.signature(run)
+    if "seed" not in signature.parameters:
+        # embed, eval, simmat and dump-spec manifests written before their
+        # --seed option was removed record a seed that never affected an output
+        params.pop("seed", None)
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"{manifest_path}: params of {command}: {exc}") from None
     if command == "embed":
         params["inputs"] = tuple(params["inputs"])
-    return _RERUN_DISPATCH[command](**params)
+    return run(**params)
 
 
 def _fail(exc: BaseException) -> "SystemExit":
@@ -295,13 +309,10 @@ def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
     continues; the exit status is nonzero if any file failed.
     """
     try:
-        cfg = AttackConfig(epsilon=epsilon, alpha=alpha, iterations=iterations)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    del cfg
-    try:
         failures = run_protect(inputs, weights, out_dir, method, epsilon, alpha,
                                iterations, target_snr, seed, jobs, dump_spectrograms)
+    except AttackConfigError as exc:
+        raise click.UsageError(str(exc))
     except Exception as exc:
         raise _fail(exc)
     if failures:
@@ -312,11 +323,10 @@ def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--weights", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True, type=int)
-def cmd_embed(inputs, weights, out, seed):
+def cmd_embed(inputs, weights, out):
     """Extract an embedding per WAV file into an archive (key = file stem)."""
     try:
-        run_embed(inputs, weights, out, seed)
+        run_embed(inputs, weights, out)
     except Exception as exc:
         raise _fail(exc)
 
@@ -329,11 +339,10 @@ def cmd_embed(inputs, weights, out, seed):
               help="Embedding archive for test keys.")
 @click.option("--out", required=True, type=click.Path(),
               help="Output prefix: <out>.scores.txt and <out>.eer.json.")
-@click.option("--seed", default=0, show_default=True, type=int)
-def cmd_eval(trials, enroll, test, out, seed):
+def cmd_eval(trials, enroll, test, out):
     """Score trials with cosine similarity and report the EER."""
     try:
-        summary = run_eval(trials, enroll, test, out, seed)
+        summary = run_eval(trials, enroll, test, out)
     except Exception as exc:
         raise _fail(exc)
     click.echo(json.dumps(summary))
@@ -347,11 +356,10 @@ def cmd_eval(trials, enroll, test, out, seed):
 @click.option("--speaker-level", is_flag=True,
               help="Average embeddings per speaker prefix (before the first '-') first.")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True, type=int)
-def cmd_simmat(rows, cols, speaker_level, out, seed):
+def cmd_simmat(rows, cols, speaker_level, out):
     """Write a cosine similarity matrix as CSV."""
     try:
-        run_simmat(rows, cols, out, speaker_level, seed)
+        run_simmat(rows, cols, out, speaker_level)
     except Exception as exc:
         raise _fail(exc)
 
@@ -359,11 +367,10 @@ def cmd_simmat(rows, cols, speaker_level, out, seed):
 @cli.command("dump-spec")
 @click.argument("input", type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True, type=int)
-def cmd_dump_spec(input, out, seed):
+def cmd_dump_spec(input, out):
     """Dump a WAV file's magnitude spectrogram as CSV (frames as rows)."""
     try:
-        run_dump_spec(input, out, seed)
+        run_dump_spec(input, out)
     except Exception as exc:
         raise _fail(exc)
 

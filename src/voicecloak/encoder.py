@@ -24,7 +24,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensorfile
-from .spectral import MelFeatures
 
 NORM_EPS = 1e-12
 
@@ -119,7 +118,6 @@ class WeightStore:
 
     config: EncoderConfig
     tensors: dict[str, np.ndarray]
-    format_version: int = tensorfile.FORMAT_VERSION
 
     def __post_init__(self):
         expected = _tensor_shapes(self.config)
@@ -165,7 +163,11 @@ def load_weights(path) -> WeightStore:
     tensors, meta = tensorfile.load(path)
     if meta.get("kind") != "encoder-weights" or "config" not in meta:
         raise tensorfile.TensorFileError(f"{path}: not an encoder weight file")
-    return WeightStore(EncoderConfig.from_dict(meta["config"]), tensors)
+    try:
+        config = EncoderConfig.from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise tensorfile.TensorFileError(f"{path}: bad encoder config: {exc!r}") from exc
+    return WeightStore(config, tensors)
 
 
 def _conv_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -209,42 +211,34 @@ class ForwardCache:
 
     store: WeightStore
     pre_acts: list[np.ndarray] = field(default_factory=list)
-    relu_shapes: list[tuple[int, ...]] = field(default_factory=list)
-    pooled: list[bool] = field(default_factory=list)
     centered: np.ndarray | None = None
     sigma: np.ndarray | None = None
-    feat_shape: tuple[int, int] = (0, 0)
 
 
-def forward(feat: MelFeatures, ws: WeightStore) -> tuple[np.ndarray, ForwardCache]:
-    """Map features to an embedding; the cache enables exact backprop.
+def forward(feat: np.ndarray, ws: WeightStore) -> tuple[np.ndarray, ForwardCache]:
+    """Map [frames x n_mels] features to an embedding; the cache enables exact backprop.
 
     Conv stack -> per-(channel, band) temporal mean and standard deviation,
-    concatenated -> linear map. Raises if the input has fewer frames than
-    the configured minimum.
+    concatenated -> linear map. Raises if the input is not 2-D or has fewer
+    frames than the configured minimum.
     """
     cfg = ws.config
-    values = feat.values
-    n_frames, n_mels = values.shape
+    if feat.ndim != 2:
+        raise ValueError(f"features must be [frames x n_mels], got shape {feat.shape}")
+    n_frames, n_mels = feat.shape
     if n_mels != cfg.n_mels:
         raise ValueError(f"features have {n_mels} mel bands, encoder expects {cfg.n_mels}")
     if n_frames < cfg.min_frames:
         raise ValueError(f"too few frames: {n_frames} < required {cfg.min_frames}")
 
-    cache = ForwardCache(store=ws, feat_shape=(n_frames, n_mels))
-    a = values[None, :, :]
+    cache = ForwardCache(store=ws)
+    a = feat[None, :, :]
     for i in range(len(cfg.conv_channels)):
         z = _conv_same(a, ws.tensors[f"conv{i}.kernel"])
         z += ws.tensors[f"conv{i}.bias"][:, None, None]
         r = np.maximum(z, 0.0)
         cache.pre_acts.append(z)
-        cache.relu_shapes.append(r.shape)
-        if i in cfg.pool_after:
-            a = _avgpool2(r)
-            cache.pooled.append(True)
-        else:
-            a = r
-            cache.pooled.append(False)
+        a = _avgpool2(r) if i in cfg.pool_after else r
 
     mu = a.mean(axis=1)  # [C, F]
     centered = a - mu[:, None, :]
@@ -280,11 +274,9 @@ def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
     d_a = d_mu[:, None, :] / t_pooled + sig_term[:, None, :] * cache.centered
 
     for i in reversed(range(len(cfg.conv_channels))):
-        if cache.pooled[i]:
-            d_r = _avgpool2_backward(d_a, cache.relu_shapes[i])
-        else:
-            d_r = d_a
-        d_z = d_r * (cache.pre_acts[i] > 0.0)
+        z = cache.pre_acts[i]
+        d_r = _avgpool2_backward(d_a, z.shape) if i in cfg.pool_after else d_a
+        d_z = d_r * (z > 0.0)
         d_a = _conv_same_input_grad(d_z, ws.tensors[f"conv{i}.kernel"])
     return d_a[0]
 

@@ -176,18 +176,12 @@ def compute_eer(target_scores, nontarget_scores) -> tuple[float, float]:
     return float(eer), float(threshold)
 
 
-def _speaker_key(key: str, separator: str = "-") -> str:
-    return key.split(separator, 1)[0]
-
-
-def average_by_speaker(
-    embeddings: dict[str, np.ndarray], separator: str = "-"
-) -> dict[str, np.ndarray]:
+def average_by_speaker(embeddings: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Average utterance embeddings per speaker prefix (text before the
-    first separator; keys without one form their own group)."""
+    first '-'; keys without one form their own group)."""
     groups: dict[str, list[np.ndarray]] = {}
     for key in sorted(embeddings):
-        groups.setdefault(_speaker_key(key, separator), []).append(embeddings[key])
+        groups.setdefault(key.split("-", 1)[0], []).append(embeddings[key])
     return {spk: np.mean(vecs, axis=0) for spk, vecs in groups.items()}
 
 

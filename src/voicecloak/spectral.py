@@ -21,7 +21,7 @@ stay tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,13 +56,6 @@ class StftConfig:
         n = np.arange(self.win_length)
         return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / self.win_length))
 
-    def padded_window(self) -> np.ndarray:
-        """Analysis window zero-padded centrally to fft_size."""
-        out = np.zeros(self.fft_size)
-        lpad = (self.fft_size - self.win_length) // 2
-        out[lpad : lpad + self.win_length] = self.window()
-        return out
-
 
 @dataclass
 class Spectrogram:
@@ -82,17 +75,6 @@ class Spectrogram:
             raise ValueError(
                 f"magnitude {self.magnitude.shape} and phase {self.phase.shape} differ"
             )
-
-
-@dataclass
-class MelFeatures:
-    """Log-compressed mel energies, [frames x n_mels]."""
-
-    values: np.ndarray
-    n_mels: int = field(init=False)
-
-    def __post_init__(self):
-        self.n_mels = self.values.shape[1]
 
 
 def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
@@ -207,12 +189,12 @@ def mel_matrix(fft_size: int = 512, n_mels: int = 64, sample_rate: int = 16000) 
     return weights
 
 
-def log_mel(mag: np.ndarray, mel: np.ndarray) -> MelFeatures:
-    """log(max(mag^2 . mel^T, floor)): the feature the encoder consumes."""
+def log_mel(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
+    """log(max(mag^2 . mel^T, floor)), [frames x n_mels]: the encoder's input."""
     if mag.shape[1] != mel.shape[1]:
         raise ValueError(f"bins mismatch: magnitude {mag.shape[1]} vs filterbank {mel.shape[1]}")
     energies = (mag**2) @ mel.T
-    return MelFeatures(np.log(np.maximum(energies, LOG_FLOOR)))
+    return np.log(np.maximum(energies, LOG_FLOOR))
 
 
 def log_mel_backward(grad_out: np.ndarray, mag: np.ndarray, mel: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ Both encoder weight files and embedding archives use this container.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ def save(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None
     parts = []
     offset = 0
     for name, tensor in tensors.items():
-        arr = np.ascontiguousarray(tensor, dtype=np.float64)
+        arr = np.asarray(tensor, dtype=np.float64)  # keeps 0-d shapes, unlike ascontiguousarray
         if not np.all(np.isfinite(arr)):
             raise TensorFileError(f"tensor {name!r} contains non-finite values")
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
@@ -44,11 +45,30 @@ def save(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None
         fh.write(blob.astype("<f8").tobytes())
 
 
+def _manifest_entry(path, i: int, entry) -> tuple[str, tuple[int, ...], int]:
+    """Manifest entry i as (name, shape, offset), or TensorFileError naming the field."""
+    if not isinstance(entry, dict):
+        raise TensorFileError(f"{path}: tensors[{i}] must be a JSON object, got {entry!r}")
+    name = entry.get("name")
+    if not isinstance(name, str):
+        raise TensorFileError(f"{path}: tensors[{i}] needs a string 'name', got {name!r}")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise TensorFileError(
+            f"{path}: tensor {name!r} has 'shape' {shape!r}; need a list of integers >= 0"
+        )
+    offset = entry.get("offset")
+    if type(offset) is not int:
+        raise TensorFileError(f"{path}: tensor {name!r} has 'offset' {offset!r}; need an integer")
+    return name, tuple(shape), offset
+
+
 def load(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read tensors back; returns (tensors, meta).
 
-    Validates the format version, that manifest entries tile the blob
-    contiguously, and that every value is finite.
+    Validates the header's structure and format version, that manifest
+    entries tile the blob contiguously, and that every value is finite.
+    Any malformed file raises TensorFileError naming the field at fault.
     """
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n")
@@ -58,17 +78,33 @@ def load(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(raw[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TensorFileError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise TensorFileError(f"{path}: header must be a JSON object, got {type(header).__name__}")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise TensorFileError(
             f"{path}: format_version {version} not supported (expected {FORMAT_VERSION})"
         )
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TensorFileError(f"{path}: 'meta' must be a JSON object, got {type(meta).__name__}")
+    manifest = header.get("tensors", [])
+    if not isinstance(manifest, list):
+        raise TensorFileError(f"{path}: 'tensors' must be a JSON list, got {type(manifest).__name__}")
+    n_bytes = len(raw) - sep - 1
+    if n_bytes % 8:
+        raise TensorFileError(
+            f"{path}: blob of {n_bytes} bytes is not a whole number of float64 values"
+            " (length mismatch)"
+        )
     blob = np.frombuffer(raw[sep + 1 :], dtype="<f8")
     tensors: dict[str, np.ndarray] = {}
     expected_offset = 0
-    for entry in header.get("tensors", []):
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for i, entry in enumerate(manifest):
+        name, shape, offset = _manifest_entry(path, i, entry)
+        if name in tensors:
+            raise TensorFileError(f"{path}: tensor {name!r} is listed twice")
+        size = math.prod(shape)
         if offset != expected_offset:
             raise TensorFileError(
                 f"{path}: tensor {name!r} at offset {offset}, expected {expected_offset}"
@@ -79,7 +115,10 @@ def load(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"{path}: tensor {name!r} needs elements [{offset}, {offset + size})"
                 f" but the blob holds only {blob.size} (length mismatch)"
             )
-        tensors[name] = blob[offset : offset + size].reshape(shape).copy()
+        try:
+            tensors[name] = blob[offset : offset + size].reshape(shape).copy()
+        except ValueError as exc:  # an empty tensor whose dims numpy cannot represent
+            raise TensorFileError(f"{path}: tensor {name!r} has 'shape' {list(shape)}: {exc}") from exc
         if not np.all(np.isfinite(tensors[name])):
             raise TensorFileError(f"{path}: tensor {name!r} contains non-finite values")
         expected_offset = offset + size
@@ -88,4 +127,4 @@ def load(path) -> tuple[dict[str, np.ndarray], dict]:
             f"{path}: blob holds {blob.size} elements but the manifest accounts"
             f" for {expected_offset} (length mismatch)"
         )
-    return tensors, header.get("meta", {})
+    return tensors, meta

@@ -59,7 +59,7 @@ def test_criterion_01_gradient_matches_finite_differences(mel64):
             """Loss plus the piecewise-linearity pattern at this point."""
             feat = log_mel(mag, mel64)
             embedding, cache = forward(feat, ws)
-            floored = (feat.values == np.log(LOG_FLOOR)).tobytes()
+            floored = (feat == np.log(LOG_FLOOR)).tobytes()
             relu = tuple((z > 0.0).tobytes() for z in cache.pre_acts)
             return cosine_loss(e_ref, embedding), (floored, *relu)
 

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voicecloak.audio_io import (
     Waveform,
@@ -122,6 +124,44 @@ class TestReadWrite:
         with pytest.raises(WavFormatError, match="multiple"):
             read_wav(path)
 
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (_wav_bytes(b"\x00" * 8, rate=0), "sample_rate"),
+            (_wav_bytes(np.array([np.nan], "<f4").tobytes(), format_code=3, bits=32), "non-finite"),
+        ],
+    )
+    def test_rejects_zero_rate_and_non_finite_samples(self, tmp_path, raw, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        with pytest.raises(WavFormatError, match=message):
+            read_wav(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_file_raises_only_wav_format_error(self, tmp_path_factory, data):
+        samples = np.array([0.25, -0.5, 0.75, 0.0], dtype=np.float32)
+        raw = bytearray(data.draw(st.sampled_from([
+            _wav_bytes((samples * 32767).astype("<i2").tobytes()),
+            _wav_bytes(samples.tobytes(), format_code=3, bits=32),
+        ])))
+        fields = st.sampled_from([4, 16, 20, 22, 24, 34, 40, 44, 48])  # sizes, fmt fields, samples
+        for _ in range(data.draw(st.integers(1, 3))):
+            size = data.draw(st.sampled_from([1, 2, 4]))
+            at = data.draw(fields | st.integers(0, len(raw) - size))
+            top = 256**size - 1
+            value = data.draw(st.sampled_from([0, top]) | st.integers(0, top))
+            raw[at : at + size] = value.to_bytes(size, "little")
+        if data.draw(st.booleans()):
+            raw = raw[: data.draw(st.integers(0, len(raw)))]
+        path = tmp_path_factory.getbasetemp() / "mutated.wav"
+        path.write_bytes(bytes(raw))
+        try:
+            w = read_wav(path)
+        except WavFormatError:
+            return
+        assert isinstance(w, Waveform)
 
 class TestResample:
     def test_same_rate_returns_copy(self):

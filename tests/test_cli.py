@@ -188,6 +188,15 @@ class TestEmbedEvalSimmat:
         assert meta["embed_dim"] == 16
         assert all(v.shape == (16,) for v in tensors.values())
 
+    def test_embed_has_no_seed_option(self, runner, corpus, weights_file, tmp_path):
+        result = runner.invoke(
+            cli,
+            ["embed", str(corpus), "--weights", str(weights_file),
+             "--out", str(tmp_path / "e.bin"), "--seed", "1"],
+        )
+        assert result.exit_code == 2
+        assert "--seed" in result.stderr
+
     def test_embed_rejects_duplicate_keys(self, runner, corpus, weights_file, tmp_path):
         wav = corpus / f"{speaker_key(1, 1)}.wav"
         result = runner.invoke(
@@ -276,6 +285,62 @@ class TestDumpSpecAndRerun:
         result = runner.invoke(cli, ["rerun", str(manifest)])
         assert result.exit_code == 1
         assert "unknown command" in result.stderr
+
+    @pytest.mark.parametrize(
+        "manifest, field",
+        [
+            pytest.param([1, 2], "must be a JSON object", id="list-manifest"),
+            pytest.param({"command": ["embed"], "params": {}}, "unknown command", id="list-command"),
+            pytest.param({"command": "embed"}, "'params'", id="no-params"),
+            pytest.param({"command": "embed", "params": []}, "'params'", id="list-params"),
+            pytest.param({"command": "dump-spec", "params": {"input": "a.wav", "out": "b", "x": 1}},
+                         "'x'", id="unknown-param"),
+            pytest.param({"command": "dump-spec", "params": {"input": "a.wav"}}, "'out'",
+                         id="missing-param"),
+            pytest.param({"command": "protect", "params": {"inputs": "a", "weights": "w",
+                                                           "out_dir": "o", "sneed": 3}},
+                         "'sneed'", id="unknown-protect-param"),
+        ],
+    )
+    def test_rerun_checks_the_manifest_before_running(self, runner, tmp_path, manifest, field):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        result = runner.invoke(cli, ["rerun", str(path)])
+        assert result.exit_code == 1
+        assert field in result.stderr
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_rerun_drops_the_seed_of_older_manifests(
+        self, runner, corpus, weights_file, archive, tmp_path
+    ):
+        trials = tmp_path / "trials.txt"
+        trials.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n"
+                          f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n")
+        wav = corpus / f"{speaker_key(0, 0)}.wav"
+        runs = {
+            "emb.bin": ["embed", str(corpus), "--weights", str(weights_file)],
+            "ev": ["eval", "--trials", str(trials), "--enroll", str(archive), "--test", str(archive)],
+            "sim.csv": ["simmat", "--rows", str(archive)],
+            "mag.csv": ["dump-spec", str(wav)],
+        }
+        for out, args in runs.items():
+            result = runner.invoke(cli, args + ["--out", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output + result.stderr
+        outputs = sorted(p for p in tmp_path.iterdir() if not p.name.endswith(".json")
+                         and p != trials)
+        outputs.append(tmp_path / "ev.eer.json")
+        digests = [_sha256(p) for p in outputs]
+        for manifest in tmp_path.glob("*.manifest.json"):
+            recorded = json.loads(manifest.read_text())
+            assert "seed" not in recorded["params"]
+            recorded["params"]["seed"] = 7
+            manifest.write_text(json.dumps(recorded))
+        for p in outputs:
+            p.unlink()
+        for manifest in tmp_path.glob("*.manifest.json"):
+            result = runner.invoke(cli, ["rerun", str(manifest)])
+            assert result.exit_code == 0, result.output + result.stderr
+        assert [_sha256(p) for p in outputs] == digests
 
     def test_log_environment_variable_is_honored(self, runner, corpus, tmp_path):
         out = tmp_path / "mag.csv"

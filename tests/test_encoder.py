@@ -14,7 +14,7 @@ from voicecloak.encoder import (
     load_weights,
     save_weights,
 )
-from voicecloak.spectral import MelFeatures, log_mel
+from voicecloak.spectral import log_mel
 from voicecloak.tensorfile import TensorFileError
 
 # Embedding of a fixed random magnitude matrix under the default
@@ -57,7 +57,7 @@ GOLDEN_EMBEDDING = np.array([
 
 
 def _random_features(rng, frames=12, n_mels=64):
-    return MelFeatures(rng.standard_normal((frames, n_mels)))
+    return rng.standard_normal((frames, n_mels))
 
 
 class TestEncoderConfig:
@@ -134,6 +134,19 @@ class TestInitRandom:
         for name in ws.tensors:
             np.testing.assert_array_equal(back.tensors[name], ws.tensors[name])
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [([1], "list indices"), ({"conv_channels": [2]}, "'pool_after'"),
+         ({**EncoderConfig().to_dict(), "embed_dim": "x"}, "'x'")],
+    )
+    def test_load_rejects_malformed_config(self, tmp_path, config, field):
+        from voicecloak import tensorfile
+
+        path = tmp_path / "w.bin"
+        tensorfile.save(path, {}, meta={"kind": "encoder-weights", "config": config})
+        with pytest.raises(TensorFileError, match=f"bad encoder config: .*{field}"):
+            load_weights(path)
+
     def test_load_rejects_foreign_file(self, tmp_path):
         from voicecloak import tensorfile
 
@@ -150,23 +163,27 @@ class TestForward:
         assert e.shape == (128,)
 
     def test_zero_features_give_zero_embedding(self, default_weights):
-        e, _ = forward(MelFeatures(np.zeros((8, 64))), default_weights)
+        e, _ = forward(np.zeros((8, 64)), default_weights)
         np.testing.assert_array_equal(e, np.zeros(128))
 
     def test_rejects_wrong_band_count(self, default_weights):
         with pytest.raises(ValueError, match="mel bands"):
-            forward(MelFeatures(np.zeros((8, 32))), default_weights)
+            forward(np.zeros((8, 32)), default_weights)
+
+    def test_rejects_one_dimensional_features(self, default_weights):
+        with pytest.raises(ValueError, match=r"got shape \(64,\)"):
+            forward(np.zeros(64), default_weights)
 
     def test_rejects_too_few_frames(self, default_weights):
         with pytest.raises(ValueError, match="too few frames"):
-            forward(MelFeatures(np.zeros((2, 64))), default_weights)
+            forward(np.zeros((2, 64)), default_weights)
 
     def test_time_tiling_invariance_without_pooling(self):
         ws = init_random(EncoderConfig(conv_channels=(2, 4), pool_after=()), 42)
         rng = np.random.default_rng(3)
         base = rng.standard_normal((9, 64))
-        e1, _ = forward(MelFeatures(base), ws)
-        e2, _ = forward(MelFeatures(np.vstack([base, base])), ws)
+        e1, _ = forward(base, ws)
+        e2, _ = forward(np.vstack([base, base]), ws)
         np.testing.assert_allclose(e2, e1, atol=1e-12)
 
     def test_golden_embedding(self, default_weights, mel64):
@@ -180,7 +197,7 @@ class TestBackward:
         rng = np.random.default_rng(4)
         feat = rng.standard_normal((10, 64))
         v = rng.standard_normal(128)
-        _, cache = forward(MelFeatures(feat), default_weights)
+        _, cache = forward(feat, default_weights)
         grad = backward(cache, v)
         assert grad.shape == feat.shape
         h = 1e-6
@@ -190,20 +207,20 @@ class TestBackward:
             up, down = feat.copy(), feat.copy()
             up[i, j] += h
             down[i, j] -= h
-            eu, _ = forward(MelFeatures(up), default_weights)
-            ed, _ = forward(MelFeatures(down), default_weights)
+            eu, _ = forward(up, default_weights)
+            ed, _ = forward(down, default_weights)
             fd = (v @ eu - v @ ed) / (2 * h)
             rel = abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]), floor)
             assert rel < 1e-5
 
     def test_constant_features_take_zero_std_subgradient(self, default_weights):
-        feat = MelFeatures(np.tile(np.linspace(0.1, 1.0, 64), (8, 1)))
+        feat = np.tile(np.linspace(0.1, 1.0, 64), (8, 1))
         _, cache = forward(feat, default_weights)
         grad = backward(cache, np.ones(128))
         assert np.all(np.isfinite(grad))
 
     def test_rejects_wrong_grad_shape(self, default_weights):
-        _, cache = forward(MelFeatures(np.zeros((8, 64))), default_weights)
+        _, cache = forward(np.zeros((8, 64)), default_weights)
         with pytest.raises(ValueError, match="grad_embedding"):
             backward(cache, np.zeros(64))
 

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voicecloak import tensorfile
 from voicecloak.tensorfile import TensorFileError
@@ -26,6 +28,7 @@ def test_round_trip_is_bit_exact(tmp_path, sample_tensors):
     assert got_meta == meta
     assert list(back) == list(sample_tensors)  # manifest preserves order
     for name, tensor in sample_tensors.items():
+        assert back[name].shape == tensor.shape
         np.testing.assert_array_equal(back[name], np.asarray(tensor, dtype=np.float64))
 
 
@@ -115,3 +118,94 @@ def test_load_rejects_non_finite_blob(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(TensorFileError, match="'v'.*non-finite"):
         tensorfile.load(path)
+
+
+def _write_with_header(path, header, blob=b""):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+
+def _header(tensors, meta=None):
+    return {"format_version": tensorfile.FORMAT_VERSION, "meta": meta or {}, "tensors": tensors}
+
+
+_ONE_ZERO = b"\x00" * 8
+
+
+@pytest.mark.parametrize(
+    "header, blob, field",
+    [
+        pytest.param(_header([{"shape": [1], "offset": 0}]), _ONE_ZERO, "'name'", id="no-name"),
+        pytest.param([1, 2, 3], b"", "header must be a JSON object", id="list-header"),
+        pytest.param(_header(5), b"", "'tensors'", id="int-tensors"),
+        pytest.param(_header(["v"]), _ONE_ZERO, r"tensors\[0\]", id="string-entry"),
+        pytest.param(_header([{"name": "v", "shape": [1], "offset": 0}]), _ONE_ZERO[:7],
+                     "7 bytes", id="7-byte-blob"),
+        pytest.param(_header([{"name": "v", "shape": "ab", "offset": 0}]), _ONE_ZERO,
+                     "'v' has 'shape'", id="string-shape"),
+        pytest.param(_header([{"name": "v", "shape": [-1], "offset": 0}]), b"",
+                     "'v' has 'shape'", id="negative-dim"),
+        pytest.param(_header([{"name": "v", "shape": [0, 2**70], "offset": 0}]), b"",
+                     "'v' has 'shape'", id="unrepresentable-dim"),
+        pytest.param(_header([{"name": "v", "shape": [1], "offset": 0.0}]), _ONE_ZERO,
+                     "'v' has 'offset'", id="float-offset"),
+        pytest.param(_header([{"name": "v", "shape": [1], "offset": 0}] * 2), _ONE_ZERO * 2,
+                     "'v' is listed twice", id="duplicate-name"),
+        pytest.param(_header([], [1]), b"", "'meta'", id="list-meta"),
+    ],
+)
+def test_load_names_the_malformed_field(tmp_path, header, blob, field):
+    path = tmp_path / "t.bin"
+    _write_with_header(path, header, blob)
+    with pytest.raises(TensorFileError, match=field):
+        tensorfile.load(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_load_of_a_mutated_file_raises_tensorfile_error_or_round_trips(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp() / "mutated-tensorfile"
+    root.mkdir(exist_ok=True)
+    tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2), "c": np.array(3.0)}
+    tensorfile.save(root / "orig.bin", tensors, {"kind": "x"})
+    raw = (root / "orig.bin").read_bytes()
+    sep = raw.find(b"\n")
+    header, blob = json.loads(raw[:sep]), raw[sep + 1 :]
+    where = data.draw(st.sampled_from(["top", "entry", "field", "blob", "header bytes"]))
+    if where == "top":
+        key = data.draw(st.sampled_from(["format_version", "meta", "tensors"]))
+        header[key] = data.draw(_JSON)
+    elif where == "entry":
+        header["tensors"][data.draw(st.integers(0, 2))] = data.draw(_JSON)
+    elif where == "field":
+        entry = header["tensors"][data.draw(st.integers(0, 2))]
+        key = data.draw(st.sampled_from(["name", "shape", "offset"]))
+        if data.draw(st.booleans()):
+            del entry[key]
+        else:
+            entry[key] = data.draw(_JSON)
+    elif where == "blob":
+        cut = data.draw(st.integers(0, len(blob) + 16))
+        blob = (blob + data.draw(st.binary(min_size=16, max_size=16)))[:cut]
+    head = json.dumps(header).encode()
+    if where == "header bytes":
+        head = data.draw(st.binary(max_size=40))
+    path = root / "mutated.bin"
+    path.write_bytes(head + b"\n" + blob)
+    try:
+        loaded, meta = tensorfile.load(path)
+    except TensorFileError:
+        return
+    tensorfile.save(root / "again.bin", loaded, meta)
+    back, back_meta = tensorfile.load(root / "again.bin")
+    assert back_meta == meta
+    assert list(back) == list(loaded)
+    for name, tensor in loaded.items():
+        assert back[name].shape == tensor.shape
+        np.testing.assert_array_equal(back[name], tensor)
