@@ -26,7 +26,9 @@ import numpy as np
 from .audio_io import CANONICAL_RATE, Waveform, add_gaussian_noise
 from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backward
 from .metrics import snr_db
-from .spectral import StftConfig, istft, log_mel, log_mel_backward, mel_matrix, stft
+from .spectral import (
+    StftConfig, istft, log_energies, log_mel, log_mel_backward, mel_energies, mel_matrix, stft,
+)
 
 
 class AttackConfigError(ValueError):
@@ -113,12 +115,14 @@ def loss_and_grad(
 
     Composes log-mel -> encoder -> cosine loss forward, then reverses the
     chain. e_ref must be precomputed from the original magnitude and held
-    fixed across iterations.
+    fixed across iterations. The filterbank energies are computed once and
+    shared by the forward features and the log-mel backward pass.
     """
-    embedding, cache = forward(log_mel(x_tilde, mel), ws)
+    energies = mel_energies(x_tilde, mel)
+    embedding, cache = forward(log_energies(energies), ws)
     loss = cosine_loss(e_ref, embedding)
     grad_feat = backward(cache, cosine_loss_grad(e_ref, embedding))
-    return loss, log_mel_backward(grad_feat, x_tilde, mel)
+    return loss, log_mel_backward(grad_feat, x_tilde, mel, energies)
 
 
 def ifgsm(
@@ -141,6 +145,7 @@ def ifgsm(
         if not step_sign.any():
             step_sign = np.ones_like(x_tilde)
         x_tilde = clip_linf(x_tilde + cfg.alpha * step_sign, x, cfg.epsilon)
+        del grad, step_sign  # not held through the next step's gradient
     trajectory.append(compute_loss(x_tilde, mel, ws, e_ref))
     return AttackResult(adv_magnitude=x_tilde, loss_trajectory=trajectory)
 

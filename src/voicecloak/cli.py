@@ -15,6 +15,8 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -255,9 +257,34 @@ def run_rerun(manifest_path: str):
         signature.bind(**params)
     except TypeError as exc:
         raise ValueError(f"{manifest_path}: params of {command}: {exc}") from None
-    if command == "embed":
-        params["inputs"] = tuple(params["inputs"])
+    hints = typing.get_type_hints(run)
+    for name, value in params.items():
+        if not _json_matches(value, hints[name]):
+            raise ValueError(
+                f"{manifest_path}: param {name!r} of {command} must be"
+                f" {inspect.formatannotation(hints[name])}, got {value!r}"
+            )
+        if isinstance(value, list):
+            params[name] = tuple(value)
     return run(**params)
+
+
+def _json_matches(value, hint) -> bool:
+    """Whether a decoded JSON value fits a `run_*` annotation.
+
+    JSON has no tuples, so tuple[X, ...] takes a list; an int fits float,
+    and a bool fits neither int nor float.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_json_matches(value, h) for h in args)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_matches(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _fail(exc: BaseException) -> "SystemExit":

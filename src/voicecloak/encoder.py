@@ -13,6 +13,16 @@ what statistics pooling is meant to provide.
 
 Embeddings are plain 1-D float64 arrays; they are deliberately NOT
 length-normalized here, the cosine loss normalizes.
+
+Summation order is fixed, so results are reproducible bit for bit:
+
+* a convolution is one BLAS GEMM (`np.dot`) of the kernels, flattened to
+  [C_out, C_in*9], against explicit im2col rows ordered (c_in, dt, df);
+* 2x2 pooling adds the top pair and the bottom pair first,
+  ((a + b) + (c + d)) / 4, where a, b are the upper row; when the pooled
+  map has a single band it adds left to right, (((a + b) + c) + d) / 4.
+  Both equal NumPy's reshape-mean on the same map;
+* the pooling backward writes grad / 4 into each of the four positions.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensorfile
 
@@ -174,11 +183,24 @@ def _conv_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """3x3 stride-1 convolution, circular along time, zero-padded along freq.
 
     x is [C_in, T, F], kernels [C_out, C_in, 3, 3]; output [C_out, T, F].
+    One GEMM of the flattened kernels against explicit im2col rows.
     """
-    xp = np.concatenate([x[:, -1:, :], x, x[:, :1, :]], axis=1)
-    xp = np.pad(xp, ((0, 0), (0, 0), (1, 1)))
-    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [C_in, T, F, 3, 3]
-    return np.tensordot(kernels, windows, axes=([1, 2, 3], [0, 3, 4]))
+    c_in, t, f = x.shape
+    c_out = kernels.shape[0]
+    # cols[c, dt, df, i, j] = x[c, (i + dt - 1) mod T, j + df - 1], and 0 where
+    # j + df - 1 leaves the band; filled straight from x, with no padded copy
+    cols = np.empty((c_in, 3, 3, t, f))
+    shifts = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),
+              (slice(None, -1), slice(1, None)))
+    for dt, (t_out, t_in) in enumerate(shifts):
+        for df, (f_out, f_in) in enumerate(shifts):
+            cols[:, dt, df, t_out, f_out] = x[:, t_in, f_in]
+    cols[:, :, 0, :, 0] = 0.0
+    cols[:, :, 2, :, -1] = 0.0
+    cols[:, 0, :, 0] = cols[:, 1, :, -1]  # the rows that wrap around in time
+    cols[:, 2, :, -1] = cols[:, 1, :, 0]
+    out = np.dot(kernels.reshape(c_out, c_in * 9), cols.reshape(c_in * 9, t * f))
+    return out.reshape(c_out, t, f)
 
 
 def _conv_same_input_grad(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -190,18 +212,29 @@ def _conv_same_input_grad(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarr
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:
     """Non-overlapping 2x2 mean pooling; trailing odd rows/cols are dropped."""
-    c, t, f = x.shape
+    _, t, f = x.shape
     t2, f2 = t // 2, f // 2
     if t2 < 1 or f2 < 1:
         raise ValueError(f"feature map {t}x{f} too small for 2x2 pooling")
-    return x[:, : 2 * t2, : 2 * f2].reshape(c, t2, 2, f2, 2).mean(axis=(2, 4))
+    top = x[:, 0 : 2 * t2 : 2, : 2 * f2]
+    bot = x[:, 1 : 2 * t2 : 2, : 2 * f2]
+    s = top[:, :, 0::2] + top[:, :, 1::2]
+    if f2 > 1:  # the add orders of NumPy's mean; see the module docstring
+        s += bot[:, :, 0::2] + bot[:, :, 1::2]
+    else:
+        s += bot[:, :, 0::2]
+        s += bot[:, :, 1::2]
+    s /= 4.0
+    return s
 
 
 def _avgpool2_backward(grad: np.ndarray, unpooled_shape: tuple[int, ...]) -> np.ndarray:
-    c, t, f = unpooled_shape
     t2, f2 = grad.shape[1], grad.shape[2]
     out = np.zeros(unpooled_shape)
-    out[:, : 2 * t2, : 2 * f2] = np.repeat(np.repeat(grad, 2, axis=1), 2, axis=2) / 4.0
+    quarter = grad / 4.0
+    for dt in range(2):
+        for df in range(2):
+            out[:, dt : 2 * t2 : 2, df : 2 * f2 : 2] = quarter
     return out
 
 
@@ -275,8 +308,8 @@ def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
 
     for i in reversed(range(len(cfg.conv_channels))):
         z = cache.pre_acts[i]
-        d_r = _avgpool2_backward(d_a, z.shape) if i in cfg.pool_after else d_a
-        d_z = d_r * (z > 0.0)
+        d_z = _avgpool2_backward(d_a, z.shape) if i in cfg.pool_after else d_a
+        d_z *= z > 0.0  # in place: d_a is a fresh array no one else holds
         d_a = _conv_same_input_grad(d_z, ws.tensors[f"conv{i}.kernel"])
     return d_a[0]
 

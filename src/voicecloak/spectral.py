@@ -62,13 +62,10 @@ class Spectrogram:
     """Magnitude/phase pair from a single analysis pass.
 
     magnitude and phase are [frames x bins]; phase angles lie in (-pi, pi].
-    original_length lets synthesis trim back to the source sample count.
     """
 
     magnitude: np.ndarray
     phase: np.ndarray
-    config: StftConfig
-    original_length: int
 
     def __post_init__(self):
         if self.magnitude.shape != self.phase.shape:
@@ -100,12 +97,7 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
         start = k * cfg.hop_length
         frames[k, lpad : lpad + cfg.win_length] = padded[start : start + cfg.win_length] * window
     spectrum = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
-    return Spectrogram(
-        magnitude=np.abs(spectrum),
-        phase=np.angle(spectrum),
-        config=cfg,
-        original_length=len(x),
-    )
+    return Spectrogram(magnitude=np.abs(spectrum), phase=np.angle(spectrum))
 
 
 def istft(
@@ -189,21 +181,32 @@ def mel_matrix(fft_size: int = 512, n_mels: int = 64, sample_rate: int = 16000) 
     return weights
 
 
-def log_mel(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
-    """log(max(mag^2 . mel^T, floor)), [frames x n_mels]: the encoder's input."""
+def mel_energies(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
+    """Filterbank energies mag^2 . mel^T, [frames x n_mels]."""
     if mag.shape[1] != mel.shape[1]:
         raise ValueError(f"bins mismatch: magnitude {mag.shape[1]} vs filterbank {mel.shape[1]}")
-    energies = (mag**2) @ mel.T
+    return (mag**2) @ mel.T
+
+
+def log_energies(energies: np.ndarray) -> np.ndarray:
+    """log(max(energies, floor)): the log compression of `log_mel`."""
     return np.log(np.maximum(energies, LOG_FLOOR))
 
 
-def log_mel_backward(grad_out: np.ndarray, mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
+def log_mel(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
+    """log(max(mag^2 . mel^T, floor)), [frames x n_mels]: the encoder's input."""
+    return log_energies(mel_energies(mag, mel))
+
+
+def log_mel_backward(
+    grad_out: np.ndarray, mag: np.ndarray, mel: np.ndarray, energies: np.ndarray
+) -> np.ndarray:
     """Gradient of log_mel with respect to the magnitude matrix.
 
     Exact reverse-mode differentiation; channels sitting on the log floor
-    contribute zero.
+    contribute zero. `energies` are `mel_energies(mag, mel)` from the
+    forward pass, shared rather than recomputed.
     """
-    energies = (mag**2) @ mel.T
     if grad_out.shape != energies.shape:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match features {energies.shape}"

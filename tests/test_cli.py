@@ -300,6 +300,23 @@ class TestDumpSpecAndRerun:
             pytest.param({"command": "protect", "params": {"inputs": "a", "weights": "w",
                                                            "out_dir": "o", "sneed": 3}},
                          "'sneed'", id="unknown-protect-param"),
+            pytest.param({"command": "embed", "params": {"inputs": 5, "weights": "w",
+                                                         "out": "o"}},
+                         "'inputs'", id="int-inputs"),
+            pytest.param({"command": "embed", "params": {"inputs": "corpus", "weights": "w",
+                                                         "out": "o"}},
+                         "'inputs'", id="string-inputs"),
+            pytest.param({"command": "embed", "params": {"inputs": ["a", 1], "weights": "w",
+                                                         "out": "o"}},
+                         "'inputs'", id="int-in-inputs"),
+            pytest.param({"command": "protect", "params": {"inputs": "a", "weights": "w",
+                                                           "out_dir": "o", "iterations": "50"}},
+                         "'iterations'", id="string-iterations"),
+            pytest.param({"command": "protect", "params": {"inputs": "a", "weights": "w",
+                                                           "out_dir": "o", "epsilon": True}},
+                         "'epsilon'", id="bool-epsilon"),
+            pytest.param({"command": "simmat", "params": {"rows": "r", "cols": 3, "out": "o"}},
+                         "'cols'", id="int-cols"),
         ],
     )
     def test_rerun_checks_the_manifest_before_running(self, runner, tmp_path, manifest, field):
