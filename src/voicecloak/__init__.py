@@ -1,6 +1,8 @@
 """Adversarial speaker protection: perturb speech so embedding encoders misjudge it."""
 
-from .attack import AttackConfig, AttackResult, ProtectionReport, fgsm, ifgsm, protect_utterance
+from .attack import (
+    AttackConfig, AttackResult, ProtectionReport, embed, fgsm, ifgsm, protect_utterance,
+)
 from .audio_io import Waveform, add_gaussian_noise, read_wav, resample_linear, write_wav
 from .encoder import (
     EncoderConfig,
@@ -12,7 +14,7 @@ from .encoder import (
     save_weights,
 )
 from .metrics import compute_eer, delta_cosd, parse_trials, score_trials, similarity_matrix, snr_db
-from .spectral import Spectrogram, StftConfig, istft, log_mel, mel_matrix, stft
+from .spectral import Spectrogram, istft, log_mel, mel_matrix, stft
 
 __version__ = "0.1.0"
 
@@ -22,13 +24,13 @@ __all__ = [
     "EncoderConfig",
     "ProtectionReport",
     "Spectrogram",
-    "StftConfig",
     "Waveform",
     "WeightStore",
     "add_gaussian_noise",
     "compute_eer",
     "cosine_loss",
     "delta_cosd",
+    "embed",
     "fgsm",
     "forward",
     "ifgsm",

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import CANONICAL_RATE, Waveform, add_gaussian_noise
+from .audio_io import Waveform, add_gaussian_noise
 from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backward
 from .metrics import snr_db
 from .spectral import (
-    StftConfig, istft, log_energies, log_mel, log_mel_backward, mel_energies, mel_matrix, stft,
+    istft, log_energies, log_mel, log_mel_backward, mel_energies, mel_matrix, stft,
 )
 
 
@@ -100,6 +100,17 @@ def clip_linf(x_tilde: np.ndarray, x: np.ndarray, epsilon: float) -> np.ndarray:
     return np.maximum(np.clip(x_tilde, x - epsilon, x + epsilon), 0.0)
 
 
+def embed(mag: np.ndarray, ws: WeightStore) -> np.ndarray:
+    """Speaker embedding of a [frames x bins] magnitude matrix.
+
+    The filterbank follows from the bin count and ws.config.n_mels; the
+    log-mel features go through the encoder once, with no cache kept.
+    """
+    mel = mel_matrix((mag.shape[1] - 1) * 2, ws.config.n_mels)
+    embedding, _ = forward(log_mel(mag, mel), ws)
+    return embedding
+
+
 def compute_loss(
     x_tilde: np.ndarray, mel: np.ndarray, ws: WeightStore, e_ref: np.ndarray
 ) -> float:
@@ -135,7 +146,7 @@ def ifgsm(
     exactly zero matrix; a sign step of all ones is substituted in that
     case so the iteration can leave the plateau deterministically.
     """
-    mel = mel_matrix((x.shape[1] - 1) * 2, ws.config.n_mels, CANONICAL_RATE)
+    mel = mel_matrix((x.shape[1] - 1) * 2, ws.config.n_mels)
     x_tilde = x.copy()
     trajectory: list[float] = []
     for _ in range(cfg.iterations):
@@ -164,7 +175,6 @@ def protect_utterance(
     ws: WeightStore,
     cfg: AttackConfig = AttackConfig(),
     method: str = "ifgsm",
-    stft_config: StftConfig = StftConfig(),
     target_snr_db: float = 32.0,
     seed: int = 0,
 ) -> tuple[Waveform, ProtectionReport]:
@@ -175,17 +185,13 @@ def protect_utterance(
     white noise at target_snr_db in the time domain (the baseline).
     The report's delta_cosd is always recomputed from the re-analyzed
     protected waveform, and the output length always equals the input's.
+    `stft` rejects input at any rate but CANONICAL_RATE.
     """
-    if w.sample_rate != CANONICAL_RATE:
-        raise ValueError(
-            f"expected {CANONICAL_RATE} Hz input, got {w.sample_rate} Hz; resample first"
-        )
     if method not in ("fgsm", "ifgsm", "gaussian"):
         raise ValueError(f"unknown method {method!r}")
 
-    spec = stft(w, stft_config)
-    mel = mel_matrix(stft_config.fft_size, ws.config.n_mels, CANONICAL_RATE)
-    e_ref, _ = forward(log_mel(spec.magnitude, mel), ws)
+    spec = stft(w)
+    e_ref = embed(spec.magnitude, ws)
 
     trajectory: list[float] = []
     if method == "gaussian":
@@ -196,10 +202,9 @@ def protect_utterance(
         else:
             result = ifgsm(spec.magnitude, ws, e_ref, cfg)
         trajectory = result.loss_trajectory
-        protected = istft(result.adv_magnitude, spec.phase, stft_config, len(w))
+        protected = istft(result.adv_magnitude, spec.phase, len(w))
 
-    re_spec = stft(protected, stft_config)
-    e_protected, _ = forward(log_mel(re_spec.magnitude, mel), ws)
+    e_protected = embed(stft(protected).magnitude, ws)
     report = ProtectionReport(
         method=method,
         snr_db=snr_db(w, protected),

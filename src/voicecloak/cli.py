@@ -25,9 +25,9 @@ import click
 import numpy as np
 
 from . import __version__, tensorfile
-from .attack import AttackConfig, AttackConfigError, protect_utterance
+from .attack import AttackConfig, AttackConfigError, embed, protect_utterance
 from .audio_io import CANONICAL_RATE, Waveform, read_wav, resample_linear, write_wav
-from .encoder import EncoderConfig, forward, init_random, load_weights, save_weights
+from .encoder import EncoderConfig, init_random, load_weights, save_weights
 from .metrics import (
     compute_eer,
     parse_trials,
@@ -35,7 +35,7 @@ from .metrics import (
     similarity_matrix,
     write_similarity_csv,
 )
-from .spectral import StftConfig, log_mel, mel_matrix, stft, write_magnitude_csv
+from .spectral import stft, write_magnitude_csv
 
 logger = logging.getLogger("voicecloak")
 
@@ -103,7 +103,6 @@ def run_protect(
     target_snr: float = 32.0,
     seed: int = 0,
     jobs: int | None = None,
-    dump_spectrograms: bool = False,
 ) -> int:
     """Protect every input file; returns the number of failures."""
     cfg = AttackConfig(epsilon=epsilon, alpha=alpha, iterations=iterations)
@@ -136,8 +135,6 @@ def run_protect(
         (out_path / f"{path.stem}.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"
         )
-        if dump_spectrograms:
-            write_magnitude_csv(stft(protected), out_path / f"{path.stem}.magnitude.csv")
         logger.info("protected %s: SNR %.2f dB, distance %.3f", path.name, report.snr_db, report.delta_cosd)
 
     failures = 0
@@ -155,16 +152,8 @@ def run_protect(
         "inputs": inputs, "weights": weights, "out_dir": out_dir, "method": method,
         "epsilon": epsilon, "alpha": alpha, "iterations": iterations,
         "target_snr": target_snr, "seed": seed, "jobs": jobs,
-        "dump_spectrograms": dump_spectrograms,
     })
     return failures
-
-
-def _embed_file(path: Path, ws, mel: np.ndarray) -> np.ndarray:
-    w = _load_waveform_16k(path)
-    feat = log_mel(stft(w).magnitude, mel)
-    embedding, _ = forward(feat, ws)
-    return embedding
 
 
 def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
@@ -172,12 +161,11 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     for item in inputs:
         files.extend(_collect_wavs(item))
     ws = load_weights(weights)
-    mel = mel_matrix(StftConfig().fft_size, ws.config.n_mels, CANONICAL_RATE)
     embeddings: dict[str, np.ndarray] = {}
     for path in files:
         if path.stem in embeddings:
             raise ValueError(f"duplicate key {path.stem!r} (from {path})")
-        embeddings[path.stem] = _embed_file(path, ws, mel)
+        embeddings[path.stem] = embed(stft(_load_waveform_16k(path)).magnitude, ws)
     tensorfile.save(out, embeddings, meta={
         "kind": "embeddings",
         "embed_dim": ws.config.embed_dim,
@@ -222,7 +210,7 @@ def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = Fals
 
 
 def run_dump_spec(input: str, out: str) -> None:
-    write_magnitude_csv(stft(_load_waveform_16k(Path(input))), out)
+    write_magnitude_csv(stft(_load_waveform_16k(Path(input))).magnitude, out)
     _write_manifest(str(out) + ".manifest.json", "dump-spec", {"input": input, "out": out})
 
 
@@ -253,6 +241,13 @@ def run_rerun(manifest_path: str):
         # embed, eval, simmat and dump-spec manifests written before their
         # --seed option was removed record a seed that never affected an output
         params.pop("seed", None)
+    if command == "protect" and params.pop("dump_spectrograms", False) is not False:
+        # protect manifests from before the spectrogram-dump flag was removed
+        # record it; false changed no output, true asked for CSVs protect no longer writes
+        raise ValueError(
+            f"{manifest_path}: param 'dump_spectrograms' of protect is no longer"
+            " supported; run dump-spec on each protected WAV instead"
+        )
     try:
         signature.bind(**params)
     except TypeError as exc:
@@ -326,9 +321,8 @@ def cmd_init_encoder(config, seed, out):
               help="SNR in dB for the gaussian method.")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--jobs", default=None, type=int, help="Worker threads; default = CPU count.")
-@click.option("--dump-spectrograms", is_flag=True, help="Also write magnitude CSVs (debug).")
 def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
-                target_snr, seed, jobs, dump_spectrograms):
+                target_snr, seed, jobs):
     """Perturb a WAV file or a directory of WAV files.
 
     Writes one protected 16 kHz WAV plus a JSON report per input, and a
@@ -337,7 +331,7 @@ def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
     """
     try:
         failures = run_protect(inputs, weights, out_dir, method, epsilon, alpha,
-                               iterations, target_snr, seed, jobs, dump_spectrograms)
+                               iterations, target_snr, seed, jobs)
     except AttackConfigError as exc:
         raise click.UsageError(str(exc))
     except Exception as exc:

@@ -1,12 +1,15 @@
 """STFT analysis, phase-preserving synthesis, and the log-mel front-end.
 
+The front end is fixed: FFT_SIZE (512) points, a WIN_LENGTH (400-sample,
+25 ms) window and a HOP_LENGTH (160-sample, 10 ms) hop at
+audio_io.CANONICAL_RATE (16 kHz), giving N_BINS (257) frequency bins.
 Conventions, fixed here once so that analysis and synthesis agree exactly:
 
-* frames are center-aligned: the signal is reflect-padded by win_length/2
-  at both ends, frame k starts at k*hop in the padded signal, and the
-  frame count is floor(len/hop) + 1;
-* the analysis window is a periodic Hann of win_length samples,
-  zero-padded centrally to fft_size;
+* frames are center-aligned: the signal is reflect-padded by WIN_LENGTH/2
+  at both ends, frame k starts at k*HOP_LENGTH in the padded signal, and
+  the frame count is floor(len/HOP_LENGTH) + 1;
+* the analysis window is WINDOW, a periodic Hann of WIN_LENGTH samples,
+  zero-padded centrally to FFT_SIZE;
 * synthesis uses the same window with overlap-add, normalized per sample
   by the summed squared window (samples where that sum is below 1e-9 are
   set to zero);
@@ -26,35 +29,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import Waveform
+from .audio_io import CANONICAL_RATE, Waveform
 
 LOG_FLOOR = 1e-10
 WINDOW_SUM_EPS = 1e-9
 
-
-@dataclass(frozen=True)
-class StftConfig:
-    """512-point transform, 25 ms window and 10 ms hop at 16 kHz."""
-
-    fft_size: int = 512
-    win_length: int = 400
-    hop_length: int = 160
-
-    def __post_init__(self):
-        if not (0 < self.hop_length <= self.win_length <= self.fft_size):
-            raise ValueError(
-                f"need 0 < hop ({self.hop_length}) <= win ({self.win_length})"
-                f" <= fft ({self.fft_size})"
-            )
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
-    def window(self) -> np.ndarray:
-        """Periodic Hann over win_length samples."""
-        n = np.arange(self.win_length)
-        return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / self.win_length))
+FFT_SIZE = 512
+WIN_LENGTH = 400
+HOP_LENGTH = 160
+N_BINS = FFT_SIZE // 2 + 1
+WINDOW = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WIN_LENGTH) / WIN_LENGTH))
+WINDOW.flags.writeable = False
+_LPAD = (FFT_SIZE - WIN_LENGTH) // 2  # window offset inside each FFT frame
 
 
 @dataclass
@@ -74,72 +60,66 @@ class Spectrogram:
             )
 
 
-def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> Spectrogram:
+def stft(w: Waveform) -> Spectrogram:
     """Analyze a waveform into magnitude and phase matrices.
 
-    Requires at least one window of samples. The waveform is expected at
-    the canonical 16 kHz rate; resample first otherwise.
+    Requires at least one window of samples at CANONICAL_RATE; resample
+    first otherwise.
     """
-    x = w.samples
-    if len(x) < cfg.win_length:
+    if w.sample_rate != CANONICAL_RATE:
         raise ValueError(
-            f"signal of {len(x)} samples is shorter than one window"
-            f" ({cfg.win_length} samples)"
+            f"expected {CANONICAL_RATE} Hz input, got {w.sample_rate} Hz; resample first"
         )
-    half = cfg.win_length // 2
+    x = w.samples
+    if len(x) < WIN_LENGTH:
+        raise ValueError(
+            f"signal of {len(x)} samples is shorter than one window ({WIN_LENGTH} samples)"
+        )
+    half = WIN_LENGTH // 2
     padded = np.pad(x, (half, half), mode="reflect")
-    n_frames = len(x) // cfg.hop_length + 1
-    window = cfg.window()
-    lpad = (cfg.fft_size - cfg.win_length) // 2
+    n_frames = len(x) // HOP_LENGTH + 1
 
-    frames = np.zeros((n_frames, cfg.fft_size))
+    frames = np.zeros((n_frames, FFT_SIZE))
     for k in range(n_frames):
-        start = k * cfg.hop_length
-        frames[k, lpad : lpad + cfg.win_length] = padded[start : start + cfg.win_length] * window
-    spectrum = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
+        start = k * HOP_LENGTH
+        frames[k, _LPAD : _LPAD + WIN_LENGTH] = padded[start : start + WIN_LENGTH] * WINDOW
+    spectrum = np.fft.rfft(frames, n=FFT_SIZE, axis=1)
     return Spectrogram(magnitude=np.abs(spectrum), phase=np.angle(spectrum))
 
 
-def istft(
-    magnitude: np.ndarray,
-    phase: np.ndarray,
-    cfg: StftConfig = StftConfig(),
-    length: int | None = None,
-) -> Waveform:
+def istft(magnitude: np.ndarray, phase: np.ndarray, length: int | None = None) -> Waveform:
     """Weighted overlap-add synthesis from magnitude and phase.
 
     The synthesis window equals the analysis window; each output sample is
     normalized by the accumulated squared window, which makes
     istft(stft(w)) an identity away from the signal edges. Output is
-    trimmed to `length` samples at 16 kHz.
+    trimmed to `length` samples at CANONICAL_RATE.
     """
     if magnitude.shape != phase.shape:
         raise ValueError(f"shape mismatch: magnitude {magnitude.shape} vs phase {phase.shape}")
     n_frames = magnitude.shape[0]
-    if magnitude.shape[1] != cfg.n_bins:
-        raise ValueError(f"expected {cfg.n_bins} bins, got {magnitude.shape[1]}")
-    window = cfg.window()
-    lpad = (cfg.fft_size - cfg.win_length) // 2
-    half = cfg.win_length // 2
+    if magnitude.shape[1] != N_BINS:
+        raise ValueError(f"expected {N_BINS} bins, got {magnitude.shape[1]}")
+    half = WIN_LENGTH // 2
 
-    span = (n_frames - 1) * cfg.hop_length + cfg.win_length
+    span = (n_frames - 1) * HOP_LENGTH + WIN_LENGTH
     out = np.zeros(span)
     wsum = np.zeros(span)
-    frames_time = np.fft.irfft(magnitude * np.exp(1j * phase), n=cfg.fft_size, axis=1)
+    frames_time = np.fft.irfft(magnitude * np.exp(1j * phase), n=FFT_SIZE, axis=1)
     for k in range(n_frames):
-        start = k * cfg.hop_length
-        out[start : start + cfg.win_length] += frames_time[k, lpad : lpad + cfg.win_length] * window
-        wsum[start : start + cfg.win_length] += window**2
+        start = k * HOP_LENGTH
+        out[start : start + WIN_LENGTH] += frames_time[k, _LPAD : _LPAD + WIN_LENGTH] * WINDOW
+        wsum[start : start + WIN_LENGTH] += WINDOW**2
     nonzero = wsum >= WINDOW_SUM_EPS
     out[nonzero] /= wsum[nonzero]
     out[~nonzero] = 0.0
 
     if length is None:
-        length = span - cfg.win_length
+        length = span - WIN_LENGTH
     result = np.zeros(length)
     avail = min(length, span - half)
     result[:avail] = out[half : half + avail]
-    return Waveform(result, 16000)
+    return Waveform(result, CANONICAL_RATE)
 
 
 def hz_to_mel(f):
@@ -152,8 +132,8 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def mel_matrix(fft_size: int = 512, n_mels: int = 64, sample_rate: int = 16000) -> np.ndarray:
-    """Triangular mel filterbank, [n_mels x bins], spanning 0 to Nyquist.
+def mel_matrix(fft_size: int = FFT_SIZE, n_mels: int = 64) -> np.ndarray:
+    """Triangular mel filterbank, [n_mels x bins], spanning 0 to Nyquist at CANONICAL_RATE.
 
     Built once per parameter set and shared, so the array is read-only.
     Raises on degenerate parameterizations where some filter covers no
@@ -162,9 +142,9 @@ def mel_matrix(fft_size: int = 512, n_mels: int = 64, sample_rate: int = 16000) 
     n_bins = fft_size // 2 + 1
     if not 1 <= n_mels < n_bins:
         raise ValueError(f"n_mels must be in [1, {n_bins}), got {n_mels}")
-    mel_points = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    mel_points = np.linspace(0.0, hz_to_mel(CANONICAL_RATE / 2.0), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.arange(n_bins) * (sample_rate / fft_size)
+    bin_freqs = np.arange(n_bins) * (CANONICAL_RATE / fft_size)
 
     weights = np.zeros((n_mels, n_bins))
     for m in range(n_mels):
@@ -215,6 +195,6 @@ def log_mel_backward(
     return (grad_energy @ mel) * (2.0 * mag)
 
 
-def write_magnitude_csv(spec: Spectrogram, path) -> None:
-    """Dump the magnitude matrix as CSV, one analysis frame per row."""
-    np.savetxt(path, spec.magnitude, fmt="%.9g", delimiter=",")
+def write_magnitude_csv(magnitude: np.ndarray, path) -> None:
+    """Dump a magnitude matrix as CSV, one analysis frame per row."""
+    np.savetxt(path, magnitude, fmt="%.9g", delimiter=",")

@@ -29,4 +29,4 @@ def default_weights() -> WeightStore:
 
 @pytest.fixture(scope="session")
 def mel64() -> np.ndarray:
-    return mel_matrix(512, 64, 16000)
+    return mel_matrix(512, 64)

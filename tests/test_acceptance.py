@@ -22,7 +22,7 @@ from voicecloak.audio_io import Waveform, add_gaussian_noise, write_wav
 from voicecloak.cli import cli
 from voicecloak.encoder import EncoderConfig, cosine_loss, forward, init_random
 from voicecloak.metrics import compute_eer, cosine_similarity
-from voicecloak.spectral import LOG_FLOOR, StftConfig, istft, log_mel, stft
+from voicecloak.spectral import LOG_FLOOR, WIN_LENGTH, istft, log_mel, stft
 
 
 def _check(number, name, ok, detail):
@@ -140,14 +140,13 @@ def test_criterion_03_single_iteration_schedule_degenerates_to_one_shot():
 
 def test_criterion_04_analysis_synthesis_round_trip():
     rng = np.random.default_rng(2)
-    cfg = StftConfig()
     worst = np.inf
     for _ in range(10):
         n = int(rng.integers(16000, 48001))
         x = rng.standard_normal(n) * 0.1
-        spec = stft(Waveform(x, 16000), cfg)
-        y = istft(spec.magnitude, spec.phase, cfg, length=n).samples
-        interior = slice(cfg.win_length, n - cfg.win_length)
+        spec = stft(Waveform(x, 16000))
+        y = istft(spec.magnitude, spec.phase, length=n).samples
+        interior = slice(WIN_LENGTH, n - WIN_LENGTH)
         err = y[interior] - x[interior]
         snr = 10.0 * np.log10(np.sum(x[interior] ** 2) / np.sum(err**2))
         worst = min(worst, snr)

@@ -6,6 +6,7 @@ from voicecloak.attack import (
     AttackConfig,
     clip_linf,
     compute_loss,
+    embed,
     fgsm,
     ifgsm,
     loss_and_grad,
@@ -29,7 +30,7 @@ def small_instance(seed, frames=8, bins=129):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 0.06, (frames, bins))
     ref_mag = rng.uniform(0.0, 0.06, (frames, bins))
-    mel = mel_matrix((bins - 1) * 2, SMALL_CFG.n_mels, 16000)
+    mel = mel_matrix((bins - 1) * 2, SMALL_CFG.n_mels)
     for attempt in range(50):
         ws = init_random(SMALL_CFG, seed + 10007 * attempt)
         e_x, _ = forward(log_mel(x, mel), ws)
@@ -111,7 +112,7 @@ class TestIfgsm:
 
     def test_zero_iterations_returns_input(self):
         x, ws, _ = small_instance(7)
-        mel = mel_matrix(256, SMALL_CFG.n_mels, 16000)
+        mel = mel_matrix(256, SMALL_CFG.n_mels)
         e_ref, _ = forward(log_mel(x, mel), ws)
         result = ifgsm(x, ws, e_ref, AttackConfig(iterations=0))
         assert np.array_equal(result.adv_magnitude, x)
@@ -127,7 +128,7 @@ class TestIfgsm:
     def test_self_referenced_attack_escapes_the_stationary_start(self):
         mag = stft(speaker_utterance(0, 0, seconds=0.5)).magnitude
         ws = init_random(EncoderConfig(), 42)
-        mel = mel_matrix(512, 64, 16000)
+        mel = mel_matrix(512, 64)
         e_ref, _ = forward(log_mel(mag, mel), ws)
         result = ifgsm(mag, ws, e_ref, AttackConfig(epsilon=0.02, alpha=0.002, iterations=10))
         assert result.loss_trajectory[0] == pytest.approx(-1.0, abs=1e-9)
@@ -138,7 +139,7 @@ class TestIfgsm:
         # is exactly zero; the escape step must move every entry by +alpha
         ws = init_random(EncoderConfig(), 0)
         tiny = np.full((8, 257), 1e-7)
-        mel = mel_matrix(512, 64, 16000)
+        mel = mel_matrix(512, 64)
         e_ref, _ = forward(log_mel(tiny, mel), ws)
         _, grad = loss_and_grad(tiny, mel, ws, e_ref)
         np.testing.assert_array_equal(grad, np.zeros_like(tiny))
@@ -146,10 +147,25 @@ class TestIfgsm:
         assert np.array_equal(result.adv_magnitude, tiny + 0.0005)
 
 
+class TestEmbed:
+    def test_equals_the_written_out_chain_bitwise(self):
+        ws = init_random(EncoderConfig(), 42)
+        w = speaker_utterance(2, 1, seconds=0.5)
+        expected, _ = forward(log_mel(stft(w).magnitude, mel_matrix()), ws)
+        got = embed(stft(w).magnitude, ws)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_takes_the_filterbank_from_the_bin_count(self):
+        x, ws, _ = small_instance(31)
+        expected, _ = forward(log_mel(x, mel_matrix(256, SMALL_CFG.n_mels)), ws)
+        assert embed(x, ws).tobytes() == expected.tobytes()
+
+
 class TestGradient:
     def test_loss_and_grad_agree_with_compute_loss(self):
         x, ws, e_ref = small_instance(21)
-        mel = mel_matrix(256, SMALL_CFG.n_mels, 16000)
+        mel = mel_matrix(256, SMALL_CFG.n_mels)
         loss, grad = loss_and_grad(x, mel, ws, e_ref)
         assert loss == compute_loss(x, mel, ws, e_ref)
         assert grad.shape == x.shape

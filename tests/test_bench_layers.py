@@ -1,12 +1,20 @@
-"""The benchmark's tracer wraps functions by name; every name must still exist.
+"""The benchmark calls the library by name and signature; both must still work.
 
 `bench/tracing.py` is parsed, not imported, so the check runs without the
-benchmark's own dependencies and writes nothing under `bench/`.
+benchmark's own dependencies and writes nothing under `bench/`. The direct
+attack calls of `bench/workloads.py` and `bench/test_checks.py` are made
+here the way those files make them.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from synth import speaker_utterance
+from voicecloak import attack, encoder, spectral
+from voicecloak.audio_io import Waveform
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -28,3 +36,19 @@ def test_every_traced_layer_is_a_voicecloak_callable():
         if not callable(getattr(importlib.import_module(f"voicecloak.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_the_benchmarks_direct_attack_calls_still_work():
+    ws = encoder.init_random(encoder.EncoderConfig(), 42)
+    samples = speaker_utterance(0, 0, seconds=0.5).samples
+    mel = spectral.mel_matrix()
+    x = spectral.stft(Waveform(samples, 16000)).magnitude
+    e_ref, _ = encoder.forward(spectral.log_mel(x, mel), ws)
+    one = attack.fgsm(x, ws, e_ref, 0.02)
+    many = attack.ifgsm(x, ws, e_ref)
+    assert x.shape == (51, 257)
+    assert len(one.loss_trajectory) == 2
+    assert len(many.loss_trajectory) == 51
+    for result in (one, many):
+        assert result.adv_magnitude.shape == x.shape
+        assert np.max(np.abs(result.adv_magnitude - x)) <= 0.02 * (1 + 1e-12)

@@ -64,7 +64,7 @@ def test_whole_ifgsm_run_matches_reference_ops(monkeypatch, cfg):
     ws = init_random(cfg, 3)
     spec = stft(speaker_utterance(5, 1, seconds=3.0))
     x = spec.magnitude
-    e_ref, _ = forward(log_mel(x, mel_matrix(512, cfg.n_mels, 16000)), ws)
+    e_ref, _ = forward(log_mel(x, mel_matrix(512, cfg.n_mels)), ws)
     fast = ifgsm(x, ws, e_ref, AttackConfig())
     monkeypatch.setattr(encoder, "_conv_same", ref.conv_same)
     monkeypatch.setattr(encoder, "_avgpool2", ref.avgpool2)

@@ -11,6 +11,7 @@ from voicecloak import tensorfile
 from voicecloak.audio_io import read_wav, write_wav
 from voicecloak.cli import cli
 from voicecloak.encoder import load_weights
+from voicecloak.spectral import stft
 
 SMALL_CONFIG = {
     "conv_channels": [2, 2],
@@ -143,6 +144,7 @@ class TestProtect:
         assert not (out / "broken.wav").exists()
 
     def test_dump_spectrograms_flag(self, runner, corpus, weights_file, tmp_path):
+        # removed: `dump-spec <out>/<stem>.wav` dumps the file actually written
         out = tmp_path / "spec"
         wav = corpus / f"{speaker_key(0, 1)}.wav"
         result = runner.invoke(
@@ -150,9 +152,22 @@ class TestProtect:
             ["protect", str(wav), "--weights", str(weights_file), "--out", str(out),
              "--iterations", "1", "--alpha", "0.02", "--dump-spectrograms"],
         )
+        assert result.exit_code == 2
+        assert not out.exists()
+
+    def test_dump_spec_reads_the_delivered_file(self, runner, corpus, weights_file, tmp_path):
+        out = tmp_path / "protected"
+        key = speaker_key(0, 1)
+        protect = ["protect", str(corpus / f"{key}.wav"), "--weights", str(weights_file),
+                   "--out", str(out), "--iterations", "1", "--alpha", "0.02"]
+        assert runner.invoke(cli, protect).exit_code == 0
+        csv_path = tmp_path / "mag.csv"
+        result = runner.invoke(cli, ["dump-spec", str(out / f"{key}.wav"), "--out", str(csv_path)])
         assert result.exit_code == 0, result.output + result.stderr
-        csv_path = out / f"{speaker_key(0, 1)}.magnitude.csv"
-        assert np.loadtxt(csv_path, delimiter=",").shape == (41, 257)
+        dumped = np.loadtxt(csv_path, delimiter=",")
+        assert dumped.shape == (41, 257)
+        delivered = stft(read_wav(out / f"{key}.wav")).magnitude
+        np.testing.assert_allclose(dumped, delivered, rtol=1e-8, atol=1e-12)
 
     def test_inconsistent_schedule_is_a_usage_error(self, runner, corpus, weights_file, tmp_path):
         result = runner.invoke(
@@ -166,6 +181,45 @@ class TestProtect:
     def test_unknown_option_is_a_usage_error(self, runner):
         result = runner.invoke(cli, ["protect", "--no-such-flag"])
         assert result.exit_code == 2
+
+
+class TestRerunLegacyProtectManifest:
+    @pytest.fixture
+    def protected(self, runner, corpus, weights_file, tmp_path):
+        out = tmp_path / "protected"
+        args = ["protect", str(corpus), "--weights", str(weights_file), "--out", str(out),
+                "--iterations", "2", "--alpha", "0.01", "--jobs", "1"]
+        assert runner.invoke(cli, args).exit_code == 0
+        return out
+
+    def _record_flag(self, out, value):
+        manifest = out / "manifest.json"
+        recorded = json.loads(manifest.read_text())
+        assert "dump_spectrograms" not in recorded["params"]
+        recorded["params"]["dump_spectrograms"] = value
+        manifest.write_text(json.dumps(recorded))
+        outputs = sorted(p for p in out.iterdir() if p != manifest)
+        digests = [_sha256(p) for p in outputs]
+        for p in outputs:
+            p.unlink()
+        return manifest, outputs, digests
+
+    def test_false_flag_reruns_byte_identically(self, runner, protected):
+        manifest, outputs, digests = self._record_flag(protected, False)
+        result = runner.invoke(cli, ["rerun", str(manifest)])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert [_sha256(p) for p in outputs] == digests
+        assert "dump_spectrograms" not in json.loads(manifest.read_text())["params"]
+
+    def test_true_flag_fails_and_points_at_dump_spec(self, runner, protected):
+        manifest, _, _ = self._record_flag(protected, True)
+        before = manifest.read_bytes()
+        result = runner.invoke(cli, ["rerun", str(manifest)])
+        assert result.exit_code == 1
+        assert "dump_spectrograms" in result.stderr
+        assert "dump-spec" in result.stderr
+        assert list(protected.iterdir()) == [manifest]
+        assert manifest.read_bytes() == before
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from voicecloak.audio_io import Waveform
+from voicecloak.audio_io import CANONICAL_RATE, Waveform
 from voicecloak.spectral import (
+    FFT_SIZE,
+    HOP_LENGTH,
     LOG_FLOOR,
-    Spectrogram,
-    StftConfig,
+    N_BINS,
+    WIN_LENGTH,
+    WINDOW,
     hz_to_mel,
     istft,
     log_mel,
@@ -18,18 +24,45 @@ from voicecloak.spectral import (
 )
 
 
-def _reference_frames(x, cfg):
+SRC = Path(__file__).resolve().parents[1] / "src" / "voicecloak"
+
+
+def _reference_frames(x):
     """Re-derive the analysis frames with basic numpy only."""
-    half = cfg.win_length // 2
+    half = WIN_LENGTH // 2
     padded = np.pad(x, (half, half), mode="reflect")
-    n = np.arange(cfg.win_length)
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.win_length)
-    lpad = (cfg.fft_size - cfg.win_length) // 2
+    n = np.arange(WIN_LENGTH)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / WIN_LENGTH)
+    lpad = (FFT_SIZE - WIN_LENGTH) // 2
     frames = []
-    for k in range(len(x) // cfg.hop_length + 1):
-        seg = padded[k * cfg.hop_length : k * cfg.hop_length + cfg.win_length] * window
-        frames.append(np.pad(seg, (lpad, cfg.fft_size - cfg.win_length - lpad)))
+    for k in range(len(x) // HOP_LENGTH + 1):
+        seg = padded[k * HOP_LENGTH : k * HOP_LENGTH + WIN_LENGTH] * window
+        frames.append(np.pad(seg, (lpad, FFT_SIZE - WIN_LENGTH - lpad)))
     return np.fft.rfft(np.asarray(frames), axis=1)
+
+
+class TestFrontEndConstants:
+    def test_geometry(self):
+        assert (FFT_SIZE, WIN_LENGTH, HOP_LENGTH, N_BINS) == (512, 400, 160, 257)
+        assert 0 < HOP_LENGTH <= WIN_LENGTH <= FFT_SIZE
+
+    def test_window_is_a_read_only_periodic_hann(self):
+        n = np.arange(WIN_LENGTH)
+        np.testing.assert_array_equal(
+            WINDOW, 0.5 * (1.0 - np.cos(2.0 * np.pi * n / WIN_LENGTH))
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            WINDOW[0] = 1.0
+
+    def test_rate_literal_appears_only_in_audio_io(self):
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.rglob("*.py"))
+            if path.name != "audio_io.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 16000
+        ]
+        assert found == []
 
 
 class TestStft:
@@ -42,9 +75,8 @@ class TestStft:
     def test_matches_direct_dft(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4000)
-        cfg = StftConfig()
-        spec = stft(Waveform(x, 16000), cfg)
-        expected = _reference_frames(x, cfg)
+        spec = stft(Waveform(x, 16000))
+        expected = _reference_frames(x)
         np.testing.assert_allclose(spec.magnitude, np.abs(expected), atol=1e-12)
         reconstructed = spec.magnitude * np.exp(1j * spec.phase)
         np.testing.assert_allclose(reconstructed, expected, atol=1e-12)
@@ -60,21 +92,28 @@ class TestStft:
         with pytest.raises(ValueError, match="shorter than one window"):
             stft(Waveform(np.zeros(200), 16000))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            StftConfig(fft_size=300, win_length=400, hop_length=160)
+    def test_rejects_other_rates(self):
+        w = Waveform(np.random.default_rng(0).standard_normal(8000) * 0.1, 8000)
+        with pytest.raises(ValueError, match="expected 16000 Hz input, got 8000 Hz"):
+            stft(w)
 
 
 class TestIstft:
     def test_round_trip_is_identity_in_the_interior(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(8000) * 0.1
-        cfg = StftConfig()
-        spec = stft(Waveform(x, 16000), cfg)
-        y = istft(spec.magnitude, spec.phase, cfg, length=len(x))
+        spec = stft(Waveform(x, 16000))
+        y = istft(spec.magnitude, spec.phase, length=len(x))
         assert len(y) == len(x)
-        interior = slice(cfg.win_length, len(x) - cfg.win_length)
+        interior = slice(WIN_LENGTH, len(x) - WIN_LENGTH)
         assert np.max(np.abs(y.samples[interior] - x[interior])) < 1e-10
+
+    def test_takes_length_third_and_stamps_the_canonical_rate(self):
+        x = np.random.default_rng(7).standard_normal(3200)
+        spec = stft(Waveform(x, CANONICAL_RATE))
+        y = istft(spec.magnitude, spec.phase, len(x))
+        assert len(y) == len(x)
+        assert y.sample_rate == CANONICAL_RATE
 
     def test_length_trims_and_pads(self):
         rng = np.random.default_rng(3)
@@ -96,7 +135,7 @@ class TestIstft:
 
 class TestMelFilterbank:
     def test_matches_reference_construction(self):
-        got = mel_matrix(512, 64, 16000)
+        got = mel_matrix(512, 64)
         n_bins = 257
         edges = 700.0 * (10.0 ** (np.linspace(0.0, hz_to_mel(8000.0), 66) / 2595.0) - 1.0)
         freqs = np.arange(n_bins) * (16000 / 512)
@@ -109,7 +148,7 @@ class TestMelFilterbank:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_every_filter_peaks_at_one(self):
-        mel = mel_matrix(512, 64, 16000)
+        mel = mel_matrix(512, 64)
         assert mel.shape == (64, 257)
         assert np.all(mel.max(axis=1) > 0.5)
         assert np.all(mel.max(axis=1) <= 1.0)
@@ -121,11 +160,11 @@ class TestMelFilterbank:
 
     def test_rejects_degenerate_resolution(self):
         with pytest.raises(ValueError, match="mel filter|n_mels"):
-            mel_matrix(64, 32, 16000)
+            mel_matrix(64, 32)
 
     def test_built_once_and_read_only(self):
-        mel = mel_matrix(512, 64, 16000)
-        assert mel_matrix(512, 64, 16000) is mel
+        mel = mel_matrix(512, 64)
+        assert mel_matrix(512, 64) is mel
         with pytest.raises(ValueError, match="read-only"):
             mel[0, 0] = 1.0
 
@@ -150,7 +189,7 @@ class TestLogMel:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        mel = mel_matrix(256, 16, 16000)
+        mel = mel_matrix(256, 16)
         mag = rng.uniform(0.01, 0.2, (5, 129))
         grad_out = rng.standard_normal((5, 16))
         grad = log_mel_backward(grad_out, mag, mel, mel_energies(mag, mel))
@@ -166,7 +205,7 @@ class TestLogMel:
             assert abs(fd - grad[i, j]) <= 1e-6 * max(abs(fd), abs(grad[i, j]), 1e-3)
 
     def test_backward_is_zero_under_the_floor(self):
-        mel = mel_matrix(256, 16, 16000)
+        mel = mel_matrix(256, 16)
         mag = np.full((4, 129), 1e-8)  # energies ~1e-16, below the floor
         grad = log_mel_backward(np.ones((4, 16)), mag, mel, mel_energies(mag, mel))
         np.testing.assert_array_equal(grad, np.zeros_like(mag))
@@ -181,9 +220,8 @@ class TestCsvDump:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         mag = rng.uniform(0.0, 1.0, (7, 257))
-        spec = Spectrogram(mag, np.zeros_like(mag))
         path = tmp_path / "mag.csv"
-        write_magnitude_csv(spec, path)
+        write_magnitude_csv(mag, path)
         back = np.loadtxt(path, delimiter=",")
         assert back.shape == (7, 257)
         np.testing.assert_allclose(back, mag, rtol=1e-8, atol=1e-12)
