@@ -19,7 +19,8 @@ measured on the actual output waveform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +50,10 @@ class AttackConfig:
     iterations: int = 50
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise AttackConfigError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.alpha < 0:
-            raise AttackConfigError(f"alpha must be >= 0, got {self.alpha}")
+        for name in ("epsilon", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise AttackConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.iterations < 0:
             raise AttackConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.iterations > 1 and not 0 < self.alpha <= self.epsilon:
@@ -83,7 +84,7 @@ class ProtectionReport:
     method: str
     snr_db: float
     delta_cosd: float
-    loss_trajectory: list[float] = field(default_factory=list)
+    loss_trajectory: list[float]
 
 
 def sign_matrix(g: np.ndarray) -> np.ndarray:
@@ -109,14 +110,6 @@ def embed(mag: np.ndarray, ws: WeightStore) -> np.ndarray:
     mel = mel_matrix((mag.shape[1] - 1) * 2, ws.config.n_mels)
     embedding, _ = forward(log_mel(mag, mel), ws)
     return embedding
-
-
-def compute_loss(
-    x_tilde: np.ndarray, mel: np.ndarray, ws: WeightStore, e_ref: np.ndarray
-) -> float:
-    """Loss only (no gradient): negative cosine between e_ref and f(x_tilde)."""
-    embedding, _ = forward(log_mel(x_tilde, mel), ws)
-    return cosine_loss(e_ref, embedding)
 
 
 def loss_and_grad(
@@ -157,7 +150,7 @@ def ifgsm(
             step_sign = np.ones_like(x_tilde)
         x_tilde = clip_linf(x_tilde + cfg.alpha * step_sign, x, cfg.epsilon)
         del grad, step_sign  # not held through the next step's gradient
-    trajectory.append(compute_loss(x_tilde, mel, ws, e_ref))
+    trajectory.append(cosine_loss(e_ref, embed(x_tilde, ws)))
     return AttackResult(adv_magnitude=x_tilde, loss_trajectory=trajectory)
 
 

@@ -76,6 +76,16 @@ def _collect_wavs(path_str: str) -> list[Path]:
     raise ValueError(f"input {path} does not exist")
 
 
+def _by_stem(files: list[Path]) -> dict[str, Path]:
+    """Files keyed by stem, which names their outputs; a stem seen twice is an error."""
+    by_stem: dict[str, Path] = {}
+    for path in files:
+        if path.stem in by_stem:
+            raise ValueError(f"duplicate key {path.stem!r}: {by_stem[path.stem]} and {path}")
+        by_stem[path.stem] = path
+    return by_stem
+
+
 def _file_seed(base_seed: int, stem: str) -> int:
     # stable per-file seed, independent of batch order and of Python's hash salt
     return (base_seed + zlib.crc32(stem.encode("utf-8"))) & 0xFFFFFFFF
@@ -83,9 +93,13 @@ def _file_seed(base_seed: int, stem: str) -> int:
 
 def run_init_encoder(config: str, seed: int, out: str) -> None:
     overrides = json.loads(Path(config).read_text(encoding="utf-8"))
-    merged = EncoderConfig().to_dict()
-    merged.update(overrides)
-    ws = init_random(EncoderConfig.from_dict(merged), seed)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{config}: encoder config must be a JSON object")
+    defaults = EncoderConfig().to_dict()
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError(f"{config}: unknown encoder config keys {unknown}")
+    ws = init_random(EncoderConfig.from_dict({**defaults, **overrides}), seed)
     save_weights(ws, out)
     _write_manifest(str(out) + ".manifest.json", "init-encoder", {
         "config": config, "seed": seed, "out": out,
@@ -104,9 +118,18 @@ def run_protect(
     seed: int = 0,
     jobs: int | None = None,
 ) -> int:
-    """Protect every input file; returns the number of failures."""
-    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, iterations=iterations)
-    files = _collect_wavs(inputs)
+    """Protect every input file; returns the number of failures.
+
+    Only the options the method uses are checked: fgsm runs the schedule
+    (epsilon, epsilon, 1), and gaussian uses none of the three.
+    """
+    if method == "fgsm":
+        cfg = AttackConfig(epsilon=epsilon, alpha=epsilon, iterations=1)
+    elif method == "ifgsm":
+        cfg = AttackConfig(epsilon=epsilon, alpha=alpha, iterations=iterations)
+    else:
+        cfg = AttackConfig()
+    files = _by_stem(_collect_wavs(inputs))
     ws = load_weights(weights)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -140,7 +163,7 @@ def run_protect(
     failures = 0
     n_workers = jobs or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = {pool.submit(protect_one, f): f for f in files}
+        futures = {pool.submit(protect_one, f): f for f in files.values()}
         for future, path in futures.items():
             try:
                 future.result()
@@ -157,15 +180,11 @@ def run_protect(
 
 
 def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
-    files: list[Path] = []
-    for item in inputs:
-        files.extend(_collect_wavs(item))
+    files = _by_stem([path for item in inputs for path in _collect_wavs(item)])
     ws = load_weights(weights)
-    embeddings: dict[str, np.ndarray] = {}
-    for path in files:
-        if path.stem in embeddings:
-            raise ValueError(f"duplicate key {path.stem!r} (from {path})")
-        embeddings[path.stem] = embed(stft(_load_waveform_16k(path)).magnitude, ws)
+    embeddings = {
+        stem: embed(stft(_load_waveform_16k(path)).magnitude, ws) for stem, path in files.items()
+    }
     tensorfile.save(out, embeddings, meta={
         "kind": "embeddings",
         "embed_dim": ws.config.embed_dim,
@@ -282,12 +301,21 @@ def _json_matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _fail(exc: BaseException) -> "SystemExit":
-    click.echo(f"error: {exc}", err=True)
-    return SystemExit(1)
+class _Commands(click.Group):
+    """Ends a command that raises with `error: <message>` and exit 1; click's own pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            logger.debug("command failed", exc_info=True)
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(1)
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def cli():
     """White-box speaker protection and evaluation toolkit."""
@@ -300,10 +328,7 @@ def cli():
 @click.option("--out", required=True, type=click.Path(), help="Weight file to write.")
 def cmd_init_encoder(config, seed, out):
     """Initialize random encoder weights and save them."""
-    try:
-        run_init_encoder(config, seed, out)
-    except Exception as exc:
-        raise _fail(exc)
+    run_init_encoder(config, seed, out)
 
 
 @cli.command("protect")
@@ -320,7 +345,8 @@ def cmd_init_encoder(config, seed, out):
 @click.option("--target-snr", default=32.0, show_default=True, type=float,
               help="SNR in dB for the gaussian method.")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--jobs", default=None, type=int, help="Worker threads; default = CPU count.")
+@click.option("--jobs", default=None, type=click.IntRange(min=1),
+              help="Worker threads; default = CPU count.")
 def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
                 target_snr, seed, jobs):
     """Perturb a WAV file or a directory of WAV files.
@@ -334,8 +360,6 @@ def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
                                iterations, target_snr, seed, jobs)
     except AttackConfigError as exc:
         raise click.UsageError(str(exc))
-    except Exception as exc:
-        raise _fail(exc)
     if failures:
         raise SystemExit(1)
 
@@ -346,10 +370,7 @@ def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
 @click.option("--out", required=True, type=click.Path())
 def cmd_embed(inputs, weights, out):
     """Extract an embedding per WAV file into an archive (key = file stem)."""
-    try:
-        run_embed(inputs, weights, out)
-    except Exception as exc:
-        raise _fail(exc)
+    run_embed(inputs, weights, out)
 
 
 @cli.command("eval")
@@ -362,10 +383,7 @@ def cmd_embed(inputs, weights, out):
               help="Output prefix: <out>.scores.txt and <out>.eer.json.")
 def cmd_eval(trials, enroll, test, out):
     """Score trials with cosine similarity and report the EER."""
-    try:
-        summary = run_eval(trials, enroll, test, out)
-    except Exception as exc:
-        raise _fail(exc)
+    summary = run_eval(trials, enroll, test, out)
     click.echo(json.dumps(summary))
 
 
@@ -379,10 +397,7 @@ def cmd_eval(trials, enroll, test, out):
 @click.option("--out", required=True, type=click.Path())
 def cmd_simmat(rows, cols, speaker_level, out):
     """Write a cosine similarity matrix as CSV."""
-    try:
-        run_simmat(rows, cols, out, speaker_level)
-    except Exception as exc:
-        raise _fail(exc)
+    run_simmat(rows, cols, out, speaker_level)
 
 
 @cli.command("dump-spec")
@@ -390,20 +405,14 @@ def cmd_simmat(rows, cols, speaker_level, out):
 @click.option("--out", required=True, type=click.Path())
 def cmd_dump_spec(input, out):
     """Dump a WAV file's magnitude spectrogram as CSV (frames as rows)."""
-    try:
-        run_dump_spec(input, out)
-    except Exception as exc:
-        raise _fail(exc)
+    run_dump_spec(input, out)
 
 
 @cli.command("rerun")
 @click.argument("manifest", type=click.Path(exists=True))
 def cmd_rerun(manifest):
     """Re-execute a recorded run; outputs are reproduced bit-exactly."""
-    try:
-        result = run_rerun(manifest)
-    except Exception as exc:
-        raise _fail(exc)
+    result = run_rerun(manifest)
     if isinstance(result, int) and result:
         raise SystemExit(1)
 

@@ -28,7 +28,7 @@ Summation order is fixed, so results are reproducible bit for bit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,24 +70,21 @@ class EncoderConfig:
         bad = [i for i in self.pool_after if not 0 <= i < len(self.conv_channels)]
         if bad:
             raise ValueError(f"pool_after indices {bad} out of range")
-        t, f = self.min_frames, self.n_mels
-        for i in range(len(self.conv_channels)):
-            if i in self.pool_after:
-                t, f = t // 2, f // 2
+        t, f = self._pooled(self.min_frames), self._pooled(self.n_mels)
         if t < 1 or f < 1:
             raise ValueError(
                 f"min_frames={self.min_frames} / n_mels={self.n_mels} pool down to"
                 f" {t}x{f}; the pooled map must keep at least one step"
             )
 
+    def _pooled(self, n: int) -> int:
+        """An n-step time or band axis after pooling: each pooled layer halves it, rounding down."""
+        return n // 2 ** len(set(self.pool_after))
+
     @property
     def stats_dim(self) -> int:
         """Length of the pooled mean+std vector feeding the linear map."""
-        f = self.n_mels
-        for i in range(len(self.conv_channels)):
-            if i in self.pool_after:
-                f //= 2
-        return 2 * self.conv_channels[-1] * f
+        return 2 * self.conv_channels[-1] * self._pooled(self.n_mels)
 
     def to_dict(self) -> dict:
         return {
@@ -151,16 +148,12 @@ def init_random(cfg: EncoderConfig, seed: int) -> WeightStore:
     """
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    c_in = 1
-    for i, c_out in enumerate(cfg.conv_channels):
-        fan_in = c_in * 9
-        bound = math.sqrt(6.0 / fan_in)
-        tensors[f"conv{i}.kernel"] = rng.uniform(-bound, bound, size=(c_out, c_in, 3, 3))
-        tensors[f"conv{i}.bias"] = np.zeros(c_out)
-        c_in = c_out
-    bound = math.sqrt(6.0 / cfg.stats_dim)
-    tensors["embed.weight"] = rng.uniform(-bound, bound, size=(cfg.embed_dim, cfg.stats_dim))
-    tensors["embed.bias"] = np.zeros(cfg.embed_dim)
+    for name, shape in _tensor_shapes(cfg).items():  # draws in table order
+        if name.endswith(".bias"):
+            tensors[name] = np.zeros(shape)
+        else:
+            bound = math.sqrt(6.0 / math.prod(shape[1:]))  # fan-in: every dim after the first
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
     return WeightStore(cfg, tensors)
 
 
@@ -243,9 +236,9 @@ class ForwardCache:
     """Single-use record of everything `backward` needs."""
 
     store: WeightStore
-    pre_acts: list[np.ndarray] = field(default_factory=list)
-    centered: np.ndarray | None = None
-    sigma: np.ndarray | None = None
+    pre_acts: list[np.ndarray]
+    centered: np.ndarray
+    sigma: np.ndarray
 
 
 def forward(feat: np.ndarray, ws: WeightStore) -> tuple[np.ndarray, ForwardCache]:
@@ -264,23 +257,21 @@ def forward(feat: np.ndarray, ws: WeightStore) -> tuple[np.ndarray, ForwardCache
     if n_frames < cfg.min_frames:
         raise ValueError(f"too few frames: {n_frames} < required {cfg.min_frames}")
 
-    cache = ForwardCache(store=ws)
+    pre_acts = []
     a = feat[None, :, :]
     for i in range(len(cfg.conv_channels)):
         z = _conv_same(a, ws.tensors[f"conv{i}.kernel"])
         z += ws.tensors[f"conv{i}.bias"][:, None, None]
         r = np.maximum(z, 0.0)
-        cache.pre_acts.append(z)
+        pre_acts.append(z)
         a = _avgpool2(r) if i in cfg.pool_after else r
 
     mu = a.mean(axis=1)  # [C, F]
     centered = a - mu[:, None, :]
     sigma = np.sqrt((centered**2).mean(axis=1))
-    cache.centered = centered
-    cache.sigma = sigma
     stats = np.concatenate([mu.ravel(), sigma.ravel()])
     embedding = ws.tensors["embed.weight"] @ stats + ws.tensors["embed.bias"]
-    return embedding, cache
+    return embedding, ForwardCache(ws, pre_acts, centered, sigma)
 
 
 def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
@@ -314,12 +305,17 @@ def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
     return d_a[0]
 
 
-def cosine_loss(e: np.ndarray, e_tilde: np.ndarray) -> float:
-    """Negative cosine similarity: -1 for parallel vectors, +1 anti-parallel."""
-    norm_e = float(np.linalg.norm(e))
-    norm_t = float(np.linalg.norm(e_tilde))
+def _norms(e: np.ndarray, e_tilde: np.ndarray) -> tuple[float, float]:
+    """Both L2 norms; raises if either is near zero, where cosine is undefined."""
+    norm_e, norm_t = float(np.linalg.norm(e)), float(np.linalg.norm(e_tilde))
     if norm_e <= NORM_EPS or norm_t <= NORM_EPS:
         raise ValueError(f"near-zero-norm embedding (norms {norm_e:.3e}, {norm_t:.3e})")
+    return norm_e, norm_t
+
+
+def cosine_loss(e: np.ndarray, e_tilde: np.ndarray) -> float:
+    """Negative cosine similarity: -1 for parallel vectors, +1 anti-parallel."""
+    norm_e, norm_t = _norms(e, e_tilde)
     return float(-(e @ e_tilde) / (norm_e * norm_t))
 
 
@@ -330,9 +326,6 @@ def cosine_loss_grad(e: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:
     signal). The gradient is orthogonal to e_tilde: cosine is unchanged by
     rescaling, so the radial component vanishes.
     """
-    norm_e = float(np.linalg.norm(e))
-    norm_t = float(np.linalg.norm(e_tilde))
-    if norm_e <= NORM_EPS or norm_t <= NORM_EPS:
-        raise ValueError(f"near-zero-norm embedding (norms {norm_e:.3e}, {norm_t:.3e})")
+    norm_e, norm_t = _norms(e, e_tilde)
     dot = float(e @ e_tilde)
     return -e / (norm_e * norm_t) + (dot / (norm_e * norm_t**3)) * e_tilde

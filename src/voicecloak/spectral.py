@@ -87,7 +87,7 @@ def stft(w: Waveform) -> Spectrogram:
     return Spectrogram(magnitude=np.abs(spectrum), phase=np.angle(spectrum))
 
 
-def istft(magnitude: np.ndarray, phase: np.ndarray, length: int | None = None) -> Waveform:
+def istft(magnitude: np.ndarray, phase: np.ndarray, length: int) -> Waveform:
     """Weighted overlap-add synthesis from magnitude and phase.
 
     The synthesis window equals the analysis window; each output sample is
@@ -114,8 +114,6 @@ def istft(magnitude: np.ndarray, phase: np.ndarray, length: int | None = None) -
     out[nonzero] /= wsum[nonzero]
     out[~nonzero] = 0.0
 
-    if length is None:
-        length = span - WIN_LENGTH
     result = np.zeros(length)
     avail = min(length, span - half)
     result[:avail] = out[half : half + avail]
@@ -131,7 +129,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=8)
 def mel_matrix(fft_size: int = FFT_SIZE, n_mels: int = 64) -> np.ndarray:
     """Triangular mel filterbank, [n_mels x bins], spanning 0 to Nyquist at CANONICAL_RATE.
 
@@ -139,6 +136,12 @@ def mel_matrix(fft_size: int = FFT_SIZE, n_mels: int = 64) -> np.ndarray:
     Raises on degenerate parameterizations where some filter covers no
     FFT bin at all.
     """
+    return _mel_matrix(fft_size, n_mels)
+
+
+@lru_cache(maxsize=8)
+def _mel_matrix(fft_size: int, n_mels: int) -> np.ndarray:
+    # called positionally only, so the cache keys on the values whatever form mel_matrix got
     n_bins = fft_size // 2 + 1
     if not 1 <= n_mels < n_bins:
         raise ValueError(f"n_mels must be in [1, {n_bins}), got {n_mels}")

@@ -4,8 +4,8 @@ import pytest
 from synth import speaker_utterance
 from voicecloak.attack import (
     AttackConfig,
+    AttackConfigError,
     clip_linf,
-    compute_loss,
     embed,
     fgsm,
     ifgsm,
@@ -14,7 +14,7 @@ from voicecloak.attack import (
     sign_matrix,
 )
 from voicecloak.audio_io import Waveform
-from voicecloak.encoder import EncoderConfig, forward, init_random
+from voicecloak.encoder import EncoderConfig, cosine_loss, forward, init_random
 from voicecloak.spectral import log_mel, mel_matrix, stft
 
 SMALL_CFG = EncoderConfig(conv_channels=(2, 2), pool_after=(0,), embed_dim=8, n_mels=16)
@@ -57,6 +57,19 @@ class TestAttackConfig:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
+            AttackConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"epsilon": float("nan"), "alpha": float("nan"), "iterations": 1}, "epsilon"),
+            ({"epsilon": float("inf"), "alpha": 0.02, "iterations": 1}, "epsilon"),
+            ({"epsilon": 0.02, "alpha": float("nan"), "iterations": 1}, "alpha"),
+            ({"epsilon": 0.02, "alpha": float("-inf"), "iterations": 0}, "alpha"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, kwargs, field):
+        with pytest.raises(AttackConfigError, match=f"{field} must be finite"):
             AttackConfig(**kwargs)
 
     def test_full_budget_single_step_is_legal(self):
@@ -167,7 +180,7 @@ class TestGradient:
         x, ws, e_ref = small_instance(21)
         mel = mel_matrix(256, SMALL_CFG.n_mels)
         loss, grad = loss_and_grad(x, mel, ws, e_ref)
-        assert loss == compute_loss(x, mel, ws, e_ref)
+        assert loss == cosine_loss(e_ref, embed(x, ws))
         assert grad.shape == x.shape
         assert np.all(np.isfinite(grad))
 

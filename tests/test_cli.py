@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from click.testing import CliRunner
 
 from metrics_io import read_similarity_csv
 from synth import speaker_key, speaker_utterance
+import voicecloak
 from voicecloak import tensorfile
 from voicecloak.audio_io import read_wav, write_wav
 from voicecloak.cli import cli
@@ -85,6 +90,24 @@ class TestInitEncoder:
         )
         assert result.exit_code == 1
         assert "error:" in result.stderr
+
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            pytest.param({"conv_chanels": [8, 8]}, "'conv_chanels'", id="misspelt-key"),
+            pytest.param({"embed_dim": 32, "seed": 1}, "'seed'", id="key-beside-known-ones"),
+            pytest.param([["embed_dim", 32]], "JSON object", id="list"),
+        ],
+    )
+    def test_rejects_unknown_keys_and_non_objects(self, runner, tmp_path, config, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "w.bin"
+        result = runner.invoke(cli, ["init-encoder", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert message in result.stderr
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestProtect:
@@ -177,6 +200,64 @@ class TestProtect:
         )
         assert result.exit_code == 2
         assert "alpha" in result.stderr
+
+    def test_repeated_stem_is_rejected_before_any_file_is_read(self, runner, tmp_path):
+        src = tmp_path / "in"
+        src.mkdir()
+        write_wav(src / "a.wav", speaker_utterance(0, 0, seconds=0.3))
+        (src / "a.WAV").write_bytes(b"not audio at all")
+        weights = tmp_path / "weights.bin"
+        weights.write_bytes(b"not a weight file")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["protect", str(src), "--weights", str(weights), "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert "duplicate key 'a'" in result.stderr
+        assert str(src / "a.wav") in result.stderr
+        assert str(src / "a.WAV") in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["fgsm", "gaussian"])
+    def test_single_step_methods_ignore_alpha(self, runner, corpus, weights_file, tmp_path, method):
+        out = tmp_path / "out"
+        key = speaker_key(1, 0)
+        result = runner.invoke(
+            cli,
+            ["protect", str(corpus / f"{key}.wav"), "--weights", str(weights_file),
+             "--out", str(out), "--method", method, "--epsilon", "0.0001"],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        report = json.loads((out / f"{key}.json").read_text())
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        for recorded in (report, params):
+            assert recorded["epsilon"] == 0.0001
+            assert recorded["alpha"] == 0.0004
+            assert recorded["iterations"] == 50
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            pytest.param(["--method", "fgsm", "--epsilon", "inf"], "epsilon", id="fgsm-inf"),
+            pytest.param(["--method", "fgsm", "--epsilon", "nan"], "epsilon", id="fgsm-nan"),
+            pytest.param(["--epsilon", "-inf"], "epsilon", id="ifgsm-minus-inf"),
+            pytest.param(["--alpha", "nan"], "alpha", id="ifgsm-alpha-nan"),
+            pytest.param(["--jobs", "0"], "--jobs", id="no-jobs"),
+            pytest.param(["--jobs", "-1"], "--jobs", id="negative-jobs"),
+        ],
+    )
+    def test_nonsense_values_are_usage_errors(
+        self, runner, corpus, weights_file, tmp_path, options, field
+    ):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["protect", str(corpus), "--weights", str(weights_file), "--out", str(out),
+                  *options],
+        )
+        assert result.exit_code == 2
+        assert field in result.stderr
+        assert "protect" in result.stderr
+        assert not out.exists()
 
     def test_unknown_option_is_a_usage_error(self, runner):
         result = runner.invoke(cli, ["protect", "--no-such-flag"])
@@ -313,6 +394,48 @@ class TestEmbedEvalSimmat:
         matrix, row_keys, _ = read_similarity_csv(spk)
         assert matrix.shape == (2, 2)
         assert row_keys == ["spk00", "spk01"]
+
+
+class TestRuntimeErrors:
+    COMMANDS = ["init-encoder", "protect", "embed", "eval", "simmat", "dump-spec", "rerun"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_print_one_error_line_and_exit_1(self, runner, corpus, tmp_path, command):
+        garbage = str(tmp_path / "garbage.bin")
+        Path(garbage).write_bytes(b"not a voicecloak file")
+        wav = str(corpus / f"{speaker_key(0, 0)}.wav")
+        out = str(tmp_path / "out")
+        args = {
+            "init-encoder": ["--config", garbage, "--out", out],
+            "protect": [wav, "--weights", garbage, "--out", out],
+            "embed": [wav, "--weights", garbage, "--out", out],
+            "eval": ["--trials", garbage, "--enroll", garbage, "--test", garbage, "--out", out],
+            "simmat": ["--rows", garbage, "--out", out],
+            "dump-spec": [garbage, "--out", out],
+            "rerun": [garbage],
+        }[command]
+        result = runner.invoke(cli, [command, *args])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert type(result.exception) is SystemExit
+
+    def test_the_traceback_shows_only_at_debug_level(self, tmp_path):
+        garbage = tmp_path / "garbage.wav"
+        garbage.write_bytes(b"not audio at all")
+        command = [sys.executable, "-m", "voicecloak.cli", "dump-spec", str(garbage),
+                   "--out", str(tmp_path / "mag.csv")]
+        src = str(Path(voicecloak.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("VOICECLOAK_LOG", None)
+        quiet = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        env["VOICECLOAK_LOG"] = "DEBUG"
+        debug = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        for done in (quiet, debug):
+            assert done.returncode == 1
+            assert "error: " in done.stderr
+        assert "Traceback" not in quiet.stderr
+        assert "Traceback" in debug.stderr
 
 
 class TestDumpSpecAndRerun:

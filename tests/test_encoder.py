@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -54,6 +55,11 @@ GOLDEN_EMBEDDING = np.array([
     -0.004288094814629843, -0.06181561116113133, 0.04893866098531135, -0.04621444095335272,
     0.044640091209027656, 0.007402232967659305, -0.001354055737291025, 0.047599421977411044,
 ])
+
+
+SMALL_CFG = EncoderConfig(conv_channels=(2, 2), pool_after=(0,), embed_dim=8, n_mels=16)
+NO_POOL_CFG = EncoderConfig(conv_channels=(3, 2), pool_after=(), embed_dim=8, n_mels=16)
+REPEATED_POOL_CFG = EncoderConfig(conv_channels=(2, 3), pool_after=(0, 0), embed_dim=8, n_mels=16)
 
 
 def _random_features(rng, frames=12, n_mels=64):
@@ -113,6 +119,27 @@ class TestInitRandom:
         assert np.max(np.abs(w)) <= bound
         # uniform on [-b, b] has variance b^2/3 = 2/fan_in
         assert abs(w.var() / (2.0 / cfg.stats_dim) - 1.0) < 0.05
+
+    @pytest.mark.parametrize(
+        "cfg, seed, digest",
+        [
+            (EncoderConfig(), 0, "9fddefce5f8618efffe5f5731a838099619a0f3ae5afa3d6981aff1665097900"),
+            (EncoderConfig(), 42, "cd219a5fb9f242751989b57784a115a1e6b07944d1a1d93ea8ef00dc4cbe49c1"),
+            (SMALL_CFG, 0, "5ccdf9099d87b3900fd339ea1adb85792d02058cd49875229742e91ddc686fb6"),
+            (SMALL_CFG, 42, "563041e57c19b4c0b5d209eb818a5e1176df0eb1aa4e7cb4e17ba1a9c8b2e2ca"),
+            (NO_POOL_CFG, 0, "dd9eaeed6c0a9b25c75f767a9cb741fd0263a2bee15b3e83177096809c646f1b"),
+            (NO_POOL_CFG, 42, "13357012dc0e497150975831f5919b0c6980b7b15a41ad5958e9f5e7b4ef4c57"),
+            (REPEATED_POOL_CFG, 0, "f9a2e94e212034e3409fc05ab5fb64be50b268c8239b28f7d3b91407c0e61afe"),
+            (REPEATED_POOL_CFG, 42, "3659c5bedf23583b7bb98d4811e1a0a72e019238b9fbf883f10f9ff2ea88ea39"),
+        ],
+        ids=["default-0", "default-42", "small-0", "small-42", "no-pool-0", "no-pool-42",
+             "repeated-pool-0", "repeated-pool-42"],
+    )
+    def test_weight_file_bytes_are_pinned(self, tmp_path, cfg, seed, digest):
+        # recorded from the per-layer init loop that the shape table replaced
+        path = tmp_path / "w.bin"
+        save_weights(init_random(cfg, seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_store_validates_shapes(self):
         ws = init_random(EncoderConfig(), 0)
@@ -240,6 +267,10 @@ class TestCosineLoss:
     def test_rejects_zero_norm(self):
         with pytest.raises(ValueError, match="near-zero-norm"):
             cosine_loss(np.zeros(4), np.ones(4))
+
+    def test_grad_rejects_zero_norm(self):
+        with pytest.raises(ValueError, match="near-zero-norm"):
+            cosine_loss_grad(np.ones(4), np.zeros(4))
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(6)

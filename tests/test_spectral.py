@@ -128,9 +128,9 @@ class TestIstft:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            istft(np.zeros((4, 257)), np.zeros((5, 257)))
+            istft(np.zeros((4, 257)), np.zeros((5, 257)), 640)
         with pytest.raises(ValueError, match="bins"):
-            istft(np.zeros((4, 100)), np.zeros((4, 100)))
+            istft(np.zeros((4, 100)), np.zeros((4, 100)), 640)
 
 
 class TestMelFilterbank:
@@ -167,6 +167,12 @@ class TestMelFilterbank:
         assert mel_matrix(512, 64) is mel
         with pytest.raises(ValueError, match="read-only"):
             mel[0, 0] = 1.0
+
+
+    def test_one_matrix_per_parameter_set(self):
+        assert mel_matrix() is mel_matrix(512, 64) is mel_matrix(fft_size=512)
+        assert mel_matrix(n_mels=64, fft_size=512) is mel_matrix(512, n_mels=64)
+        assert mel_matrix(256, 16) is not mel_matrix(512, 16)
 
 
 class TestLogMel:
