@@ -10,9 +10,13 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import inspect
 import json
 import logging
+import math
 import os
 import sys
 import types
@@ -46,6 +50,20 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _write_atomically(path: Path, write) -> None:
+    """Run write(temp) on a temp name beside path, then move it into place.
+
+    A failed write removes its temp, so no partial file is left behind.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(temp)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _write_manifest(path, command: str, params: dict) -> None:
     manifest = {
         "tool": "voicecloak",
@@ -53,7 +71,8 @@ def _write_manifest(path, command: str, params: dict) -> None:
         "command": command,
         "params": params,
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomically(Path(path), lambda temp: temp.write_text(text, encoding="utf-8"))
 
 
 def _load_waveform_16k(path) -> Waveform:
@@ -84,6 +103,64 @@ def _by_stem(files: list[Path]) -> dict[str, Path]:
             raise ValueError(f"duplicate key {path.stem!r}: {by_stem[path.stem]} and {path}")
         by_stem[path.stem] = path
     return by_stem
+
+
+# Set by the user, any of these fixes the BLAS thread count and protect keeps it.
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS NumPy loaded, or None."""
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                fields = line.split(None, 5)
+                if len(fields) == 6 and "openblas" in fields[5].lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get and set_:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Give OpenBLAS n threads for the block, then restore its count.
+
+    Does nothing when no OpenBLAS is loaded or a BLAS thread variable is set.
+    """
+    blas = None if any(name in os.environ for name in _BLAS_ENV) else _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    saved = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; OpenBLAS sizes its own pool the same way."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _file_seed(base_seed: int, stem: str) -> int:
@@ -121,8 +198,23 @@ def run_protect(
     """Protect every input file; returns the number of failures.
 
     Only the options the method uses are checked: fgsm runs the schedule
-    (epsilon, epsilon, 1), and gaussian uses none of the three.
+    (epsilon, epsilon, 1), and gaussian uses none of the three. Every
+    method records epsilon, alpha and target_snr, so each must be finite.
+
+    The batch runs on min(jobs or CPUs, files) threads, and while it runs
+    OpenBLAS gets CPUs // threads threads of its own, so the two pools do
+    not oversubscribe the cores. That count is process-global: it is set
+    only when no BLAS thread variable is in the environment, and the
+    previous count is restored on return, also when this raises. Two
+    batches run at once from threads of one process share that count.
     """
+    if method not in ("fgsm", "ifgsm", "gaussian"):
+        raise ValueError(f"method must be one of fgsm, ifgsm, gaussian, got {method!r}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for name, value in (("epsilon", epsilon), ("alpha", alpha), ("target_snr", target_snr)):
+        if not math.isfinite(value):
+            raise AttackConfigError(f"{name} must be finite, got {value}")
     if method == "fgsm":
         cfg = AttackConfig(epsilon=epsilon, alpha=epsilon, iterations=1)
     elif method == "ifgsm":
@@ -140,11 +232,11 @@ def run_protect(
         protected, report = protect_utterance(
             w, ws, cfg, method=method, target_snr_db=target_snr, seed=file_seed
         )
-        write_wav(out_path / f"{path.stem}.wav", protected)
+        wav_path = out_path / f"{path.stem}.wav"
         payload = {
             "key": path.stem,
             "input": str(path),
-            "output": str(out_path / f"{path.stem}.wav"),
+            "output": str(wav_path),
             "method": method,
             "epsilon": epsilon,
             "alpha": alpha,
@@ -155,14 +247,16 @@ def run_protect(
             "delta_cosd": report.delta_cosd,
             "loss_trajectory": report.loss_trajectory,
         }
-        (out_path / f"{path.stem}.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(payload, indent=2) + "\n"
+        _write_atomically(wav_path, lambda temp: write_wav(temp, protected))
+        _write_atomically(out_path / f"{path.stem}.json",
+                          lambda temp: temp.write_text(text, encoding="utf-8"))
         logger.info("protected %s: SNR %.2f dB, distance %.3f", path.name, report.snr_db, report.delta_cosd)
 
     failures = 0
-    n_workers = jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    n_cpus = _usable_cpus()
+    workers = min(jobs or n_cpus, len(files))
+    with _blas_threads(max(1, n_cpus // workers)), ThreadPoolExecutor(workers) as pool:
         futures = {pool.submit(protect_one, f): f for f in files.values()}
         for future, path in futures.items():
             try:

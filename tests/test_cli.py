@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import voicecloak
 from voicecloak import tensorfile
 from voicecloak.audio_io import read_wav, write_wav
 from voicecloak.cli import cli
-from voicecloak.encoder import load_weights
+from voicecloak.encoder import EncoderConfig, init_random, load_weights, save_weights
 from voicecloak.spectral import stft
 
 SMALL_CONFIG = {
@@ -244,6 +245,13 @@ class TestProtect:
             pytest.param(["--alpha", "nan"], "alpha", id="ifgsm-alpha-nan"),
             pytest.param(["--jobs", "0"], "--jobs", id="no-jobs"),
             pytest.param(["--jobs", "-1"], "--jobs", id="negative-jobs"),
+            pytest.param(["--method", "gaussian", "--epsilon", "inf"], "epsilon",
+                         id="gaussian-inf"),
+            pytest.param(["--method", "gaussian", "--epsilon", "nan"], "epsilon",
+                         id="gaussian-nan"),
+            pytest.param(["--method", "gaussian", "--alpha", "-inf"], "alpha",
+                         id="gaussian-alpha-minus-inf"),
+            pytest.param(["--target-snr", "nan"], "target_snr", id="ifgsm-target-snr-nan"),
         ],
     )
     def test_nonsense_values_are_usage_errors(
@@ -262,6 +270,160 @@ class TestProtect:
     def test_unknown_option_is_a_usage_error(self, runner):
         result = runner.invoke(cli, ["protect", "--no-such-flag"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            pytest.param("jobs", 0, id="no-jobs"),
+            pytest.param("jobs", -1, id="negative-jobs"),
+            pytest.param("method", "pgd", id="unknown-method"),
+        ],
+    )
+    def test_rerun_checks_method_and_jobs_before_reading(
+        self, runner, corpus, weights_file, tmp_path, param, value
+    ):
+        out = tmp_path / "out"
+        params = {"inputs": str(corpus), "weights": str(weights_file), "out_dir": str(out),
+                  param: value}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"command": "protect", "params": params}))
+        result = runner.invoke(cli, ["rerun", str(manifest)])
+        assert result.exit_code == 1
+        assert f"{param} must be" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_a_failed_write_leaves_no_file(self, runner, corpus, weights_file, tmp_path,
+                                           monkeypatch):
+        def half_write(path, w):
+            Path(path).write_bytes(b"RIFF")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(voicecloak.cli, "write_wav", half_write)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["protect", str(corpus), "--weights", str(weights_file), "--out", str(out),
+                  "--method", "gaussian"],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.count("disk full") == 4
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_outputs_replace_old_ones_and_leave_no_temp(self, runner, corpus, weights_file,
+                                                        tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        key = speaker_key(0, 0)
+        (out / f"{key}.wav").write_bytes(b"stale")
+        result = runner.invoke(
+            cli, ["protect", str(corpus / f"{key}.wav"), "--weights", str(weights_file),
+                  "--out", str(out), "--method", "gaussian"],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{key}.json", f"{key}.wav", "manifest.json"])
+        assert len(read_wav(out / f"{key}.wav")) == len(read_wav(corpus / f"{key}.wav"))
+
+
+class _Crash(BaseException):
+    """Escapes run_protect's per-file error handling, as an interrupt does."""
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """OpenBLAS (get, set) with no BLAS thread variable set, its count at the CPU count.
+
+    The count in force before the test is restored after it.
+    """
+    threads = voicecloak.cli._openblas_threads()
+    if threads is None:
+        pytest.skip("NumPy loaded no OpenBLAS")
+    for name in voicecloak.cli._BLAS_ENV:
+        monkeypatch.delenv(name, raising=False)
+    get, set_ = threads
+    saved = get()
+    set_(voicecloak.cli._usable_cpus())
+    yield get
+    set_(saved)
+
+
+class TestProtectBlasThreads:
+    def _counts_in_pool(self, monkeypatch, blas, crash=False):
+        """Wrap protect_utterance to record the BLAS thread count in each pool task."""
+        seen = []
+        original = voicecloak.cli.protect_utterance
+
+        def recording(*args, **kwargs):
+            seen.append(blas())
+            if crash:
+                raise _Crash()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(voicecloak.cli, "protect_utterance", recording)
+        return seen
+
+    @pytest.mark.parametrize("jobs", [None, 1, 2, 3])
+    def test_a_batch_splits_the_cpus_between_workers(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas, jobs
+    ):
+        seen = self._counts_in_pool(monkeypatch, blas)
+        before = blas()
+        n_cpus = voicecloak.cli._usable_cpus()
+        failures = voicecloak.cli.run_protect(str(corpus), str(weights_file),
+                                              str(tmp_path / "out"), "gaussian", jobs=jobs)
+        assert failures == 0
+        workers = min(jobs or n_cpus, 4)
+        assert seen == [max(1, n_cpus // workers)] * 4
+        assert blas() == before
+
+    def test_one_file_keeps_every_cpu(self, corpus, weights_file, tmp_path, monkeypatch, blas):
+        seen = self._counts_in_pool(monkeypatch, blas)
+        before = blas()
+        voicecloak.cli.run_protect(str(corpus / f"{speaker_key(0, 0)}.wav"), str(weights_file),
+                                   str(tmp_path / "out"), "gaussian")
+        assert seen == [before]
+        assert blas() == before
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_blas_variable_in_the_environment_is_left_alone(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas, name
+    ):
+        monkeypatch.setenv(name, "1")
+        seen = self._counts_in_pool(monkeypatch, blas)
+        before = blas()
+        voicecloak.cli.run_protect(str(corpus), str(weights_file), str(tmp_path / "out"),
+                                   "gaussian", jobs=2)
+        assert seen == [before] * 4
+
+    def test_the_count_is_restored_when_the_batch_raises(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas
+    ):
+        self._counts_in_pool(monkeypatch, blas, crash=True)
+        before = blas()
+        out = tmp_path / "out"
+        with pytest.raises(_Crash):
+            voicecloak.cli.run_protect(str(corpus), str(weights_file), str(out), "gaussian")
+        assert blas() == before
+        assert list(out.iterdir()) == []
+
+    def test_jobs_leave_the_bytes_alone(self, runner, blas, tmp_path):
+        src = tmp_path / "in"
+        src.mkdir()
+        for spk in range(3):
+            write_wav(src / f"{speaker_key(spk, 0)}.wav", speaker_utterance(spk, 0, seconds=1.0))
+        weights = tmp_path / "weights.bin"
+        save_weights(init_random(EncoderConfig(), 5), weights)
+        out = tmp_path / "out"
+        written = []
+        for jobs in ("1", "2"):
+            result = runner.invoke(cli, ["protect", str(src), "--weights", str(weights),
+                                         "--out", str(out), "--jobs", jobs])
+            assert result.exit_code == 0, result.output + result.stderr
+            written.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+            shutil.rmtree(out)
+        assert len(written[0]) == 6
+        assert written[0] == written[1]
 
 
 class TestRerunLegacyProtectManifest:
