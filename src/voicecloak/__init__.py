@@ -13,7 +13,7 @@ from .encoder import (
     load_weights,
     save_weights,
 )
-from .metrics import compute_eer, delta_cosd, parse_trials, score_trials, similarity_matrix, snr_db
+from .metrics import compute_eer, parse_trials, score_trials, similarity_matrix, snr_db
 from .spectral import Spectrogram, istft, log_mel, mel_matrix, stft
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "add_gaussian_noise",
     "compute_eer",
     "cosine_loss",
-    "delta_cosd",
     "embed",
     "fgsm",
     "forward",

@@ -81,7 +81,6 @@ class AttackResult:
 class ProtectionReport:
     """Per-utterance summary emitted by `protect_utterance`."""
 
-    method: str
     snr_db: float
     delta_cosd: float
     loss_trajectory: list[float]
@@ -154,7 +153,7 @@ def ifgsm(
     return AttackResult(adv_magnitude=x_tilde, loss_trajectory=trajectory)
 
 
-def fgsm(x: np.ndarray, ws: WeightStore, e_ref: np.ndarray, epsilon: float = 0.02) -> AttackResult:
+def fgsm(x: np.ndarray, ws: WeightStore, e_ref: np.ndarray, epsilon: float) -> AttackResult:
     """Single-step attack: one full-budget sign step.
 
     Implemented as the one-iteration schedule with alpha = epsilon, which
@@ -184,22 +183,23 @@ def protect_utterance(
         raise ValueError(f"unknown method {method!r}")
 
     spec = stft(w)
-    e_ref = embed(spec.magnitude, ws)
+    magnitude, phase = spec.magnitude, spec.phase
+    del spec  # the complex spectrum is not held through the attack
+    e_ref = embed(magnitude, ws)
 
     trajectory: list[float] = []
     if method == "gaussian":
         protected = add_gaussian_noise(w, target_snr_db, seed)
     else:
         if method == "fgsm":
-            result = fgsm(spec.magnitude, ws, e_ref, cfg.epsilon)
+            result = fgsm(magnitude, ws, e_ref, cfg.epsilon)
         else:
-            result = ifgsm(spec.magnitude, ws, e_ref, cfg)
+            result = ifgsm(magnitude, ws, e_ref, cfg)
         trajectory = result.loss_trajectory
-        protected = istft(result.adv_magnitude, spec.phase, len(w))
+        protected = istft(result.adv_magnitude, phase, len(w))
 
     e_protected = embed(stft(protected).magnitude, ws)
     report = ProtectionReport(
-        method=method,
         snr_db=snr_db(w, protected),
         delta_cosd=cosine_loss(e_ref, e_protected),
         loss_trajectory=trajectory,

@@ -45,10 +45,6 @@ class Waveform:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def _read_chunks(data: bytes, path: str) -> dict[str, bytes]:
     """Collect RIFF sub-chunks, keyed by chunk id."""

@@ -19,6 +19,7 @@ import logging
 import math
 import os
 import sys
+import threading
 import types
 import typing
 import zlib
@@ -26,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__, tensorfile
 from .attack import AttackConfig, AttackConfigError, embed, protect_utterance
@@ -137,23 +137,38 @@ def _openblas_threads():
     return None
 
 
+# The OpenBLAS count is process-wide, so the record of who changed it is too.
+_blas_lock = threading.Lock()
+_blas_active = 0  # blocks inside _blas_threads; guarded by _blas_lock
+_blas_saved = 0  # the OpenBLAS count before the first of them
+
+
 @contextlib.contextmanager
 def _blas_threads(n: int):
     """Give OpenBLAS n threads for the block, then restore its count.
 
+    Blocks may overlap in threads of one process: the count in force
+    before the first active block is restored when the last one leaves.
     Does nothing when no OpenBLAS is loaded or a BLAS thread variable is set.
     """
+    global _blas_active, _blas_saved
     blas = None if any(name in os.environ for name in _BLAS_ENV) else _openblas_threads()
     if blas is None:
         yield
         return
     get, set_ = blas
-    saved = get()
-    set_(n)
+    with _blas_lock:
+        if _blas_active == 0:
+            _blas_saved = get()
+        _blas_active += 1
+        set_(n)
     try:
         yield
     finally:
-        set_(saved)
+        with _blas_lock:
+            _blas_active -= 1
+            if _blas_active == 0:
+                set_(_blas_saved)
 
 
 def _usable_cpus() -> int:
@@ -177,7 +192,7 @@ def run_init_encoder(config: str, seed: int, out: str) -> None:
     if unknown:
         raise ValueError(f"{config}: unknown encoder config keys {unknown}")
     ws = init_random(EncoderConfig.from_dict({**defaults, **overrides}), seed)
-    save_weights(ws, out)
+    _write_atomically(Path(out), lambda temp: save_weights(ws, temp))
     _write_manifest(str(out) + ".manifest.json", "init-encoder", {
         "config": config, "seed": seed, "out": out,
     })
@@ -206,7 +221,8 @@ def run_protect(
     not oversubscribe the cores. That count is process-global: it is set
     only when no BLAS thread variable is in the environment, and the
     previous count is restored on return, also when this raises. Two
-    batches run at once from threads of one process share that count.
+    batches run at once from threads of one process share that count, and
+    the one that returns last restores it.
     """
     if method not in ("fgsm", "ifgsm", "gaussian"):
         raise ValueError(f"method must be one of fgsm, ifgsm, gaussian, got {method!r}")
@@ -279,25 +295,18 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     embeddings = {
         stem: embed(stft(_load_waveform_16k(path)).magnitude, ws) for stem, path in files.items()
     }
-    tensorfile.save(out, embeddings, meta={
-        "kind": "embeddings",
-        "embed_dim": ws.config.embed_dim,
-        "weights": str(weights),
-    })
+    meta = {"kind": "embeddings", "embed_dim": ws.config.embed_dim, "weights": str(weights)}
+    _write_atomically(Path(out), lambda temp: tensorfile.save(temp, embeddings, meta))
     _write_manifest(str(out) + ".manifest.json", "embed", {
         "inputs": list(inputs), "weights": weights, "out": out,
     })
 
 
 def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
-    trial_list = parse_trials(trials)
+    enroll_ids, test_ids, is_target = parse_trials(trials)
     enroll_embeddings, _ = tensorfile.load(enroll)
     test_embeddings, _ = tensorfile.load(test)
-    scores = score_trials(trial_list, enroll_embeddings, test_embeddings)
-    with open(f"{out}.scores.txt", "w", encoding="utf-8") as fh:
-        for t, s in zip(trial_list, scores):
-            fh.write(f"{t.enroll_id} {t.test_id} {t.label} {s:.12g}\n")
-    is_target = np.array([t.label == "target" for t in trial_list])
+    scores = score_trials(enroll_ids, test_ids, enroll_embeddings, test_embeddings)
     eer, threshold = compute_eer(scores[is_target], scores[~is_target])
     summary = {
         "eer": eer,
@@ -305,7 +314,15 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
         "n_target": int(is_target.sum()),
         "n_nontarget": int((~is_target).sum()),
     }
-    Path(f"{out}.eer.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+
+    def write_scores(temp: Path) -> None:
+        with open(temp, "w", encoding="utf-8") as fh:
+            for e, t, y, s in zip(enroll_ids, test_ids, is_target.tolist(), scores):
+                fh.write(f"{e} {t} {'target' if y else 'nontarget'} {s:.12g}\n")
+
+    _write_atomically(Path(f"{out}.scores.txt"), write_scores)
+    text = json.dumps(summary, indent=2) + "\n"
+    _write_atomically(Path(f"{out}.eer.json"), lambda temp: temp.write_text(text, encoding="utf-8"))
     _write_manifest(f"{out}.manifest.json", "eval", {
         "trials": trials, "enroll": enroll, "test": test, "out": out,
     })
@@ -316,14 +333,16 @@ def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = Fals
     row_embeddings, _ = tensorfile.load(rows)
     col_embeddings = row_embeddings if cols is None else tensorfile.load(cols)[0]
     matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings, speaker_level)
-    write_similarity_csv(out, matrix, row_keys, col_keys)
+    _write_atomically(Path(out),
+                      lambda temp: write_similarity_csv(temp, matrix, row_keys, col_keys))
     _write_manifest(str(out) + ".manifest.json", "simmat", {
         "rows": rows, "cols": cols, "out": out, "speaker_level": speaker_level,
     })
 
 
 def run_dump_spec(input: str, out: str) -> None:
-    write_magnitude_csv(stft(_load_waveform_16k(Path(input))).magnitude, out)
+    magnitude = stft(_load_waveform_16k(Path(input))).magnitude
+    _write_atomically(Path(out), lambda temp: write_magnitude_csv(magnitude, temp))
     _write_manifest(str(out) + ".manifest.json", "dump-spec", {"input": input, "out": out})
 
 

@@ -1,8 +1,9 @@
-"""Evaluation machinery: SNR, embedding distance, trial scoring, EER.
+"""Evaluation machinery: SNR, trial parsing and scoring, EER.
 
-Scoring convention: a trial score is the plain cosine similarity between
-the enrollment and test embeddings, so higher means "same speaker". An
-EER above 0.5 therefore signals inverted score polarity.
+Scoring convention: trials are columns (enrollment ids, test ids, target
+mask); a trial score is the plain cosine similarity between the two
+embeddings, so higher means "same speaker", and an EER above 0.5 signals
+inverted score polarity.
 
 Cost and numeric contract: the EER sweep sorts each score set once and
 counts by binary search, O(n log n); its error rates are exact integer
@@ -15,7 +16,6 @@ EER threshold with them) in the last few ulps.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,6 @@ VALID_LABELS = ("target", "nontarget")
 
 class TrialFormatError(ValueError):
     """Raised for malformed trial files."""
-
-
-@dataclass(frozen=True)
-class Trial:
-    enroll_id: str
-    test_id: str
-    label: str
 
 
 def snr_db(ref: Waveform, test: Waveform) -> float:
@@ -58,23 +51,21 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
     return 10.0 * np.log10(signal_energy / error_energy)
 
 
-def delta_cosd(e: np.ndarray, e_tilde: np.ndarray) -> float:
-    """Embedding distance in [-1, 1]: -1 identical, higher = less similar."""
-    return cosine_loss(e, e_tilde)
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return -cosine_loss(a, b)
 
 
-def parse_trials(path) -> list[Trial]:
+def parse_trials(path) -> tuple[list[str], list[str], np.ndarray]:
     """Parse a trial file: one `enroll test label` triple per line.
 
     Labels are case-insensitive target/nontarget; fields are whitespace
     separated; blank lines are skipped. Malformed lines are rejected with
-    their line number.
+    their line number. Returns the columns in file order: enrollment ids,
+    test ids, and a boolean array that is True for target trials.
     """
-    trials: list[Trial] = []
+    enroll_ids: list[str] = []
+    test_ids: list[str] = []
+    is_target: list[bool] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -91,10 +82,12 @@ def parse_trials(path) -> list[Trial]:
                 raise TrialFormatError(
                     f"{path}:{lineno}: label must be target or nontarget, got {label!r}"
                 )
-            trials.append(Trial(enroll, test, label.lower()))
-    if not trials:
+            enroll_ids.append(enroll)
+            test_ids.append(test)
+            is_target.append(label.lower() == "target")
+    if not enroll_ids:
         raise TrialFormatError(f"{path}: no trials found")
-    return trials
+    return enroll_ids, test_ids, np.array(is_target, dtype=bool)
 
 
 def _unit_rows(embeddings: dict[str, np.ndarray], keys) -> np.ndarray:
@@ -109,31 +102,29 @@ def _unit_rows(embeddings: dict[str, np.ndarray], keys) -> np.ndarray:
 
 
 def score_trials(
-    trials: list[Trial],
+    enroll_ids: list[str],
+    test_ids: list[str],
     enroll_embeddings: dict[str, np.ndarray],
-    test_embeddings: dict[str, np.ndarray] | None = None,
+    test_embeddings: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Cosine similarity per trial, aligned with the trial list order.
+    """Cosine similarity per trial, aligned with the order of the id columns.
 
-    With a single embedding map, both sides look up the same map. Every
-    key is checked, and a missing one reported by name, before any
+    Every key is checked, and a missing one reported by name, before any
     arithmetic. The scores are cells of one Gram matrix between the
     distinct enrollment and test keys.
     """
-    if test_embeddings is None:
-        test_embeddings = enroll_embeddings
-    if not trials:
-        return np.zeros(0)
     enroll_index: dict[str, int] = {}
     test_index: dict[str, int] = {}
     ei, ti = [], []
-    for t in trials:
-        if t.enroll_id not in enroll_embeddings:
-            raise KeyError(f"enrollment key {t.enroll_id!r} missing from embeddings")
-        if t.test_id not in test_embeddings:
-            raise KeyError(f"test key {t.test_id!r} missing from embeddings")
-        ei.append(enroll_index.setdefault(t.enroll_id, len(enroll_index)))
-        ti.append(test_index.setdefault(t.test_id, len(test_index)))
+    for enroll_id, test_id in zip(enroll_ids, test_ids, strict=True):
+        if enroll_id not in enroll_embeddings:
+            raise KeyError(f"enrollment key {enroll_id!r} missing from embeddings")
+        if test_id not in test_embeddings:
+            raise KeyError(f"test key {test_id!r} missing from embeddings")
+        ei.append(enroll_index.setdefault(enroll_id, len(enroll_index)))
+        ti.append(test_index.setdefault(test_id, len(test_index)))
+    if not ei:
+        return np.zeros(0)
     enroll = _unit_rows(enroll_embeddings, list(enroll_index))
     test = _unit_rows(test_embeddings, list(test_index))
     return (enroll @ test.T)[ei, ti]
@@ -188,7 +179,7 @@ def average_by_speaker(embeddings: dict[str, np.ndarray]) -> dict[str, np.ndarra
 def similarity_matrix(
     rows: dict[str, np.ndarray],
     cols: dict[str, np.ndarray],
-    speaker_level: bool = False,
+    speaker_level: bool,
 ) -> tuple[np.ndarray, list[str], list[str]]:
     """Cosine similarity between two embedding collections.
 

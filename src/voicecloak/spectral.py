@@ -13,8 +13,8 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
 * synthesis uses the same window with overlap-add, normalized per sample
   by the summed squared window (samples where that sum is below 1e-9 are
   set to zero);
-* the attack surface is the linear magnitude; phase is carried alongside
-  untouched and reused at synthesis;
+* analysis keeps the complex spectrum; the attack surface is its linear
+  magnitude, and its phase is reused untouched at synthesis;
 * the filterbank consumes the power spectrum (squared magnitude) and the
   output is log-compressed with floor LOG_FLOOR.
 
@@ -45,23 +45,25 @@ _LPAD = (FFT_SIZE - WIN_LENGTH) // 2  # window offset inside each FFT frame
 
 @dataclass
 class Spectrogram:
-    """Magnitude/phase pair from a single analysis pass.
+    """Complex [frames x bins] spectrum from a single analysis pass.
 
-    magnitude and phase are [frames x bins]; phase angles lie in (-pi, pi].
+    magnitude and phase are computed on each read; phase angles lie in
+    (-pi, pi].
     """
 
-    magnitude: np.ndarray
-    phase: np.ndarray
+    spectrum: np.ndarray
 
-    def __post_init__(self):
-        if self.magnitude.shape != self.phase.shape:
-            raise ValueError(
-                f"magnitude {self.magnitude.shape} and phase {self.phase.shape} differ"
-            )
+    @property
+    def magnitude(self) -> np.ndarray:
+        return np.abs(self.spectrum)
+
+    @property
+    def phase(self) -> np.ndarray:
+        return np.angle(self.spectrum)
 
 
 def stft(w: Waveform) -> Spectrogram:
-    """Analyze a waveform into magnitude and phase matrices.
+    """Analyze a waveform into its complex spectrum.
 
     Requires at least one window of samples at CANONICAL_RATE; resample
     first otherwise.
@@ -83,8 +85,7 @@ def stft(w: Waveform) -> Spectrogram:
     for k in range(n_frames):
         start = k * HOP_LENGTH
         frames[k, _LPAD : _LPAD + WIN_LENGTH] = padded[start : start + WIN_LENGTH] * WINDOW
-    spectrum = np.fft.rfft(frames, n=FFT_SIZE, axis=1)
-    return Spectrogram(magnitude=np.abs(spectrum), phase=np.angle(spectrum))
+    return Spectrogram(np.fft.rfft(frames, n=FFT_SIZE, axis=1))
 
 
 def istft(magnitude: np.ndarray, phase: np.ndarray, length: int) -> Waveform:

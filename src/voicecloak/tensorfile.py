@@ -21,7 +21,7 @@ class TensorFileError(ValueError):
     """Raised for version, manifest, or blob inconsistencies."""
 
 
-def save(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
+def save(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Write tensors in manifest order; rejects non-finite values."""
     manifest = []
     parts = []
@@ -35,7 +35,7 @@ def save(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None
         offset += arr.size
     header = {
         "format_version": FORMAT_VERSION,
-        "meta": meta or {},
+        "meta": meta,
         "tensors": manifest,
     }
     blob = np.concatenate(parts) if parts else np.zeros(0)

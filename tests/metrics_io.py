@@ -6,11 +6,11 @@ import csv
 
 import numpy as np
 
-from voicecloak.metrics import Trial
-
-
-def format_trials(trials: list[Trial]) -> str:
-    return "".join(f"{t.enroll_id} {t.test_id} {t.label}\n" for t in trials)
+def format_trials(enroll_ids: list[str], test_ids: list[str], is_target) -> str:
+    return "".join(
+        f"{e} {t} {'target' if y else 'nontarget'}\n"
+        for e, t, y in zip(enroll_ids, test_ids, is_target)
+    )
 
 
 def read_similarity_csv(path) -> tuple[np.ndarray, list[str], list[str]]:

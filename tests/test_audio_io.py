@@ -39,10 +39,9 @@ class TestWaveform:
         with pytest.raises(ValueError, match="sample_rate"):
             Waveform(np.zeros(4), 0)
 
-    def test_duration_and_len(self):
+    def test_len_counts_samples(self):
         w = Waveform(np.zeros(8000), 16000)
         assert len(w) == 8000
-        assert w.duration == 0.5
 
     def test_casts_to_float64(self):
         w = Waveform(np.zeros(4, dtype=np.float32), 16000)

@@ -4,6 +4,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from voicecloak import tensorfile
 from voicecloak.audio_io import read_wav, write_wav
 from voicecloak.cli import cli
 from voicecloak.encoder import EncoderConfig, init_random, load_weights, save_weights
+from voicecloak.metrics import score_trials
 from voicecloak.spectral import stft
 
 SMALL_CONFIG = {
@@ -406,6 +409,64 @@ class TestProtectBlasThreads:
         assert blas() == before
         assert list(out.iterdir()) == []
 
+    def test_overlapping_batches_restore_the_count_from_before_the_first(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas
+    ):
+        # Batch a returns while batch b still runs: b keeps its own count until
+        # it returns, and then the count from before a is back.
+        for name, spk in (("a", 0), ("b", 1)):
+            (tmp_path / name).mkdir()
+            for utt in range(2):
+                shutil.copy(corpus / f"{speaker_key(spk, utt)}.wav", tmp_path / name)
+        a_running, b_running, a_returned = threading.Event(), threading.Event(), threading.Event()
+        seen_by_b = []
+        original = voicecloak.cli._load_waveform_16k
+
+        def ordered(path):
+            if path.parent.name == "a":
+                a_running.set()
+                assert b_running.wait(30)
+            else:
+                b_running.set()
+                assert a_returned.wait(30)
+                seen_by_b.append(blas())
+            return original(path)
+
+        monkeypatch.setattr(voicecloak.cli, "_load_waveform_16k", ordered)
+        before = blas()
+
+        def protect(name):
+            return voicecloak.cli.run_protect(str(tmp_path / name), str(weights_file),
+                                              str(tmp_path / f"out-{name}"), "gaussian", jobs=2)
+
+        with ThreadPoolExecutor(2) as callers:
+            a = callers.submit(protect, "a")
+            assert a_running.wait(30)
+            b = callers.submit(protect, "b")
+            assert a.result(timeout=60) == 0
+            a_returned.set()
+            assert b.result(timeout=60) == 0
+        assert seen_by_b == [max(1, voicecloak.cli._usable_cpus() // 2)] * 2
+        assert blas() == before
+
+    def test_many_overlapping_blocks_leave_the_count_as_they_found_it(self, blas):
+        before = blas()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def enter_and_leave(n):
+                for _ in range(200):
+                    with voicecloak.cli._blas_threads(n):
+                        pass
+
+            with ThreadPoolExecutor(4) as pool:
+                for future in [pool.submit(enter_and_leave, 1 + i % 2) for i in range(4)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert voicecloak.cli._blas_active == 0
+        assert blas() == before
+
     def test_jobs_leave_the_bytes_alone(self, runner, blas, tmp_path):
         src = tmp_path / "in"
         src.mkdir()
@@ -527,6 +588,83 @@ class TestEmbedEvalSimmat:
         assert 0.0 <= summary["eer"] <= 1.0
         echoed = json.loads(result.output.strip().splitlines()[-1])
         assert echoed["eer"] == summary["eer"]
+
+    def test_eval_scores_file_spells_each_trial_in_file_order(self, runner, archive, tmp_path):
+        trials = [
+            (speaker_key(0, 0), speaker_key(0, 1), "TARGET", "target"),
+            (speaker_key(1, 0), speaker_key(0, 1), "NonTarget", "nontarget"),
+            (speaker_key(0, 0), speaker_key(0, 1), "Target", "target"),  # a repeated pair
+            (speaker_key(1, 1), speaker_key(1, 0), "target", "target"),
+            (speaker_key(0, 0), speaker_key(1, 1), "nonTARGET", "nontarget"),
+        ]
+        path = tmp_path / "trials.txt"
+        path.write_text("".join(f"{e} {t} {label}\n" for e, t, label, _ in trials))
+        result = runner.invoke(
+            cli,
+            ["eval", "--trials", str(path), "--enroll", str(archive),
+             "--test", str(archive), "--out", str(tmp_path / "result")],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        embeddings, _ = tensorfile.load(archive)
+        scores = score_trials([t[0] for t in trials], [t[1] for t in trials], embeddings,
+                              embeddings)
+        expected = "".join(f"{e} {t} {label} {s:.12g}\n"
+                           for (e, t, _, label), s in zip(trials, scores))
+        assert (tmp_path / "result.scores.txt").read_text(encoding="utf-8") == expected
+
+    def test_a_failed_eval_leaves_the_previous_outputs(self, runner, archive, tmp_path):
+        good = tmp_path / "good.txt"
+        good.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n"
+                        f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n")
+        targets_only = tmp_path / "targets.txt"
+        targets_only.write_text(f"{speaker_key(1, 0)} {speaker_key(1, 1)} target\n")
+        args = ["eval", "--enroll", str(archive), "--test", str(archive),
+                "--out", str(tmp_path / "result")]
+        assert runner.invoke(cli, args + ["--trials", str(good)]).exit_code == 0
+        outputs = ["result.eer.json", "result.manifest.json", "result.scores.txt"]
+        first = {name: (tmp_path / name).read_bytes() for name in outputs}
+        result = runner.invoke(cli, args + ["--trials", str(targets_only)])
+        assert result.exit_code == 1
+        assert "nontarget" in result.stderr
+        assert {name: (tmp_path / name).read_bytes() for name in outputs} == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            outputs + ["good.txt", "targets.txt"])
+
+    @pytest.mark.parametrize("command, owner, name, path_arg", [
+        ("init-encoder", voicecloak.cli, "save_weights", 1),
+        ("embed", tensorfile, "save", 0),
+        ("eval", voicecloak.cli, "open", 0),
+        ("simmat", voicecloak.cli, "write_similarity_csv", 0),
+        ("dump-spec", voicecloak.cli, "write_magnitude_csv", 1),
+    ])
+    def test_a_failed_write_leaves_neither_the_file_nor_its_temp(
+        self, runner, corpus, weights_file, archive, tmp_path, monkeypatch,
+        command, owner, name, path_arg,
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        trials = tmp_path / "trials.txt"
+        trials.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n"
+                          f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n")
+        args = {
+            "init-encoder": ["--config", str(config)],
+            "embed": [str(corpus), "--weights", str(weights_file)],
+            "eval": ["--trials", str(trials), "--enroll", str(archive), "--test", str(archive)],
+            "simmat": ["--rows", str(archive)],
+            "dump-spec": [str(corpus / f"{speaker_key(0, 0)}.wav")],
+        }[command]
+
+        def half_write(*call_args, **call_kwargs):
+            Path(call_args[path_arg]).write_bytes(b"partial")
+            raise OSError("disk full")
+
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.setattr(owner, name, half_write, raising=False)  # cli's open is the builtin
+        result = runner.invoke(cli, [command, *args, "--out", str(out / "result")])
+        assert result.exit_code == 1
+        assert "disk full" in result.stderr
+        assert list(out.iterdir()) == []
 
     def test_eval_missing_key_fails(self, runner, archive, tmp_path):
         trials = tmp_path / "trials.txt"

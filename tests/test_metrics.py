@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from metrics_io import format_trials, read_similarity_csv
 from voicecloak.audio_io import Waveform
+from voicecloak.encoder import cosine_loss
 from voicecloak.metrics import (
-    Trial,
     TrialFormatError,
     average_by_speaker,
     compute_eer,
     cosine_similarity,
-    delta_cosd,
     parse_trials,
     score_trials,
     similarity_matrix,
@@ -103,26 +102,26 @@ class TestSnr:
 
 
 class TestCosineMetrics:
-    def test_delta_cosd_is_negative_similarity(self):
+    def test_cosine_loss_is_negative_similarity(self):
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(8), rng.standard_normal(8)
-        assert delta_cosd(a, b) == pytest.approx(-cosine_similarity(a, b), abs=1e-15)
-        assert delta_cosd(a, a) == pytest.approx(-1.0, abs=1e-12)
+        assert cosine_loss(a, b) == pytest.approx(-cosine_similarity(a, b), abs=1e-15)
+        assert cosine_loss(a, a) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestTrials:
     def test_parse_round_trip(self, tmp_path):
         path = tmp_path / "trials.txt"
         path.write_text("a b target\n\nc d NONTARGET\n e f Target \n")
-        trials = parse_trials(path)
-        assert trials == [
-            Trial("a", "b", "target"),
-            Trial("c", "d", "nontarget"),
-            Trial("e", "f", "target"),
-        ]
+        enroll_ids, test_ids, is_target = parse_trials(path)
+        assert enroll_ids == ["a", "c", "e"]
+        assert test_ids == ["b", "d", "f"]
+        assert is_target.dtype == bool and is_target.tolist() == [True, False, True]
         path2 = tmp_path / "again.txt"
-        path2.write_text(format_trials(trials))
-        assert parse_trials(path2) == trials
+        path2.write_text(format_trials(enroll_ids, test_ids, is_target))
+        again = parse_trials(path2)
+        assert again[:2] == (enroll_ids, test_ids)
+        np.testing.assert_array_equal(again[2], is_target)
 
     def test_rejects_wrong_field_count_with_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -148,42 +147,38 @@ class TestTrials:
             "y": np.array([0.0, 1.0]),
             "z": np.array([1.0, 1.0]),
         }
-        trials = [Trial("x", "y", "nontarget"), Trial("x", "z", "target")]
-        scores = score_trials(trials, embeddings)
+        scores = score_trials(["x", "x"], ["y", "z"], embeddings, embeddings)
         np.testing.assert_allclose(scores, [0.0, 1.0 / np.sqrt(2.0)], atol=1e-12)
 
     def test_score_trials_separate_test_map(self):
         enroll = {"x": np.array([1.0, 0.0])}
         test = {"x": np.array([-1.0, 0.0])}
-        scores = score_trials([Trial("x", "x", "target")], enroll, test)
+        scores = score_trials(["x"], ["x"], enroll, test)
         assert scores[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_score_trials_names_missing_keys(self):
         with pytest.raises(KeyError, match="'ghost'"):
-            score_trials([Trial("ghost", "x", "target")], {"x": np.ones(2)})
+            score_trials(["ghost"], ["x"], {"x": np.ones(2)}, {"x": np.ones(2)})
 
     def test_missing_key_is_reported_before_any_arithmetic(self):
         # The first trial's zero embedding would raise ValueError if any
         # score were computed before every key had been checked.
         embeddings = {"zero": np.zeros(4), "x": np.ones(4)}
-        trials = [Trial("zero", "x", "target"), Trial("x", "ghost", "nontarget")]
         with pytest.raises(KeyError, match="test key 'ghost' missing from embeddings"):
-            score_trials(trials, embeddings)
-        trials = [Trial("zero", "x", "target"), Trial("ghost", "x", "nontarget")]
+            score_trials(["zero", "x"], ["x", "ghost"], embeddings, embeddings)
         with pytest.raises(KeyError, match="enrollment key 'ghost' missing from embeddings"):
-            score_trials(trials, embeddings)
+            score_trials(["zero", "ghost"], ["x", "x"], embeddings, embeddings)
 
     @pytest.mark.parametrize("side", ["enroll", "test"])
     def test_near_zero_norm_names_the_key(self, side):
         enroll = {"a": np.ones(3), "b": np.ones(3)}
         test = {"a": np.ones(3), "b": np.ones(3)}
         (enroll if side == "enroll" else test)["b"] = np.full(3, 1e-14)
-        trials = [Trial("a", "a", "target"), Trial("b", "b", "target")]
         with pytest.raises(ValueError, match="near-zero-norm embedding for key 'b'"):
-            score_trials(trials, enroll, test)
+            score_trials(["a", "b"], ["a", "b"], enroll, test)
 
     def test_empty_trial_list_gives_no_scores(self):
-        assert score_trials([], {"x": np.ones(2)}).shape == (0,)
+        assert score_trials([], [], {"x": np.ones(2)}, {"x": np.ones(2)}).shape == (0,)
 
 
 class TestVectorisedScoringOracle:
@@ -194,19 +189,21 @@ class TestVectorisedScoringOracle:
         keys = [f"spk{s:02d}-utt{u}" for s in range(8) for u in range(5)]
         embeddings = _embedding_map(rng, keys)
         pairs = rng.integers(0, len(keys), size=(3000, 2))  # keys repeat many times
-        trials = [Trial(keys[a], keys[b], "target") for a, b in pairs]
-        scores = score_trials(trials, embeddings)
-        expected = [cosine_similarity(embeddings[t.enroll_id], embeddings[t.test_id]) for t in trials]
+        enroll_ids, test_ids = [keys[a] for a, _ in pairs], [keys[b] for _, b in pairs]
+        scores = score_trials(enroll_ids, test_ids, embeddings, embeddings)
+        expected = [cosine_similarity(embeddings[e], embeddings[t])
+                    for e, t in zip(enroll_ids, test_ids)]
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
 
     def test_score_trials_with_separate_maps(self):
         rng = np.random.default_rng(6)
         enroll = _embedding_map(rng, [f"e{i}" for i in range(12)] + ["shared"])
         test = _embedding_map(rng, [f"t{i}" for i in range(7)] + ["shared"])
-        trials = [Trial(e, t, "nontarget") for e in enroll for t in test]
-        trials += trials[::3]  # repeated trials
-        scores = score_trials(trials, enroll, test)
-        expected = [cosine_similarity(enroll[t.enroll_id], test[t.test_id]) for t in trials]
+        pairs = [(e, t) for e in enroll for t in test]
+        pairs += pairs[::3]  # repeated trials
+        enroll_ids, test_ids = [e for e, _ in pairs], [t for _, t in pairs]
+        scores = score_trials(enroll_ids, test_ids, enroll, test)
+        expected = [cosine_similarity(enroll[e], test[t]) for e, t in pairs]
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("speaker_level", [False, True])
@@ -294,7 +291,7 @@ class TestSimilarityMatrix:
     def test_values_are_pairwise_cosines(self):
         rows = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])}
         cols = {"c": np.array([1.0, 1.0])}
-        matrix, row_keys, col_keys = similarity_matrix(rows, cols)
+        matrix, row_keys, col_keys = similarity_matrix(rows, cols, False)
         assert row_keys == ["a", "b"]
         assert col_keys == ["c"]
         np.testing.assert_allclose(matrix, [[1 / np.sqrt(2)], [1 / np.sqrt(2)]], atol=1e-12)
@@ -318,12 +315,12 @@ class TestSimilarityMatrix:
 
     def test_rejects_empty_maps(self):
         with pytest.raises(ValueError, match="nonempty"):
-            similarity_matrix({}, {"a": np.ones(2)})
+            similarity_matrix({}, {"a": np.ones(2)}, False)
 
     def test_near_zero_norm_names_the_key(self):
         rows = {"a": np.ones(3), "quiet": np.zeros(3)}
         with pytest.raises(ValueError, match="near-zero-norm embedding for key 'quiet'"):
-            similarity_matrix({"a": np.ones(3)}, rows)
+            similarity_matrix({"a": np.ones(3)}, rows, False)
         with pytest.raises(ValueError, match="near-zero-norm embedding for key 's2'"):
             similarity_matrix(
                 {"s1-a": np.ones(3), "s2-a": np.ones(3), "s2-b": -np.ones(3)},
@@ -335,7 +332,7 @@ class TestSimilarityMatrix:
         rng = np.random.default_rng(4)
         rows = {f"r{i}": rng.standard_normal(6) for i in range(3)}
         cols = {f"c{j}": rng.standard_normal(6) for j in range(2)}
-        matrix, row_keys, col_keys = similarity_matrix(rows, cols)
+        matrix, row_keys, col_keys = similarity_matrix(rows, cols, False)
         path = tmp_path / "sim.csv"
         write_similarity_csv(path, matrix, row_keys, col_keys)
         back, back_rows, back_cols = read_similarity_csv(path)

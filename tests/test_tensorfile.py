@@ -35,14 +35,14 @@ def test_round_trip_is_bit_exact(tmp_path, sample_tensors):
 def test_accepts_non_contiguous_input(tmp_path):
     arr = np.arange(12.0).reshape(3, 4).T
     path = tmp_path / "t.bin"
-    tensorfile.save(path, {"t": arr})
+    tensorfile.save(path, {"t": arr}, {})
     back, _ = tensorfile.load(path)
     np.testing.assert_array_equal(back["t"], arr)
 
 
 def test_empty_dict_round_trip(tmp_path):
     path = tmp_path / "empty.bin"
-    tensorfile.save(path, {})
+    tensorfile.save(path, {}, {})
     back, meta = tensorfile.load(path)
     assert back == {} and meta == {}
 
@@ -50,12 +50,12 @@ def test_empty_dict_round_trip(tmp_path):
 def test_save_rejects_non_finite(tmp_path, sample_tensors):
     sample_tensors["a"][0, 0] = np.inf
     with pytest.raises(TensorFileError, match="'a'.*non-finite"):
-        tensorfile.save(tmp_path / "t.bin", sample_tensors)
+        tensorfile.save(tmp_path / "t.bin", sample_tensors, {})
 
 
 def test_load_rejects_truncated_blob(tmp_path, sample_tensors):
     path = tmp_path / "t.bin"
-    tensorfile.save(path, sample_tensors)
+    tensorfile.save(path, sample_tensors, {})
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])  # drop the last two float64 values
     with pytest.raises(TensorFileError, match="length mismatch"):
@@ -64,7 +64,7 @@ def test_load_rejects_truncated_blob(tmp_path, sample_tensors):
 
 def test_load_rejects_trailing_garbage(tmp_path, sample_tensors):
     path = tmp_path / "t.bin"
-    tensorfile.save(path, sample_tensors)
+    tensorfile.save(path, sample_tensors, {})
     with open(path, "ab") as fh:
         fh.write(b"\x00" * 16)
     with pytest.raises(TensorFileError, match="length mismatch"):
@@ -73,7 +73,7 @@ def test_load_rejects_trailing_garbage(tmp_path, sample_tensors):
 
 def test_load_rejects_bad_version(tmp_path, sample_tensors):
     path = tmp_path / "t.bin"
-    tensorfile.save(path, sample_tensors)
+    tensorfile.save(path, sample_tensors, {})
     raw = path.read_bytes()
     sep = raw.find(b"\n")
     header = json.loads(raw[:sep])
@@ -99,7 +99,7 @@ def test_load_rejects_missing_terminator(tmp_path):
 
 def test_load_rejects_gapped_manifest(tmp_path, sample_tensors):
     path = tmp_path / "t.bin"
-    tensorfile.save(path, sample_tensors)
+    tensorfile.save(path, sample_tensors, {})
     raw = path.read_bytes()
     sep = raw.find(b"\n")
     header = json.loads(raw[:sep])
@@ -111,7 +111,7 @@ def test_load_rejects_gapped_manifest(tmp_path, sample_tensors):
 
 def test_load_rejects_non_finite_blob(tmp_path):
     path = tmp_path / "t.bin"
-    tensorfile.save(path, {"v": np.zeros(4)})
+    tensorfile.save(path, {"v": np.zeros(4)}, {})
     raw = bytearray(path.read_bytes())
     sep = raw.find(b"\n")
     raw[sep + 1 : sep + 9] = struct.pack("<d", float("nan"))
