@@ -14,7 +14,8 @@ magnitude, resynthesize with the original phase, and report the realized
 SNR and the embedding distance recomputed from the re-analyzed protected
 audio. That re-analysis matters: perturbed magnitude with reused phase is
 not a consistent STFT, so the distance that counts downstream is the one
-measured on the actual output waveform.
+measured on the actual output waveform. `AttackConfig`'s defaults are the
+one statement of the paper's schedule, and `METHODS` the one method list.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .metrics import snr_db
 from .spectral import (
     istft, log_energies, log_mel, log_mel_backward, mel_energies, mel_matrix, stft,
 )
+
+
+METHODS = ("fgsm", "ifgsm", "gaussian")  # what protect_utterance and protect accept
 
 
 class AttackConfigError(ValueError):
@@ -165,25 +169,28 @@ def fgsm(x: np.ndarray, ws: WeightStore, e_ref: np.ndarray, epsilon: float) -> A
 def protect_utterance(
     w: Waveform,
     ws: WeightStore,
-    cfg: AttackConfig = AttackConfig(),
-    method: str = "ifgsm",
-    target_snr_db: float = 32.0,
-    seed: int = 0,
+    cfg: AttackConfig,
+    method: str,
+    target_snr_db: float,
+    seed: int,
 ) -> tuple[Waveform, ProtectionReport]:
     """Protect one utterance end to end.
 
     fgsm/ifgsm: analyze, attack the magnitude, resynthesize with the
     original phase. gaussian: bypass the gradient path entirely and add
-    white noise at target_snr_db in the time domain (the baseline).
-    The report's delta_cosd is always recomputed from the re-analyzed
-    protected waveform, and the output length always equals the input's.
+    white noise at target_snr_db in the time domain (the baseline). Only
+    gaussian reads target_snr_db and seed; only fgsm (cfg.epsilon alone)
+    and ifgsm read cfg and the clean phase. The report's delta_cosd is
+    always recomputed from the re-analyzed protected waveform, and the
+    output length always equals the input's.
     `stft` rejects input at any rate but CANONICAL_RATE.
     """
-    if method not in ("fgsm", "ifgsm", "gaussian"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 
     spec = stft(w)
-    magnitude, phase = spec.magnitude, spec.phase
+    magnitude = spec.magnitude
+    phase = None if method == "gaussian" else spec.phase
     del spec  # the complex spectrum is not held through the attack
     e_ref = embed(magnitude, ws)
 

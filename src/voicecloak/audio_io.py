@@ -163,12 +163,13 @@ def resample_linear(w: Waveform, target_rate: int) -> Waveform:
     return Waveform(resampled, target_rate)
 
 
-def add_gaussian_noise(w: Waveform, target_snr_db: float = 32.0, seed: int = 0) -> Waveform:
+def add_gaussian_noise(w: Waveform, target_snr_db: float, seed: int) -> Waveform:
     """Add zero-mean white Gaussian noise at an exact signal-to-noise ratio.
 
     The noise is scaled from its realized energy, so
     10*log10(sum(w^2) / sum(n^2)) equals target_snr_db by construction.
-    Deterministic for a given seed.
+    Deterministic for a given seed. A target so far out of range that the
+    noise scale overflows or comes out 0 raises ValueError naming it.
     """
     if not math.isfinite(target_snr_db):
         raise ValueError(f"target_snr_db must be finite, got {target_snr_db}")
@@ -178,5 +179,10 @@ def add_gaussian_noise(w: Waveform, target_snr_db: float = 32.0, seed: int = 0) 
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(len(w.samples))
     noise_energy = float(np.sum(noise**2))
-    scale = math.sqrt(signal_energy / (noise_energy * 10.0 ** (target_snr_db / 10.0)))
+    try:
+        scale = math.sqrt(signal_energy / (noise_energy * 10.0 ** (target_snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"target_snr_db {target_snr_db} is out of range for this signal")
     return Waveform(w.samples + scale * noise, w.sample_rate)

@@ -1,9 +1,12 @@
 """Batch command line: protect audio, extract embeddings, score trials.
 
-Every command writes a run manifest next to its outputs; `voicecloak rerun
-<manifest>` re-executes the recorded command with the recorded parameters
-and reproduces the outputs bit for bit. Verbosity is controlled by the
-VOICECLOAK_LOG environment variable (DEBUG/INFO/WARNING/ERROR).
+Every command writes a run manifest next to its outputs: `_recorded`
+records each `run_*` call's arguments, defaults applied, and registers the
+command for `voicecloak rerun <manifest>`, which re-executes it with them
+and reproduces the outputs bit for bit. The `protect` options take their
+defaults from `run_protect`, whose attack defaults are `AttackConfig`'s.
+Verbosity is controlled by the VOICECLOAK_LOG environment variable
+(DEBUG/INFO/WARNING/ERROR).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -29,7 +32,7 @@ from pathlib import Path
 import click
 
 from . import __version__, tensorfile
-from .attack import AttackConfig, AttackConfigError, embed, protect_utterance
+from .attack import METHODS, AttackConfig, AttackConfigError, embed, protect_utterance
 from .audio_io import CANONICAL_RATE, Waveform, read_wav, resample_linear, write_wav
 from .encoder import EncoderConfig, init_random, load_weights, save_weights
 from .metrics import (
@@ -53,9 +56,11 @@ def _setup_logging():
 def _write_atomically(path: Path, write) -> None:
     """Run write(temp) on a temp name beside path, then move it into place.
 
-    A failed write removes its temp, so no partial file is left behind.
+    The temp is named for the process and thread, so writers of one path
+    in threads of one process never share it. A failed write removes its
+    temp, so no partial file is left behind.
     """
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         write(temp)
         os.replace(temp, path)
@@ -64,15 +69,31 @@ def _write_atomically(path: Path, write) -> None:
         raise
 
 
-def _write_manifest(path, command: str, params: dict) -> None:
-    manifest = {
-        "tool": "voicecloak",
-        "version": __version__,
-        "command": command,
-        "params": params,
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_atomically(Path(path), lambda temp: temp.write_text(text, encoding="utf-8"))
+_COMMANDS: dict[str, typing.Callable] = {}  # command name -> its recorded run_*, for rerun
+
+
+def _recorded(command: str, manifest: str):
+    """Register a `run_*` for rerun as `command`. Once a call returns, its
+    arguments, defaults applied, are the params of the manifest written to
+    the path `manifest` formats from them; a call that raises writes none."""
+
+    def decorate(run):
+        @functools.wraps(run)
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(run).bind(*args, **kwargs)
+            bound.apply_defaults()
+            result = run(*args, **kwargs)
+            record = {"tool": "voicecloak", "version": __version__, "command": command,
+                      "params": bound.arguments}
+            text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            _write_atomically(Path(manifest.format(**bound.arguments)),
+                              lambda temp: temp.write_text(text, encoding="utf-8"))
+            return result
+
+        _COMMANDS[command] = recorded
+        return recorded
+
+    return decorate
 
 
 def _load_waveform_16k(path) -> Waveform:
@@ -183,6 +204,7 @@ def _file_seed(base_seed: int, stem: str) -> int:
     return (base_seed + zlib.crc32(stem.encode("utf-8"))) & 0xFFFFFFFF
 
 
+@_recorded("init-encoder", "{out}.manifest.json")
 def run_init_encoder(config: str, seed: int, out: str) -> None:
     overrides = json.loads(Path(config).read_text(encoding="utf-8"))
     if not isinstance(overrides, dict):
@@ -193,19 +215,17 @@ def run_init_encoder(config: str, seed: int, out: str) -> None:
         raise ValueError(f"{config}: unknown encoder config keys {unknown}")
     ws = init_random(EncoderConfig.from_dict({**defaults, **overrides}), seed)
     _write_atomically(Path(out), lambda temp: save_weights(ws, temp))
-    _write_manifest(str(out) + ".manifest.json", "init-encoder", {
-        "config": config, "seed": seed, "out": out,
-    })
 
 
+@_recorded("protect", "{out_dir}/manifest.json")
 def run_protect(
     inputs: str,
     weights: str,
     out_dir: str,
     method: str = "ifgsm",
-    epsilon: float = 0.02,
-    alpha: float = 0.0004,
-    iterations: int = 50,
+    epsilon: float = AttackConfig.epsilon,
+    alpha: float = AttackConfig.alpha,
+    iterations: int = AttackConfig.iterations,
     target_snr: float = 32.0,
     seed: int = 0,
     jobs: int | None = None,
@@ -215,6 +235,8 @@ def run_protect(
     Only the options the method uses are checked: fgsm runs the schedule
     (epsilon, epsilon, 1), and gaussian uses none of the three. Every
     method records epsilon, alpha and target_snr, so each must be finite.
+    A file whose report would hold a non-finite snr_db or delta_cosd fails
+    with an error naming it, and nothing is written for that file.
 
     The batch runs on min(jobs or CPUs, files) threads, and while it runs
     OpenBLAS gets CPUs // threads threads of its own, so the two pools do
@@ -224,8 +246,8 @@ def run_protect(
     batches run at once from threads of one process share that count, and
     the one that returns last restores it.
     """
-    if method not in ("fgsm", "ifgsm", "gaussian"):
-        raise ValueError(f"method must be one of fgsm, ifgsm, gaussian, got {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for name, value in (("epsilon", epsilon), ("alpha", alpha), ("target_snr", target_snr)):
@@ -245,9 +267,10 @@ def run_protect(
     def protect_one(path: Path) -> None:
         w = _load_waveform_16k(path)
         file_seed = _file_seed(seed, path.stem)
-        protected, report = protect_utterance(
-            w, ws, cfg, method=method, target_snr_db=target_snr, seed=file_seed
-        )
+        protected, report = protect_utterance(w, ws, cfg, method, target_snr, file_seed)
+        for name in ("snr_db", "delta_cosd"):
+            if not math.isfinite(getattr(report, name)):
+                raise ValueError(f"{name} is {getattr(report, name)}, not a finite number")
         wav_path = out_path / f"{path.stem}.wav"
         payload = {
             "key": path.stem,
@@ -263,7 +286,7 @@ def run_protect(
             "delta_cosd": report.delta_cosd,
             "loss_trajectory": report.loss_trajectory,
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         _write_atomically(wav_path, lambda temp: write_wav(temp, protected))
         _write_atomically(out_path / f"{path.stem}.json",
                           lambda temp: temp.write_text(text, encoding="utf-8"))
@@ -280,15 +303,10 @@ def run_protect(
             except Exception as exc:
                 failures += 1
                 click.echo(f"error: {path}: {exc}", err=True)
-
-    _write_manifest(out_path / "manifest.json", "protect", {
-        "inputs": inputs, "weights": weights, "out_dir": out_dir, "method": method,
-        "epsilon": epsilon, "alpha": alpha, "iterations": iterations,
-        "target_snr": target_snr, "seed": seed, "jobs": jobs,
-    })
     return failures
 
 
+@_recorded("embed", "{out}.manifest.json")
 def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     files = _by_stem([path for item in inputs for path in _collect_wavs(item)])
     ws = load_weights(weights)
@@ -297,11 +315,9 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     }
     meta = {"kind": "embeddings", "embed_dim": ws.config.embed_dim, "weights": str(weights)}
     _write_atomically(Path(out), lambda temp: tensorfile.save(temp, embeddings, meta))
-    _write_manifest(str(out) + ".manifest.json", "embed", {
-        "inputs": list(inputs), "weights": weights, "out": out,
-    })
 
 
+@_recorded("eval", "{out}.manifest.json")
 def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
     enroll_ids, test_ids, is_target = parse_trials(trials)
     enroll_embeddings, _ = tensorfile.load(enroll)
@@ -321,39 +337,24 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
                 fh.write(f"{e} {t} {'target' if y else 'nontarget'} {s:.12g}\n")
 
     _write_atomically(Path(f"{out}.scores.txt"), write_scores)
-    text = json.dumps(summary, indent=2) + "\n"
+    text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
     _write_atomically(Path(f"{out}.eer.json"), lambda temp: temp.write_text(text, encoding="utf-8"))
-    _write_manifest(f"{out}.manifest.json", "eval", {
-        "trials": trials, "enroll": enroll, "test": test, "out": out,
-    })
     return summary
 
 
+@_recorded("simmat", "{out}.manifest.json")
 def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = False) -> None:
     row_embeddings, _ = tensorfile.load(rows)
     col_embeddings = row_embeddings if cols is None else tensorfile.load(cols)[0]
     matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings, speaker_level)
     _write_atomically(Path(out),
                       lambda temp: write_similarity_csv(temp, matrix, row_keys, col_keys))
-    _write_manifest(str(out) + ".manifest.json", "simmat", {
-        "rows": rows, "cols": cols, "out": out, "speaker_level": speaker_level,
-    })
 
 
+@_recorded("dump-spec", "{out}.manifest.json")
 def run_dump_spec(input: str, out: str) -> None:
     magnitude = stft(_load_waveform_16k(Path(input))).magnitude
     _write_atomically(Path(out), lambda temp: write_magnitude_csv(magnitude, temp))
-    _write_manifest(str(out) + ".manifest.json", "dump-spec", {"input": input, "out": out})
-
-
-_RERUN_DISPATCH = {
-    "init-encoder": run_init_encoder,
-    "protect": run_protect,
-    "embed": run_embed,
-    "eval": run_eval,
-    "simmat": run_simmat,
-    "dump-spec": run_dump_spec,
-}
 
 
 def run_rerun(manifest_path: str):
@@ -362,12 +363,12 @@ def run_rerun(manifest_path: str):
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     command = manifest.get("command")
-    if not isinstance(command, str) or command not in _RERUN_DISPATCH:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ValueError(f"{manifest_path}: unknown command {command!r}")
     params = manifest.get("params")
     if not isinstance(params, dict):
         raise ValueError(f"{manifest_path}: 'params' must be a JSON object")
-    run = _RERUN_DISPATCH[command]
+    run = _COMMANDS[command]
     signature = inspect.signature(run)
     if "seed" not in signature.parameters:
         # embed, eval, simmat and dump-spec manifests written before their
@@ -439,29 +440,30 @@ def cli():
 @click.option("--config", required=True, type=click.Path(exists=True), help="Encoder config JSON.")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", required=True, type=click.Path(), help="Weight file to write.")
-def cmd_init_encoder(config, seed, out):
+def cmd_init_encoder(**options):
     """Initialize random encoder weights and save them."""
-    run_init_encoder(config, seed, out)
+    run_init_encoder(**options)
 
 
-@cli.command("protect")
+# run_protect's defaults: the protect options show and pass exactly these
+_DEFAULTS = {name: p.default for name, p in inspect.signature(run_protect).parameters.items()}
+
+
+@cli.command("protect", context_settings={"show_default": True})
 @click.argument("inputs", type=click.Path(exists=True))
 @click.option("--weights", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--method", default="ifgsm", show_default=True,
-              type=click.Choice(["fgsm", "ifgsm", "gaussian"]))
-@click.option("--epsilon", default=0.02, show_default=True, type=float,
+@click.option("--method", default=_DEFAULTS["method"], type=click.Choice(METHODS))
+@click.option("--epsilon", default=_DEFAULTS["epsilon"], type=float,
               help="Max per-entry magnitude change.")
-@click.option("--alpha", default=0.0004, show_default=True, type=float,
-              help="Per-iteration step size.")
-@click.option("--iterations", default=50, show_default=True, type=int)
-@click.option("--target-snr", default=32.0, show_default=True, type=float,
+@click.option("--alpha", default=_DEFAULTS["alpha"], type=float, help="Per-iteration step size.")
+@click.option("--iterations", default=_DEFAULTS["iterations"], type=int)
+@click.option("--target-snr", default=_DEFAULTS["target_snr"], type=float,
               help="SNR in dB for the gaussian method.")
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--jobs", default=None, type=click.IntRange(min=1),
+@click.option("--seed", default=_DEFAULTS["seed"], type=int)
+@click.option("--jobs", default=_DEFAULTS["jobs"], type=click.IntRange(min=1),
               help="Worker threads; default = CPU count.")
-def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
-                target_snr, seed, jobs):
+def cmd_protect(**options):
     """Perturb a WAV file or a directory of WAV files.
 
     Writes one protected 16 kHz WAV plus a JSON report per input, and a
@@ -469,8 +471,7 @@ def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
     continues; the exit status is nonzero if any file failed.
     """
     try:
-        failures = run_protect(inputs, weights, out_dir, method, epsilon, alpha,
-                               iterations, target_snr, seed, jobs)
+        failures = run_protect(**options)
     except AttackConfigError as exc:
         raise click.UsageError(str(exc))
     if failures:
@@ -481,9 +482,9 @@ def cmd_protect(inputs, weights, out_dir, method, epsilon, alpha, iterations,
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--weights", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-def cmd_embed(inputs, weights, out):
+def cmd_embed(**options):
     """Extract an embedding per WAV file into an archive (key = file stem)."""
-    run_embed(inputs, weights, out)
+    run_embed(**options)
 
 
 @cli.command("eval")
@@ -494,9 +495,9 @@ def cmd_embed(inputs, weights, out):
               help="Embedding archive for test keys.")
 @click.option("--out", required=True, type=click.Path(),
               help="Output prefix: <out>.scores.txt and <out>.eer.json.")
-def cmd_eval(trials, enroll, test, out):
+def cmd_eval(**options):
     """Score trials with cosine similarity and report the EER."""
-    summary = run_eval(trials, enroll, test, out)
+    summary = run_eval(**options)
     click.echo(json.dumps(summary))
 
 
@@ -508,17 +509,17 @@ def cmd_eval(trials, enroll, test, out):
 @click.option("--speaker-level", is_flag=True,
               help="Average embeddings per speaker prefix (before the first '-') first.")
 @click.option("--out", required=True, type=click.Path())
-def cmd_simmat(rows, cols, speaker_level, out):
+def cmd_simmat(**options):
     """Write a cosine similarity matrix as CSV."""
-    run_simmat(rows, cols, out, speaker_level)
+    run_simmat(**options)
 
 
 @cli.command("dump-spec")
 @click.argument("input", type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-def cmd_dump_spec(input, out):
+def cmd_dump_spec(**options):
     """Dump a WAV file's magnitude spectrogram as CSV (frames as rows)."""
-    run_dump_spec(input, out)
+    run_dump_spec(**options)
 
 
 @cli.command("rerun")

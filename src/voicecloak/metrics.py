@@ -9,7 +9,7 @@ Cost and numeric contract: the EER sweep sorts each score set once and
 counts by binary search, O(n log n); its error rates are exact integer
 counts, so EER values are exact. Scores and similarity matrices are one
 product of row-normalised matrices, which sums in a different order than
-a per-pair cosine, so they may differ from `cosine_similarity` (and the
+a per-pair cosine (`-cosine_loss`), so they may differ from it (and the
 EER threshold with them) in the last few ulps.
 """
 
@@ -20,7 +20,7 @@ import csv
 import numpy as np
 
 from .audio_io import Waveform
-from .encoder import NORM_EPS, cosine_loss
+from .encoder import NORM_EPS
 
 SNR_DENOM_FLOOR = 1e-300
 VALID_LABELS = ("target", "nontarget")
@@ -49,10 +49,6 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
     if error_energy < SNR_DENOM_FLOOR:
         return float("inf")
     return 10.0 * np.log10(signal_energy / error_energy)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    return -cosine_loss(a, b)
 
 
 def parse_trials(path) -> tuple[list[str], list[str], np.ndarray]:

@@ -1,10 +1,18 @@
-"""Readers and writers for evaluation files that only the tests need."""
+"""Evaluation helpers that only the tests need: a per-pair cosine and file readers and writers."""
 
 from __future__ import annotations
 
 import csv
 
 import numpy as np
+
+from voicecloak.encoder import cosine_loss
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of one pair, the per-pair reference for Gram-matrix scoring."""
+    return -cosine_loss(a, b)
+
 
 def format_trials(enroll_ids: list[str], test_ids: list[str], is_target) -> str:
     return "".join(

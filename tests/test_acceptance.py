@@ -14,6 +14,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from conftest import record_criterion
+from metrics_io import cosine_similarity
 from synth import speaker_key, speaker_utterance
 from test_attack import small_instance
 from test_metrics import brute_force_eer
@@ -21,7 +22,7 @@ from voicecloak.attack import AttackConfig, fgsm, ifgsm, loss_and_grad, protect_
 from voicecloak.audio_io import Waveform, add_gaussian_noise, write_wav
 from voicecloak.cli import cli
 from voicecloak.encoder import EncoderConfig, cosine_loss, forward, init_random
-from voicecloak.metrics import compute_eer, cosine_similarity
+from voicecloak.metrics import compute_eer
 from voicecloak.spectral import LOG_FLOOR, WIN_LENGTH, istft, log_mel, stft
 
 
@@ -192,7 +193,7 @@ def test_criterion_06_protection_shifts_the_operating_point(default_weights, mel
             w = speaker_utterance(spk, utt)
             key = (spk, utt)
             clean[key] = _embed(w, default_weights, mel64)
-            pw, _ = protect_utterance(w, default_weights, AttackConfig(), method="ifgsm", seed=5)
+            pw, _ = protect_utterance(w, default_weights, AttackConfig(), "ifgsm", 32.0, 5)
             protected[key] = _embed(pw, default_weights, mel64)
 
     def eer_against(test_side):
@@ -254,7 +255,7 @@ def test_criterion_08_noise_injection_hits_the_requested_level():
 def test_criterion_09_default_attack_is_fast_enough(default_weights):
     w = speaker_utterance(3, 0, seconds=3.0)
     started = time.perf_counter()
-    protect_utterance(w, default_weights, AttackConfig(), method="ifgsm")
+    protect_utterance(w, default_weights, AttackConfig(), "ifgsm", 32.0, 0)
     elapsed = time.perf_counter() - started
     _check(
         9, "fifty iterations on three seconds of audio in under ten",

@@ -15,7 +15,7 @@ from voicecloak.attack import (
 )
 from voicecloak.audio_io import Waveform
 from voicecloak.encoder import EncoderConfig, cosine_loss, forward, init_random
-from voicecloak.spectral import log_mel, mel_matrix, stft
+from voicecloak.spectral import Spectrogram, log_mel, mel_matrix, stft
 
 SMALL_CFG = EncoderConfig(conv_channels=(2, 2), pool_after=(0,), embed_dim=8, n_mels=16)
 
@@ -199,7 +199,7 @@ class TestProtectUtterance:
     @pytest.mark.parametrize("method", ["fgsm", "ifgsm", "gaussian"])
     def test_output_preserves_length_and_rate(self, utterance, weights, method):
         cfg = AttackConfig(iterations=5, alpha=0.004)
-        protected, report = protect_utterance(utterance, weights, cfg, method=method)
+        protected, report = protect_utterance(utterance, weights, cfg, method, 32.0, 0)
         assert len(protected) == len(utterance)
         assert protected.sample_rate == utterance.sample_rate
         assert np.isfinite(report.snr_db)
@@ -207,33 +207,41 @@ class TestProtectUtterance:
         assert not np.array_equal(protected.samples, utterance.samples)
 
     def test_ifgsm_moves_the_embedding(self, utterance, weights):
-        _, report = protect_utterance(utterance, weights, method="ifgsm")
+        _, report = protect_utterance(utterance, weights, AttackConfig(), "ifgsm", 32.0, 0)
         assert report.delta_cosd > -1.0 + 1e-6
         assert len(report.loss_trajectory) == 51
 
     def test_fgsm_trajectory_has_start_and_end(self, utterance, weights):
-        _, report = protect_utterance(utterance, weights, method="fgsm")
+        _, report = protect_utterance(utterance, weights, AttackConfig(), "fgsm", 32.0, 0)
         assert len(report.loss_trajectory) == 2
 
     def test_gaussian_hits_requested_snr_and_skips_the_gradient_path(self, utterance, weights):
-        _, report = protect_utterance(
-            utterance, weights, method="gaussian", target_snr_db=25.0, seed=3
-        )
+        _, report = protect_utterance(utterance, weights, AttackConfig(), "gaussian", 25.0, 3)
         assert report.snr_db == pytest.approx(25.0, abs=1e-9)
         assert report.loss_trajectory == []
 
+    def test_gaussian_does_not_compute_the_phase(self, utterance, weights, monkeypatch):
+        def no_phase(spec):
+            raise AssertionError("gaussian read the clean phase")
+
+        monkeypatch.setattr(Spectrogram, "phase", property(no_phase))
+        protected, report = protect_utterance(utterance, weights, AttackConfig(), "gaussian",
+                                              32.0, 0)
+        assert len(protected) == len(utterance)
+        assert report.snr_db == pytest.approx(32.0, abs=1e-9)
+
     def test_deterministic_for_fixed_seed(self, utterance, weights):
-        a, _ = protect_utterance(utterance, weights, method="gaussian", seed=9)
-        b, _ = protect_utterance(utterance, weights, method="gaussian", seed=9)
-        c, _ = protect_utterance(utterance, weights, method="gaussian", seed=10)
+        a, _ = protect_utterance(utterance, weights, AttackConfig(), "gaussian", 32.0, 9)
+        b, _ = protect_utterance(utterance, weights, AttackConfig(), "gaussian", 32.0, 9)
+        c, _ = protect_utterance(utterance, weights, AttackConfig(), "gaussian", 32.0, 10)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_rejects_wrong_rate(self, weights):
         w = Waveform(np.random.default_rng(0).standard_normal(8000) * 0.1, 8000)
         with pytest.raises(ValueError, match="16000 Hz"):
-            protect_utterance(w, weights)
+            protect_utterance(w, weights, AttackConfig(), "ifgsm", 32.0, 0)
 
     def test_rejects_unknown_method(self, utterance, weights):
         with pytest.raises(ValueError, match="unknown method"):
-            protect_utterance(utterance, weights, method="pgd")
+            protect_utterance(utterance, weights, AttackConfig(), "pgd", 32.0, 0)

@@ -210,8 +210,14 @@ class TestAddGaussianNoise:
 
     def test_rejects_zero_signal(self):
         with pytest.raises(ValueError, match="zero-energy"):
-            add_gaussian_noise(Waveform(np.zeros(10), 16000), 30.0)
+            add_gaussian_noise(Waveform(np.zeros(10), 16000), 30.0, seed=0)
+
+    @pytest.mark.parametrize("target", [4000.0, 3079.0, -4000.0],
+                             ids=["overflow", "scale-zero", "underflow"])
+    def test_rejects_a_target_whose_noise_scale_overflows_or_is_zero(self, target):
+        with pytest.raises(ValueError, match="target_snr_db"):
+            add_gaussian_noise(Waveform(np.ones(10), 16000), target, seed=0)
 
     def test_rejects_non_finite_target(self):
         with pytest.raises(ValueError, match="finite"):
-            add_gaussian_noise(Waveform(np.ones(10), 16000), float("inf"))
+            add_gaussian_noise(Waveform(np.ones(10), 16000), float("inf"), seed=0)

@@ -1,22 +1,26 @@
 """The benchmark calls the library by name and signature; both must still work.
 
-`bench/tracing.py` is parsed, not imported, so the check runs without the
-benchmark's own dependencies and writes nothing under `bench/`. The direct
-attack calls of `bench/workloads.py` and `bench/test_checks.py` are made
+`bench/tracing.py`, `bench/workloads.py` and `bench/test_checks.py` are
+parsed, not imported, so the checks run without the benchmark's own
+dependencies and write nothing under `bench/`. Their `cli.run_*` calls are
+bound to the commands' signatures, and the direct attack calls are made
 here the way those files make them.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from synth import speaker_utterance
-from voicecloak import attack, encoder, spectral
+from voicecloak import attack, cli, encoder, spectral
 from voicecloak.audio_io import Waveform
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
@@ -36,6 +40,28 @@ def test_every_traced_layer_is_a_voicecloak_callable():
         if not callable(getattr(importlib.import_module(f"voicecloak.{module}"), name, None))
     ]
     assert missing == []
+
+
+def _cli_calls(path: Path) -> list[tuple[str, int, list]]:
+    """(name, positional count, keyword names) of each `cli.<name>(...)` call in a file."""
+    return [
+        (node.func.attr, len(node.args), [k.arg for k in node.keywords])
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "cli"
+    ]
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "test_checks.py"])
+def test_the_benchmarks_cli_calls_bind_to_the_run_signatures(name):
+    calls = _cli_calls(BENCH / name)
+    assert calls
+    for function, n_positional, keywords in calls:
+        inspect.signature(getattr(cli, function)).bind(
+            *range(n_positional), **dict.fromkeys(keywords)
+        )
 
 
 def test_the_benchmarks_direct_attack_calls_still_work():

@@ -270,6 +270,46 @@ class TestProtect:
         assert "protect" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("target, field", [("3000", "snr_db"), ("4000", "target_snr_db"),
+                                               ("-4000", "target_snr_db")])
+    def test_an_out_of_range_target_snr_fails_the_file_naming_the_field(
+        self, runner, corpus, weights_file, tmp_path, target, field
+    ):
+        out = tmp_path / "out"
+        key = speaker_key(0, 0)
+        result = runner.invoke(
+            cli, ["protect", str(corpus / f"{key}.wav"), "--weights", str(weights_file),
+                  "--out", str(out), "--method", "gaussian", "--target-snr", target],
+        )
+        assert result.exit_code == 1
+        assert f"{key}.wav: {field} " in result.stderr
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+        def not_json(constant):
+            raise AssertionError(f"manifest holds {constant}")
+
+        json.loads((out / "manifest.json").read_text(), parse_constant=not_json)
+
+    def test_threads_writing_one_path_do_not_share_a_temp(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        both_half_done = threading.Barrier(2, timeout=10)
+
+        def write_slowly(text):
+            def write(temp):
+                temp.write_text(text[:2])
+                both_half_done.wait()
+                with open(temp, "a") as fh:
+                    fh.write(text[2:])
+
+            voicecloak.cli._write_atomically(path, write)
+
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(write_slowly, text) for text in ("AAAA", "BBBB")]
+            for future in futures:
+                future.result(timeout=10)
+        assert path.read_text() in ("AAAA", "BBBB")
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
     def test_unknown_option_is_a_usage_error(self, runner):
         result = runner.invoke(cli, ["protect", "--no-such-flag"])
         assert result.exit_code == 2

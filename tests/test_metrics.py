@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metrics_io import format_trials, read_similarity_csv
+from metrics_io import cosine_similarity, format_trials, read_similarity_csv
 from voicecloak.audio_io import Waveform
 from voicecloak.encoder import cosine_loss
 from voicecloak.metrics import (
     TrialFormatError,
     average_by_speaker,
     compute_eer,
-    cosine_similarity,
     parse_trials,
     score_trials,
     similarity_matrix,
