@@ -10,11 +10,11 @@ reference embedding (extracted once from the clean signal and then held
 fixed) and the embedding of the current iterate.
 
 `protect_utterance` wires the whole pipeline: analyze, perturb the
-magnitude, resynthesize with the original phase, and report the realized
-SNR and the embedding distance recomputed from the re-analyzed protected
-audio. That re-analysis matters: perturbed magnitude with reused phase is
-not a consistent STFT, so the distance that counts downstream is the one
-measured on the actual output waveform. `AttackConfig`'s defaults are the
+magnitude, resynthesize it times the clean unit phasor (the original
+phase), and report the realized SNR and the embedding distance recomputed
+from the re-analyzed protected audio. That re-analysis matters: perturbed
+magnitude with reused phase is not a consistent STFT, so the distance that
+counts downstream is the one measured on the actual output waveform. `AttackConfig`'s defaults are the
 one statement of the paper's schedule, and `METHODS` the one method list.
 """
 
@@ -176,22 +176,19 @@ def protect_utterance(
 ) -> tuple[Waveform, ProtectionReport]:
     """Protect one utterance end to end.
 
-    fgsm/ifgsm: analyze, attack the magnitude, resynthesize with the
-    original phase. gaussian: bypass the gradient path entirely and add
-    white noise at target_snr_db in the time domain (the baseline). Only
-    gaussian reads target_snr_db and seed; only fgsm (cfg.epsilon alone)
-    and ifgsm read cfg and the clean phase. The report's delta_cosd is
-    always recomputed from the re-analyzed protected waveform, and the
-    output length always equals the input's.
-    `stft` rejects input at any rate but CANONICAL_RATE.
+    fgsm/ifgsm: analyze, attack the magnitude, and resynthesize it times
+    the clean phasor of a second analysis (only the magnitude is held
+    through the attack). gaussian: bypass the gradient path and add white
+    noise at target_snr_db in the time domain (the baseline). Only gaussian
+    reads target_snr_db and seed; only fgsm (cfg.epsilon alone) and ifgsm
+    read cfg. The report's delta_cosd is always recomputed from the
+    re-analyzed protected waveform, and the output length always equals
+    the input's. `stft` rejects input at any rate but CANONICAL_RATE.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 
-    spec = stft(w)
-    magnitude = spec.magnitude
-    phase = None if method == "gaussian" else spec.phase
-    del spec  # the complex spectrum is not held through the attack
+    magnitude = stft(w).magnitude
     e_ref = embed(magnitude, ws)
 
     trajectory: list[float] = []
@@ -203,7 +200,7 @@ def protect_utterance(
         else:
             result = ifgsm(magnitude, ws, e_ref, cfg)
         trajectory = result.loss_trajectory
-        protected = istft(result.adv_magnitude, phase, len(w))
+        protected = istft(result.adv_magnitude * stft(w).phasor, len(w))
 
     e_protected = embed(stft(protected).magnitude, ws)
     report = ProtectionReport(

@@ -28,7 +28,7 @@ Summation order is fixed, so results are reproducible bit for bit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,13 +97,16 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(
-            conv_channels=tuple(d["conv_channels"]),
-            pool_after=tuple(d["pool_after"]),
-            embed_dim=int(d["embed_dim"]),
-            n_mels=int(d["n_mels"]),
-            min_frames=int(d["min_frames"]),
-        )
+        """Inverse of `to_dict`: a value that is not an int, or a list of ints, names its key."""
+        values = {}
+        for f in fields(cls):
+            value, is_list = d[f.name], isinstance(f.default, tuple)
+            items = value if is_list else [value]
+            if not isinstance(items, list) or any(type(v) is not int for v in items):
+                kind = "a list of integers" if is_list else "an integer"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            values[f.name] = tuple(value) if is_list else value
+        return cls(**values)
 
 
 def _tensor_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:

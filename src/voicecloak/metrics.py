@@ -27,7 +27,7 @@ VALID_LABELS = ("target", "nontarget")
 
 
 class TrialFormatError(ValueError):
-    """Raised for malformed trial files."""
+    """Raised for malformed trial files and for trials naming a key no embedding has."""
 
 
 def snr_db(ref: Waveform, test: Waveform) -> float:
@@ -114,9 +114,9 @@ def score_trials(
     ei, ti = [], []
     for enroll_id, test_id in zip(enroll_ids, test_ids, strict=True):
         if enroll_id not in enroll_embeddings:
-            raise KeyError(f"enrollment key {enroll_id!r} missing from embeddings")
+            raise TrialFormatError(f"enrollment key {enroll_id!r} missing from embeddings")
         if test_id not in test_embeddings:
-            raise KeyError(f"test key {test_id!r} missing from embeddings")
+            raise TrialFormatError(f"test key {test_id!r} missing from embeddings")
         ei.append(enroll_index.setdefault(enroll_id, len(enroll_index)))
         ti.append(test_index.setdefault(test_id, len(test_index)))
     if not ei:

@@ -1,4 +1,4 @@
-"""STFT analysis, phase-preserving synthesis, and the log-mel front-end.
+"""STFT analysis, synthesis from a complex spectrum, and the log-mel front-end.
 
 The front end is fixed: FFT_SIZE (512) points, a WIN_LENGTH (400-sample,
 25 ms) window and a HOP_LENGTH (160-sample, 10 ms) hop at
@@ -14,7 +14,7 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
   by the summed squared window (samples where that sum is below 1e-9 are
   set to zero);
 * analysis keeps the complex spectrum; the attack surface is its linear
-  magnitude, and its phase is reused untouched at synthesis;
+  magnitude, resynthesized times the clean unit phasor S/|S|;
 * the filterbank consumes the power spectrum (squared magnitude) and the
   output is log-compressed with floor LOG_FLOOR.
 
@@ -47,8 +47,8 @@ _LPAD = (FFT_SIZE - WIN_LENGTH) // 2  # window offset inside each FFT frame
 class Spectrogram:
     """Complex [frames x bins] spectrum from a single analysis pass.
 
-    magnitude and phase are computed on each read; phase angles lie in
-    (-pi, pi].
+    magnitude and phasor are computed on each read; the phasor S/|S| has
+    unit modulus, and is 1 (angle 0) where the magnitude is 0.
     """
 
     spectrum: np.ndarray
@@ -58,8 +58,9 @@ class Spectrogram:
         return np.abs(self.spectrum)
 
     @property
-    def phase(self) -> np.ndarray:
-        return np.angle(self.spectrum)
+    def phasor(self) -> np.ndarray:
+        mag = self.magnitude
+        return np.divide(self.spectrum, mag, out=np.ones_like(self.spectrum), where=mag > 0)
 
 
 def stft(w: Waveform) -> Spectrogram:
@@ -88,25 +89,23 @@ def stft(w: Waveform) -> Spectrogram:
     return Spectrogram(np.fft.rfft(frames, n=FFT_SIZE, axis=1))
 
 
-def istft(magnitude: np.ndarray, phase: np.ndarray, length: int) -> Waveform:
-    """Weighted overlap-add synthesis from magnitude and phase.
+def istft(spectrum: np.ndarray, length: int) -> Waveform:
+    """Weighted overlap-add synthesis from a complex [frames x bins] spectrum.
 
     The synthesis window equals the analysis window; each output sample is
     normalized by the accumulated squared window, which makes
-    istft(stft(w)) an identity away from the signal edges. Output is
-    trimmed to `length` samples at CANONICAL_RATE.
+    istft(stft(w).spectrum) an identity away from the signal edges. Output
+    is trimmed to `length` samples at CANONICAL_RATE.
     """
-    if magnitude.shape != phase.shape:
-        raise ValueError(f"shape mismatch: magnitude {magnitude.shape} vs phase {phase.shape}")
-    n_frames = magnitude.shape[0]
-    if magnitude.shape[1] != N_BINS:
-        raise ValueError(f"expected {N_BINS} bins, got {magnitude.shape[1]}")
+    n_frames = spectrum.shape[0]
+    if spectrum.shape[1] != N_BINS:
+        raise ValueError(f"expected {N_BINS} bins, got {spectrum.shape[1]}")
     half = WIN_LENGTH // 2
 
     span = (n_frames - 1) * HOP_LENGTH + WIN_LENGTH
     out = np.zeros(span)
     wsum = np.zeros(span)
-    frames_time = np.fft.irfft(magnitude * np.exp(1j * phase), n=FFT_SIZE, axis=1)
+    frames_time = np.fft.irfft(spectrum, n=FFT_SIZE, axis=1)
     for k in range(n_frames):
         start = k * HOP_LENGTH
         out[start : start + WIN_LENGTH] += frames_time[k, _LPAD : _LPAD + WIN_LENGTH] * WINDOW

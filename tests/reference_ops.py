@@ -5,6 +5,10 @@ reshape-mean pooling and the `np.repeat` pooling backward, plus the
 gradient step that computed the filterbank energies once for the features
 and again for the log-mel backward pass. The faster versions in
 `voicecloak` must reproduce them bit for bit.
+
+`angle_phasor` is the clean phase as synthesis first took it, through the
+angle: `istft(magnitude * angle_phasor(spec), n)` is that synthesis. The
+unit phasor that replaced it must give the same PCM16 samples.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from voicecloak.encoder import backward, cosine_loss, cosine_loss_grad, forward
-from voicecloak.spectral import log_mel, log_mel_backward, mel_energies
+from voicecloak.spectral import Spectrogram, log_mel, log_mel_backward, mel_energies
 
 
 def conv_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -43,6 +47,10 @@ def loss_and_grad(x_tilde, mel, ws, e_ref):
     loss = cosine_loss(e_ref, embedding)
     grad_feat = backward(cache, cosine_loss_grad(e_ref, embedding))
     return loss, log_mel_backward(grad_feat, x_tilde, mel, mel_energies(x_tilde, mel))
+
+
+def angle_phasor(spec: Spectrogram) -> np.ndarray:
+    return np.exp(1j * np.angle(spec.spectrum))
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -146,7 +146,7 @@ def test_criterion_04_analysis_synthesis_round_trip():
         n = int(rng.integers(16000, 48001))
         x = rng.standard_normal(n) * 0.1
         spec = stft(Waveform(x, 16000))
-        y = istft(spec.magnitude, spec.phase, length=n).samples
+        y = istft(spec.magnitude * spec.phasor, length=n).samples
         interior = slice(WIN_LENGTH, n - WIN_LENGTH)
         err = y[interior] - x[interior]
         snr = 10.0 * np.log10(np.sum(x[interior] ** 2) / np.sum(err**2))

@@ -222,9 +222,9 @@ class TestProtectUtterance:
 
     def test_gaussian_does_not_compute_the_phase(self, utterance, weights, monkeypatch):
         def no_phase(spec):
-            raise AssertionError("gaussian read the clean phase")
+            raise AssertionError("gaussian read the clean phasor")
 
-        monkeypatch.setattr(Spectrogram, "phase", property(no_phase))
+        monkeypatch.setattr(Spectrogram, "phasor", property(no_phase))
         protected, report = protect_utterance(utterance, weights, AttackConfig(), "gaussian",
                                               32.0, 0)
         assert len(protected) == len(utterance)

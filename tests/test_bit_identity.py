@@ -1,7 +1,9 @@
-"""The fast convolution, pooling and gradient step against `reference_ops`.
+"""The fast convolution, pooling, gradient step and synthesis against `reference_ops`.
 
-Every comparison is bitwise: no I-FGSM output may move by one ulp when the
-convolution or pooling is reimplemented.
+Every kernel comparison is bitwise: no I-FGSM output may move by one ulp
+when the convolution or pooling is reimplemented. Synthesis from the unit
+phasor may move float samples in the last ulps, so it is compared as the
+PCM16 samples `write_wav` stores.
 """
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 import reference_ops as ref
 from synth import speaker_utterance
 from voicecloak import attack, encoder
-from voicecloak.attack import AttackConfig, ifgsm
+from voicecloak.attack import AttackConfig, ifgsm, protect_utterance
+from voicecloak.audio_io import CANONICAL_RATE, Waveform, write_wav
 from voicecloak.encoder import EncoderConfig, forward, init_random
-from voicecloak.spectral import log_mel, mel_matrix, stft
+from voicecloak.spectral import N_BINS, Spectrogram, istft, log_mel, mel_matrix, stft
 
 # (C_in, C_out, T, F): odd and tiny maps, plus the four convolutions of the
 # default encoder on 3 s of audio (two forward, two input gradients).
@@ -74,3 +77,56 @@ def test_whole_ifgsm_run_matches_reference_ops(monkeypatch, cfg):
     assert not np.array_equal(fast.adv_magnitude, x)
     assert ref.bitwise_equal(fast.adv_magnitude, slow.adv_magnitude)
     assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)
+
+
+def _pcm16(w: Waveform, path) -> bytes:
+    write_wav(path, w)
+    return path.read_bytes()
+
+
+def _silent_stretch() -> Waveform:
+    """2 s of speech whose middle 0.5 s is exactly zero, so whole frames have |S| = 0."""
+    x = speaker_utterance(2, 0, seconds=2.0).samples.copy()
+    x[12000:20000] = 0.0
+    return Waveform(x, CANONICAL_RATE)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_phasor_synthesis_matches_angle_synthesis(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    w = Waveform(rng.standard_normal(int(rng.integers(16000, 48001))) * 0.1, CANONICAL_RATE)
+    spec = stft(w)
+    steps = AttackConfig.epsilon * np.sign(rng.standard_normal(spec.spectrum.shape))
+    adv = np.maximum(spec.magnitude + steps, 0.0)
+    assert _pcm16(istft(adv * spec.phasor, len(w)), tmp_path / "phasor.wav") == _pcm16(
+        istft(adv * ref.angle_phasor(spec), len(w)), tmp_path / "angle.wav")
+
+
+def test_zero_magnitude_bins_synthesize_with_phasor_one(tmp_path):
+    """Silent frames have angle 0, so the phasor there must be 1, not 0 or NaN.
+
+    Every other silent bin is raised by alpha: that comb puts energy in the
+    middle of each window, where a phasor of 0 would drop it from the file.
+    """
+    w = _silent_stretch()
+    spec = stft(w)
+    zero = spec.magnitude == 0
+    assert zero.sum() >= 40 * N_BINS
+    assert np.all(np.angle(spec.spectrum[zero]) == 0.0)
+    np.testing.assert_array_equal(spec.phasor[zero], 1.0)
+    adv = spec.magnitude.copy()
+    adv[zero & (np.arange(N_BINS) % 2 == 0)] += AttackConfig.alpha
+    raised = _pcm16(istft(adv * spec.phasor, len(w)), tmp_path / "phasor.wav")
+    assert raised == _pcm16(istft(adv * ref.angle_phasor(spec), len(w)), tmp_path / "angle.wav")
+    assert raised != _pcm16(istft(spec.spectrum, len(w)), tmp_path / "clean.wav")
+
+
+@pytest.mark.parametrize("method", ["fgsm", "ifgsm"])
+def test_protect_utterance_matches_angle_synthesis(tmp_path, monkeypatch, method):
+    ws = init_random(EncoderConfig(), 0)
+    w = _silent_stretch()
+    protected, _ = protect_utterance(w, ws, AttackConfig(), method, 32.0, 0)
+    monkeypatch.setattr(Spectrogram, "phasor", property(ref.angle_phasor))
+    through_angles, _ = protect_utterance(w, ws, AttackConfig(), method, 32.0, 0)
+    assert _pcm16(protected, tmp_path / "phasor.wav") == _pcm16(
+        through_angles, tmp_path / "angle.wav")

@@ -102,6 +102,15 @@ class TestInitEncoder:
             pytest.param({"conv_chanels": [8, 8]}, "'conv_chanels'", id="misspelt-key"),
             pytest.param({"embed_dim": 32, "seed": 1}, "'seed'", id="key-beside-known-ones"),
             pytest.param([["embed_dim", 32]], "JSON object", id="list"),
+            pytest.param({"embed_dim": 16.7}, "error: embed_dim must be an integer, got 16.7",
+                         id="float"),
+            pytest.param({"embed_dim": True}, "error: embed_dim must be an integer, got True",
+                         id="bool"),
+            pytest.param({"conv_channels": [2.9, 4]}, "error: conv_channels must be a list",
+                         id="float-in-list"),
+            pytest.param({"conv_channels": 5}, "error: conv_channels must be a list",
+                         id="number-for-list"),
+            pytest.param({"pool_after": None}, "error: pool_after must be a list", id="null"),
         ],
     )
     def test_rejects_unknown_keys_and_non_objects(self, runner, tmp_path, config, message):
@@ -715,7 +724,8 @@ class TestEmbedEvalSimmat:
              "--test", str(archive), "--out", str(tmp_path / "x")],
         )
         assert result.exit_code == 1
-        assert "ghost" in result.stderr
+        assert result.stderr == "error: enrollment key 'ghost' missing from embeddings\n"
+        assert not (tmp_path / "x.scores.txt").exists()
 
     def test_simmat_full_and_speaker_level(self, runner, archive, tmp_path):
         full = tmp_path / "full.csv"

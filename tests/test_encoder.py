@@ -164,7 +164,13 @@ class TestInitRandom:
     @pytest.mark.parametrize(
         "config, field",
         [([1], "list indices"), ({"conv_channels": [2]}, "'pool_after'"),
-         ({**EncoderConfig().to_dict(), "embed_dim": "x"}, "'x'")],
+         ({**EncoderConfig().to_dict(), "embed_dim": "x"}, "'x'"),
+         ({**EncoderConfig().to_dict(), "embed_dim": 16.7}, "embed_dim must be an integer"),
+         ({**EncoderConfig().to_dict(), "min_frames": True}, "min_frames must be an integer"),
+         ({**EncoderConfig().to_dict(), "conv_channels": [2.9, 4]}, "conv_channels must be a"),
+         ({**EncoderConfig().to_dict(), "conv_channels": [True, 4]}, "conv_channels must be a"),
+         ({**EncoderConfig().to_dict(), "conv_channels": 5}, "conv_channels must be a list"),
+         ({**EncoderConfig().to_dict(), "pool_after": None}, "pool_after must be a list")],
     )
     def test_load_rejects_malformed_config(self, tmp_path, config, field):
         from voicecloak import tensorfile

@@ -156,16 +156,17 @@ class TestTrials:
         assert scores[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_score_trials_names_missing_keys(self):
-        with pytest.raises(KeyError, match="'ghost'"):
+        with pytest.raises(TrialFormatError, match="'ghost'"):
             score_trials(["ghost"], ["x"], {"x": np.ones(2)}, {"x": np.ones(2)})
 
     def test_missing_key_is_reported_before_any_arithmetic(self):
         # The first trial's zero embedding would raise ValueError if any
         # score were computed before every key had been checked.
         embeddings = {"zero": np.zeros(4), "x": np.ones(4)}
-        with pytest.raises(KeyError, match="test key 'ghost' missing from embeddings"):
+        with pytest.raises(TrialFormatError, match="test key 'ghost' missing from embeddings"):
             score_trials(["zero", "x"], ["x", "ghost"], embeddings, embeddings)
-        with pytest.raises(KeyError, match="enrollment key 'ghost' missing from embeddings"):
+        with pytest.raises(TrialFormatError,
+                           match="enrollment key 'ghost' missing from embeddings"):
             score_trials(["zero", "ghost"], ["x", "x"], embeddings, embeddings)
 
     @pytest.mark.parametrize("side", ["enroll", "test"])

@@ -70,7 +70,7 @@ class TestStft:
         w = Waveform(np.random.default_rng(0).standard_normal(16000), 16000)
         spec = stft(w)
         assert spec.magnitude.shape == (101, 257)
-        assert spec.phase.shape == (101, 257)
+        assert spec.phasor.shape == (101, 257)
 
     def test_matches_direct_dft(self):
         rng = np.random.default_rng(1)
@@ -78,7 +78,7 @@ class TestStft:
         spec = stft(Waveform(x, 16000))
         expected = _reference_frames(x)
         np.testing.assert_allclose(spec.magnitude, np.abs(expected), atol=1e-12)
-        reconstructed = spec.magnitude * np.exp(1j * spec.phase)
+        reconstructed = spec.magnitude * spec.phasor
         np.testing.assert_allclose(reconstructed, expected, atol=1e-12)
 
     def test_pure_tone_concentrates_on_its_bin(self):
@@ -103,7 +103,7 @@ class TestIstft:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(8000) * 0.1
         spec = stft(Waveform(x, 16000))
-        y = istft(spec.magnitude, spec.phase, length=len(x))
+        y = istft(spec.spectrum, length=len(x))
         assert len(y) == len(x)
         interior = slice(WIN_LENGTH, len(x) - WIN_LENGTH)
         assert np.max(np.abs(y.samples[interior] - x[interior])) < 1e-10
@@ -111,7 +111,7 @@ class TestIstft:
     def test_takes_length_third_and_stamps_the_canonical_rate(self):
         x = np.random.default_rng(7).standard_normal(3200)
         spec = stft(Waveform(x, CANONICAL_RATE))
-        y = istft(spec.magnitude, spec.phase, len(x))
+        y = istft(spec.spectrum, len(x))
         assert len(y) == len(x)
         assert y.sample_rate == CANONICAL_RATE
 
@@ -119,18 +119,16 @@ class TestIstft:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(3200)
         spec = stft(Waveform(x, 16000))
-        short = istft(spec.magnitude, spec.phase, length=1000)
-        long = istft(spec.magnitude, spec.phase, length=5000)
+        short = istft(spec.spectrum, length=1000)
+        long = istft(spec.spectrum, length=5000)
         assert len(short) == 1000
         assert len(long) == 5000
         np.testing.assert_array_equal(short.samples, long.samples[:1000])
         assert np.all(long.samples[4000:] == 0.0)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            istft(np.zeros((4, 257)), np.zeros((5, 257)), 640)
         with pytest.raises(ValueError, match="bins"):
-            istft(np.zeros((4, 100)), np.zeros((4, 100)), 640)
+            istft(np.zeros((4, 100), dtype=complex), 640)
 
 
 class TestMelFilterbank:

@@ -1,4 +1,4 @@
-"""Per-directory SHA-256 of every file the three benchmark workloads write.
+"""SHA-256 per directory and file suffix of every file the benchmark workloads write.
 
 Usage, from the root of a checkout:
 
@@ -9,13 +9,15 @@ SRC is a directory holding the `voicecloak` package to run, such as the
 bench/workloads.py, the script writes the inputs from SEED and runs one
 pass of the job (`make_inputs`, then `run_job`) in a fresh temporary
 directory, with BLAS on one thread. It then prints one line per directory
-that holds files: the directory, its file count, and a SHA-256 over the
-names and contents of its files, with the temporary directory's path
-replaced by `<work>`. That covers inputs, the weight file, every output
-and every manifest. Two runs that print the same lines wrote the same
-bytes, so diffing the output of two checkouts shows whether a change moved
-any output byte. The bench/ modules are imported and nothing is written
-there.
+and file suffix: the directory, the suffix (`-` for none), the file count,
+and a SHA-256 over the names and contents of those files, with the
+temporary directory's path replaced by `<work>`. That covers inputs, the
+weight file, every output and every manifest. Two runs that print the same
+lines wrote the same bytes, so diffing the output of two checkouts shows
+whether a change moved any output byte; a directory that mixes WAVs and
+JSON reports gets one line for each, so a change that moves only report
+bytes leaves the WAV lines as they were. The bench/ modules are imported
+and nothing is written there.
 """
 
 from __future__ import annotations
@@ -31,21 +33,22 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 PIN_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def directory_digests(root: Path) -> list[tuple[str, int, str]]:
-    """(directory relative to root, file count, SHA-256) of each directory holding files."""
+def directory_digests(root: Path) -> list[tuple[str, str, int, str]]:
+    """(directory relative to root, suffix, file count, SHA-256) per directory and suffix."""
     placeholder = b"<work>"
     needle = str(root).encode("utf-8")
+    groups: dict[tuple[str, str], list[Path]] = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        directory = path.parent.relative_to(root).as_posix()
+        groups.setdefault((directory, path.suffix), []).append(path)
     rows = []
-    for directory in sorted([root, *(p for p in root.rglob("*") if p.is_dir())]):
-        files = sorted(p for p in directory.iterdir() if p.is_file())
-        if not files:
-            continue
+    for (directory, suffix), files in sorted(groups.items()):
         digest = hashlib.sha256()
         for path in files:
             data = path.read_bytes().replace(needle, placeholder)
             digest.update(f"{path.name}\0{len(data)}\0".encode("utf-8"))
             digest.update(data)
-        rows.append((directory.relative_to(root).as_posix(), len(files), digest.hexdigest()))
+        rows.append((directory, suffix, len(files), digest.hexdigest()))
     return rows
 
 
@@ -73,8 +76,8 @@ def main(argv=None) -> int:
             if failed:
                 print(f"error: {name}: {failed} operations failed", file=sys.stderr)
                 return 1
-            for directory, count, digest in directory_digests(work):
-                print(f"{name}/{directory} {count} {digest}")
+            for directory, suffix, count, digest in directory_digests(work):
+                print(f"{name}/{directory} {suffix or '-'} {count} {digest}")
                 total += count
     print(f"total {total} files, seed {seed}")
     return 0
