@@ -199,6 +199,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_protect_file = None  # a forked protect worker's protect_one, set by the pool's initializer
+
+
+def _set_protect_file(protect_one) -> None:
+    global _protect_file
+    _protect_file = protect_one
+
+
+def _call_protect_file(path: Path) -> None:
+    _protect_file(path)
+
+
 def _file_seed(base_seed: int, stem: str) -> int:
     # stable per-file seed, independent of batch order and of Python's hash salt
     return (base_seed + zlib.crc32(stem.encode("utf-8"))) & 0xFFFFFFFF
@@ -238,13 +250,20 @@ def run_protect(
     A file whose report would hold a non-finite snr_db or delta_cosd fails
     with an error naming it, and nothing is written for that file.
 
-    The batch runs on min(jobs or CPUs, files) threads, and while it runs
-    OpenBLAS gets CPUs // threads threads of its own, so the two pools do
-    not oversubscribe the cores. That count is process-global: it is set
-    only when no BLAS thread variable is in the environment, and the
-    previous count is restored on return, also when this raises. Two
-    batches run at once from threads of one process share that count, and
-    the one that returns last restores it.
+    The batch runs on min(jobs or CPUs, files) workers. One worker runs
+    in this process. More are processes forked from it, because an
+    attack step is many short NumPy calls that hold the GIL, so threads
+    would not overlap them (threads stand in where there is no fork).
+    Each task sends only a file path. A worker that dies fails every
+    file not yet finished, naming each.
+
+    While the batch runs, OpenBLAS gets CPUs // workers threads, so the
+    two pools do not oversubscribe the cores; the workers are forked
+    inside that block and inherit the count. It is set only when no BLAS
+    thread variable is in the environment, and the previous count is
+    restored on return, also when this raises. Two batches run at once
+    from threads of one process share that count, and the one that
+    returns last restores it.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
@@ -295,14 +314,25 @@ def run_protect(
     failures = 0
     n_cpus = _usable_cpus()
     workers = min(jobs or n_cpus, len(files))
-    with _blas_threads(max(1, n_cpus // workers)), ThreadPoolExecutor(workers) as pool:
-        futures = {pool.submit(protect_one, f): f for f in files.values()}
-        for future, path in futures.items():
-            try:
-                future.result()
-            except Exception as exc:
-                failures += 1
-                click.echo(f"error: {path}: {exc}", err=True)
+    with _blas_threads(max(1, n_cpus // workers)):
+        if workers == 1 or not hasattr(os, "fork"):
+            pool, task = ThreadPoolExecutor(workers), protect_one
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork hands protect_one (weights, config, out_path) to each worker unpickled
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       initializer=_set_protect_file, initargs=(protect_one,))
+            task = _call_protect_file
+        with pool:
+            futures = {pool.submit(task, f): f for f in files.values()}
+            for future, path in futures.items():
+                try:
+                    future.result()
+                except Exception as exc:
+                    failures += 1
+                    click.echo(f"error: {path}: {exc}", err=True)
     return failures
 
 
@@ -462,7 +492,7 @@ _DEFAULTS = {name: p.default for name, p in inspect.signature(run_protect).param
               help="SNR in dB for the gaussian method.")
 @click.option("--seed", default=_DEFAULTS["seed"], type=int)
 @click.option("--jobs", default=_DEFAULTS["jobs"], type=click.IntRange(min=1),
-              help="Worker threads; default = CPU count.")
+              help="Parallel workers, forked processes when more than one; default = CPU count.")
 def cmd_protect(**options):
     """Perturb a WAV file or a directory of WAV files.
 

@@ -59,8 +59,15 @@ class EncoderConfig:
     min_frames: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_channels", tuple(int(c) for c in self.conv_channels))
-        object.__setattr__(self, "pool_after", tuple(int(i) for i in self.pool_after))
+        # each field is an int, or a list or tuple of ints (stored as a tuple); bools are not ints
+        for f in fields(self):
+            value, is_list = getattr(self, f.name), isinstance(f.default, tuple)
+            items = value if is_list else [value]
+            if not isinstance(items, (list, tuple)) or any(type(v) is not int for v in items):
+                kind = "a list of integers" if is_list else "an integer"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            if is_list:
+                object.__setattr__(self, f.name, tuple(value))
         if len(self.conv_channels) < 1:
             raise ValueError("need at least one conv layer")
         if any(c < 1 for c in self.conv_channels):
@@ -97,16 +104,8 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        """Inverse of `to_dict`: a value that is not an int, or a list of ints, names its key."""
-        values = {}
-        for f in fields(cls):
-            value, is_list = d[f.name], isinstance(f.default, tuple)
-            items = value if is_list else [value]
-            if not isinstance(items, list) or any(type(v) is not int for v in items):
-                kind = "a list of integers" if is_list else "an integer"
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-            values[f.name] = tuple(value) if is_list else value
-        return cls(**values)
+        """Inverse of `to_dict`; a missing key raises KeyError naming it."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _tensor_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:

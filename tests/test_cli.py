@@ -1,10 +1,12 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -381,6 +383,15 @@ class _Crash(BaseException):
     """Escapes run_protect's per-file error handling, as an interrupt does."""
 
 
+def _wait_for(path: Path, timeout: float = 30.0) -> None:
+    """Wait until a marker file exists; other processes can see it."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"{path.name} did not appear within {timeout} s")
+        time.sleep(0.005)
+
+
 @pytest.fixture
 def blas(monkeypatch):
     """OpenBLAS (get, set) with no BLAS thread variable set, its count at the CPU count.
@@ -400,40 +411,45 @@ def blas(monkeypatch):
 
 
 class TestProtectBlasThreads:
-    def _counts_in_pool(self, monkeypatch, blas, crash=False):
-        """Wrap protect_utterance to record the BLAS thread count in each pool task."""
-        seen = []
+    def _counts_in_pool(self, monkeypatch, blas, log, crash=False):
+        """Wrap protect_utterance to record the BLAS thread count in each pool task.
+
+        A forked worker shares no memory with the test, so each count is
+        appended to the file `log`; returns a function that reads them back.
+        """
         original = voicecloak.cli.protect_utterance
 
         def recording(*args, **kwargs):
-            seen.append(blas())
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{blas()}\n")
             if crash:
                 raise _Crash()
             return original(*args, **kwargs)
 
         monkeypatch.setattr(voicecloak.cli, "protect_utterance", recording)
-        return seen
+        log.write_text("", encoding="ascii")
+        return lambda: [int(n) for n in log.read_text(encoding="ascii").split()]
 
     @pytest.mark.parametrize("jobs", [None, 1, 2, 3])
     def test_a_batch_splits_the_cpus_between_workers(
         self, corpus, weights_file, tmp_path, monkeypatch, blas, jobs
     ):
-        seen = self._counts_in_pool(monkeypatch, blas)
+        seen = self._counts_in_pool(monkeypatch, blas, tmp_path / "counts")
         before = blas()
         n_cpus = voicecloak.cli._usable_cpus()
         failures = voicecloak.cli.run_protect(str(corpus), str(weights_file),
                                               str(tmp_path / "out"), "gaussian", jobs=jobs)
         assert failures == 0
         workers = min(jobs or n_cpus, 4)
-        assert seen == [max(1, n_cpus // workers)] * 4
+        assert seen() == [max(1, n_cpus // workers)] * 4
         assert blas() == before
 
     def test_one_file_keeps_every_cpu(self, corpus, weights_file, tmp_path, monkeypatch, blas):
-        seen = self._counts_in_pool(monkeypatch, blas)
+        seen = self._counts_in_pool(monkeypatch, blas, tmp_path / "counts")
         before = blas()
         voicecloak.cli.run_protect(str(corpus / f"{speaker_key(0, 0)}.wav"), str(weights_file),
                                    str(tmp_path / "out"), "gaussian")
-        assert seen == [before]
+        assert seen() == [before]
         assert blas() == before
 
     @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
@@ -441,16 +457,16 @@ class TestProtectBlasThreads:
         self, corpus, weights_file, tmp_path, monkeypatch, blas, name
     ):
         monkeypatch.setenv(name, "1")
-        seen = self._counts_in_pool(monkeypatch, blas)
+        seen = self._counts_in_pool(monkeypatch, blas, tmp_path / "counts")
         before = blas()
         voicecloak.cli.run_protect(str(corpus), str(weights_file), str(tmp_path / "out"),
                                    "gaussian", jobs=2)
-        assert seen == [before] * 4
+        assert seen() == [before] * 4
 
     def test_the_count_is_restored_when_the_batch_raises(
         self, corpus, weights_file, tmp_path, monkeypatch, blas
     ):
-        self._counts_in_pool(monkeypatch, blas, crash=True)
+        self._counts_in_pool(monkeypatch, blas, tmp_path / "counts", crash=True)
         before = blas()
         out = tmp_path / "out"
         with pytest.raises(_Crash):
@@ -462,27 +478,31 @@ class TestProtectBlasThreads:
         self, corpus, weights_file, tmp_path, monkeypatch, blas
     ):
         # Batch a returns while batch b still runs: b keeps its own count until
-        # it returns, and then the count from before a is back.
+        # it returns, and then the count from before a is back. The batches'
+        # workers are other processes, so marker files order them.
         for name, spk in (("a", 0), ("b", 1)):
             (tmp_path / name).mkdir()
             for utt in range(2):
                 shutil.copy(corpus / f"{speaker_key(spk, utt)}.wav", tmp_path / name)
-        a_running, b_running, a_returned = threading.Event(), threading.Event(), threading.Event()
-        seen_by_b = []
+        a_running, b_running, a_returned = (tmp_path / m for m in ("a-running", "b-running",
+                                                                   "a-returned"))
+        seen_by_b = tmp_path / "seen-by-b"
         original = voicecloak.cli._load_waveform_16k
 
         def ordered(path):
             if path.parent.name == "a":
-                a_running.set()
-                assert b_running.wait(30)
+                a_running.touch()
+                _wait_for(b_running)
             else:
-                b_running.set()
-                assert a_returned.wait(30)
-                seen_by_b.append(blas())
+                b_running.touch()
+                _wait_for(a_returned)
+                with open(seen_by_b, "a", encoding="ascii") as fh:
+                    fh.write(f"{blas()}\n")
             return original(path)
 
         monkeypatch.setattr(voicecloak.cli, "_load_waveform_16k", ordered)
         before = blas()
+        b_count = max(1, voicecloak.cli._usable_cpus() // 2)
 
         def protect(name):
             return voicecloak.cli.run_protect(str(tmp_path / name), str(weights_file),
@@ -490,12 +510,13 @@ class TestProtectBlasThreads:
 
         with ThreadPoolExecutor(2) as callers:
             a = callers.submit(protect, "a")
-            assert a_running.wait(30)
+            _wait_for(a_running)
             b = callers.submit(protect, "b")
             assert a.result(timeout=60) == 0
-            a_returned.set()
+            assert blas() == b_count
+            a_returned.touch()
             assert b.result(timeout=60) == 0
-        assert seen_by_b == [max(1, voicecloak.cli._usable_cpus() // 2)] * 2
+        assert [int(n) for n in seen_by_b.read_text(encoding="ascii").split()] == [b_count] * 2
         assert blas() == before
 
     def test_many_overlapping_blocks_leave_the_count_as_they_found_it(self, blas):
@@ -534,6 +555,120 @@ class TestProtectBlasThreads:
             shutil.rmtree(out)
         assert len(written[0]) == 6
         assert written[0] == written[1]
+
+
+class TestProtectWorkerProcesses:
+    """A batch with more than one worker runs them in forked processes. However
+    its files end, it returns with the BLAS count restored, no worker process
+    left and no visible partial output."""
+
+    DOOMED = speaker_key(0, 1)  # the file whose worker crashes or dies
+    TEST_PID = os.getpid()
+
+    def _batch(self, corpus, weights_file, out):
+        return voicecloak.cli.run_protect(str(corpus), str(weights_file), str(out), "gaussian",
+                                          jobs=2)
+
+    def _is_doomed(self, file_seed):
+        return file_seed == voicecloak.cli._file_seed(0, self.DOOMED)
+
+    def _die(self):
+        """End this worker process at once. In the test's own process raise
+        instead, so a batch that runs its files there fails the test, not pytest."""
+        if os.getpid() == self.TEST_PID:
+            raise _Crash("the file ran in the test process, not in a worker")
+        os._exit(3)
+
+    def _assert_left_clean(self, corpus, out, blas, before):
+        assert blas() == before
+        assert multiprocessing.active_children() == []
+        for path in out.iterdir():
+            if path.name.startswith("."):
+                continue  # a temp name, which no reader takes for an output
+            if path.suffix == ".wav":
+                assert len(read_wav(path)) == len(read_wav(corpus / path.name))
+            else:
+                json.loads(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+    def test_workers_are_forked_processes_or_else_threads(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas, fork
+    ):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        pids, original = tmp_path / "pids", voicecloak.cli.protect_utterance
+
+        def recording(*args):
+            with open(pids, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args)
+
+        monkeypatch.setattr(voicecloak.cli, "protect_utterance", recording)
+        before, out = blas(), tmp_path / "out"
+        assert self._batch(corpus, weights_file, out) == 0
+        seen = set(pids.read_text(encoding="ascii").split())
+        if fork:
+            assert 1 <= len(seen) <= 2 and str(os.getpid()) not in seen
+        else:
+            assert seen == {str(os.getpid())}
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{p.stem}{ext}" for p in corpus.iterdir() for ext in (".json", ".wav")]
+            + ["manifest.json"])
+        self._assert_left_clean(corpus, out, blas, before)
+
+    def test_a_raising_file_escapes_the_batch(self, corpus, weights_file, tmp_path, monkeypatch,
+                                              blas):
+        original = voicecloak.cli.protect_utterance
+
+        def crashing(*args):
+            if self._is_doomed(args[5]):
+                raise _Crash()
+            return original(*args)
+
+        monkeypatch.setattr(voicecloak.cli, "protect_utterance", crashing)
+        before, out = blas(), tmp_path / "out"
+        with pytest.raises(_Crash):
+            self._batch(corpus, weights_file, out)
+        assert not (out / "manifest.json").exists()
+        assert not (out / f"{self.DOOMED}.wav").exists()
+        self._assert_left_clean(corpus, out, blas, before)
+
+    @pytest.mark.parametrize("stage", ["attack", "write"])
+    def test_a_dying_worker_fails_its_unfinished_files(
+        self, corpus, weights_file, tmp_path, monkeypatch, capsys, blas, stage
+    ):
+        attack, write = voicecloak.cli.protect_utterance, voicecloak.cli.write_wav
+
+        def dying_in_attack(*args):
+            if self._is_doomed(args[5]):
+                self._die()
+            return attack(*args)
+
+        def dying_in_write(path, w):
+            if self.DOOMED in path.name:
+                path.write_bytes(b"RIFF")  # a partial temp file, then the worker is gone
+                self._die()
+            return write(path, w)
+
+        if stage == "attack":
+            monkeypatch.setattr(voicecloak.cli, "protect_utterance", dying_in_attack)
+        else:
+            monkeypatch.setattr(voicecloak.cli, "write_wav", dying_in_write)
+        before, out = blas(), tmp_path / "out"
+        failures = self._batch(corpus, weights_file, out)
+        errors = capsys.readouterr().err.splitlines()
+        inputs = sorted(corpus.iterdir())
+        failed = [p for p in inputs if any(e.startswith(f"error: {p}: ") for e in errors)]
+        assert failures == len(errors) == len(failed)
+        # The pool stops the other worker too. A file it had not finished is
+        # lost (no report, perhaps a complete .wav); one it finished but had
+        # not yet handed back is counted failed with both outputs in place.
+        lost = [p for p in inputs if not (out / f"{p.stem}.json").exists()]
+        assert corpus / f"{self.DOOMED}.wav" in lost
+        assert not (out / f"{self.DOOMED}.wav").exists()
+        assert set(lost) <= set(failed)
+        assert (out / "manifest.json").exists()
+        self._assert_left_clean(corpus, out, blas, before)
 
 
 class TestRerunLegacyProtectManifest:

@@ -87,6 +87,11 @@ class TestEncoderConfig:
             ({"embed_dim": 1}, "embed_dim"),
             ({"pool_after": (5,)}, "out of range"),
             ({"pool_after": (0, 1), "min_frames": 2}, "pool down"),
+            ({"conv_channels": (2.9, 4)}, "conv_channels must be a list of integers"),
+            ({"conv_channels": (True, 4)}, "conv_channels must be a list of integers"),
+            ({"embed_dim": 16.7}, "embed_dim must be an integer"),
+            ({"min_frames": True}, "min_frames must be an integer"),
+            ({"pool_after": None}, "pool_after must be a list of integers"),
         ],
     )
     def test_validation(self, kwargs, message):
