@@ -199,16 +199,46 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_protect_file = None  # a forked protect worker's protect_one, set by the pool's initializer
+_file_task = None  # a forked worker's per-file callable, set by the pool's initializer
 
 
-def _set_protect_file(protect_one) -> None:
-    global _protect_file
-    _protect_file = protect_one
+def _set_file_task(task) -> None:
+    global _file_task
+    _file_task = task
 
 
-def _call_protect_file(path: Path) -> None:
-    _protect_file(path)
+def _call_file_task(path: Path):
+    return _file_task(path)
+
+
+def _map_files(task, paths: list[Path], jobs: int | None):
+    """Yield task(path) for each path, in input order, computed on
+    min(jobs or CPUs, files) workers.
+
+    One worker runs in this process. More are processes forked from it,
+    because the per-file work is many short NumPy calls that hold the GIL,
+    so threads would not overlap them (threads stand in where there is no
+    fork). The fork hands task to each worker unpickled; the pool sends
+    only paths, in chunks of about a quarter of a worker's share. A task
+    that raises ends the iteration with its exception once the files
+    before it are yielded; so does a worker that dies. OpenBLAS gets
+    CPUs // workers threads meanwhile (see _blas_threads); the workers are
+    forked inside that block and inherit the count.
+    """
+    n_cpus = _usable_cpus()
+    workers = min(jobs or n_cpus, len(paths))
+    with _blas_threads(max(1, n_cpus // workers)):
+        if workers == 1 or not hasattr(os, "fork"):
+            pool, call, chunksize = ThreadPoolExecutor(workers), task, 1
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       initializer=_set_file_task, initargs=(task,))
+            call, chunksize = _call_file_task, -(-len(paths) // (4 * workers))
+        with pool:
+            yield from pool.map(call, paths, chunksize=chunksize)
 
 
 def _file_seed(base_seed: int, stem: str) -> int:
@@ -250,16 +280,13 @@ def run_protect(
     A file whose report would hold a non-finite snr_db or delta_cosd fails
     with an error naming it, and nothing is written for that file.
 
-    The batch runs on min(jobs or CPUs, files) workers. One worker runs
-    in this process. More are processes forked from it, because an
-    attack step is many short NumPy calls that hold the GIL, so threads
-    would not overlap them (threads stand in where there is no fork).
-    Each task sends only a file path. A worker that dies fails every
-    file not yet finished, naming each.
+    The batch runs on min(jobs or CPUs, files) workers, forked processes
+    when more than one (see _map_files). Each file's error is reported on
+    its own and the batch goes on. A worker that dies fails every file
+    not yet handed back, naming each.
 
     While the batch runs, OpenBLAS gets CPUs // workers threads, so the
-    two pools do not oversubscribe the cores; the workers are forked
-    inside that block and inherit the count. It is set only when no BLAS
+    two pools do not oversubscribe the cores. It is set only when no BLAS
     thread variable is in the environment, and the previous count is
     restored on return, also when this raises. Two batches run at once
     from threads of one process share that count, and the one that
@@ -311,38 +338,46 @@ def run_protect(
                           lambda temp: temp.write_text(text, encoding="utf-8"))
         logger.info("protected %s: SNR %.2f dB, distance %.3f", path.name, report.snr_db, report.delta_cosd)
 
-    failures = 0
-    n_cpus = _usable_cpus()
-    workers = min(jobs or n_cpus, len(files))
-    with _blas_threads(max(1, n_cpus // workers)):
-        if workers == 1 or not hasattr(os, "fork"):
-            pool, task = ThreadPoolExecutor(workers), protect_one
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    def protect_file(path: Path) -> str | None:
+        # each file's error comes back on its own, not as the end of its chunk
+        try:
+            protect_one(path)
+        except Exception as exc:
+            logger.debug("protecting %s failed", path, exc_info=True)
+            return str(exc)
+        return None
 
-            # fork hands protect_one (weights, config, out_path) to each worker unpickled
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                       initializer=_set_protect_file, initargs=(protect_one,))
-            task = _call_protect_file
-        with pool:
-            futures = {pool.submit(task, f): f for f in files.values()}
-            for future, path in futures.items():
-                try:
-                    future.result()
-                except Exception as exc:
-                    failures += 1
-                    click.echo(f"error: {path}: {exc}", err=True)
+    def report(path: Path, error: str | None) -> bool:
+        if error is not None:
+            click.echo(f"error: {path}: {error}", err=True)
+        return error is not None
+
+    paths = list(files.values())
+    failures = done = 0
+    try:
+        for done, error in enumerate(_map_files(protect_file, paths, jobs), 1):
+            failures += report(paths[done - 1], error)
+    except Exception as exc:  # the pool failed (a worker died): so does every file left
+        failures += sum(report(path, str(exc)) for path in paths[done:])
     return failures
 
 
 @_recorded("embed", "{out}.manifest.json")
 def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
+    """Write the embedding of every input file to one archive, keyed by stem.
+
+    The files are embedded on min(CPUs, files) workers, forked processes
+    when more than one (see _map_files); the CPUs are those of the
+    process's affinity mask. The first file in input order that fails
+    raises its error, and nothing is written.
+    """
     files = _by_stem([path for item in inputs for path in _collect_wavs(item)])
     ws = load_weights(weights)
-    embeddings = {
-        stem: embed(stft(_load_waveform_16k(path)).magnitude, ws) for stem, path in files.items()
-    }
+
+    def embed_one(path: Path):
+        return embed(stft(_load_waveform_16k(path)).magnitude, ws)
+
+    embeddings = dict(zip(files, _map_files(embed_one, list(files.values()), None)))
     meta = {"kind": "embeddings", "embed_dim": ws.config.embed_dim, "weights": str(weights)}
     _write_atomically(Path(out), lambda temp: tensorfile.save(temp, embeddings, meta))
 
@@ -362,9 +397,10 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
     }
 
     def write_scores(temp: Path) -> None:
+        labels = map(("nontarget", "target").__getitem__, is_target.tolist())
         with open(temp, "w", encoding="utf-8") as fh:
-            for e, t, y, s in zip(enroll_ids, test_ids, is_target.tolist(), scores):
-                fh.write(f"{e} {t} {'target' if y else 'nontarget'} {s:.12g}\n")
+            fh.writelines(map("%s %s %s %.12g\n".__mod__,
+                              zip(enroll_ids, test_ids, labels, scores)))
 
     _write_atomically(Path(f"{out}.scores.txt"), write_scores)
     text = json.dumps(summary, indent=2, allow_nan=False) + "\n"

@@ -16,6 +16,7 @@ EER threshold with them) in the last few ulps.
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
@@ -109,18 +110,21 @@ def score_trials(
     arithmetic. The scores are cells of one Gram matrix between the
     distinct enrollment and test keys.
     """
-    enroll_index: dict[str, int] = {}
-    test_index: dict[str, int] = {}
-    ei, ti = [], []
-    for enroll_id, test_id in zip(enroll_ids, test_ids, strict=True):
-        if enroll_id not in enroll_embeddings:
-            raise TrialFormatError(f"enrollment key {enroll_id!r} missing from embeddings")
-        if test_id not in test_embeddings:
-            raise TrialFormatError(f"test key {test_id!r} missing from embeddings")
-        ei.append(enroll_index.setdefault(enroll_id, len(enroll_index)))
-        ti.append(test_index.setdefault(test_id, len(test_index)))
-    if not ei:
+    if len(enroll_ids) != len(test_ids):
+        raise ValueError(f"{len(enroll_ids)} enrollment ids but {len(test_ids)} test ids")
+    enroll_index = {k: i for i, k in enumerate(dict.fromkeys(enroll_ids))}  # trial order
+    test_index = {k: i for i, k in enumerate(dict.fromkeys(test_ids))}
+    if not (enroll_index.keys() <= enroll_embeddings.keys()
+            and test_index.keys() <= test_embeddings.keys()):
+        for enroll_id, test_id in zip(enroll_ids, test_ids):  # name the first missing key
+            if enroll_id not in enroll_embeddings:
+                raise TrialFormatError(f"enrollment key {enroll_id!r} missing from embeddings")
+            if test_id not in test_embeddings:
+                raise TrialFormatError(f"test key {test_id!r} missing from embeddings")
+    if not enroll_index:
         return np.zeros(0)
+    ei = list(map(enroll_index.__getitem__, enroll_ids))
+    ti = list(map(test_index.__getitem__, test_ids))
     enroll = _unit_rows(enroll_embeddings, list(enroll_index))
     test = _unit_rows(test_embeddings, list(test_index))
     return (enroll @ test.T)[ei, ti]
@@ -193,9 +197,18 @@ def similarity_matrix(
     return matrix, row_keys, col_keys
 
 
+def _csv_key(key: str) -> str:
+    """key as csv.writer spells it as the first of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((key, ""))
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def write_similarity_csv(path, matrix: np.ndarray, row_keys: list[str], col_keys: list[str]):
+    """The matrix as CSV: a header of column keys, then each row key and its
+    cells as %.12g, quoted and ended as csv.writer's default dialect does."""
+    cells = ",%.12g" * matrix.shape[1] + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + col_keys)
+        csv.writer(fh).writerow([""] + col_keys)
         for key, row in zip(row_keys, matrix):
-            writer.writerow([key] + [f"{v:.12g}" for v in row])
+            fh.write(_csv_key(key) + cells % tuple(row.tolist()))

@@ -83,9 +83,8 @@ def stft(w: Waveform) -> Spectrogram:
     n_frames = len(x) // HOP_LENGTH + 1
 
     frames = np.zeros((n_frames, FFT_SIZE))
-    for k in range(n_frames):
-        start = k * HOP_LENGTH
-        frames[k, _LPAD : _LPAD + WIN_LENGTH] = padded[start : start + WIN_LENGTH] * WINDOW
+    windows = np.lib.stride_tricks.sliding_window_view(padded, WIN_LENGTH)[::HOP_LENGTH]
+    np.multiply(windows, WINDOW, out=frames[:, _LPAD : _LPAD + WIN_LENGTH])
     return Spectrogram(np.fft.rfft(frames, n=FFT_SIZE, axis=1))
 
 

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from metrics_io import read_similarity_csv
 from synth import speaker_key, speaker_utterance
 import voicecloak
 from voicecloak import tensorfile
-from voicecloak.audio_io import read_wav, write_wav
+from voicecloak.audio_io import WavFormatError, read_wav, write_wav
 from voicecloak.cli import cli
 from voicecloak.encoder import EncoderConfig, init_random, load_weights, save_weights
 from voicecloak.metrics import score_trials
@@ -671,6 +672,27 @@ class TestProtectWorkerProcesses:
         self._assert_left_clean(corpus, out, blas, before)
 
 
+    def test_a_failing_file_leaves_the_rest_of_its_chunk(
+        self, weights_file, tmp_path, monkeypatch, capsys, blas
+    ):
+        # 17 files on 2 workers go in chunks of 3; one bad file fails alone
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        for utt in range(17):
+            write_wav(src / f"{speaker_key(0, utt)}.wav", speaker_utterance(0, utt, seconds=0.3))
+        bad = src / f"{speaker_key(0, 4)}.wav"
+        bad.write_bytes(b"RIFF")
+        before = blas()
+        assert voicecloak.cli.run_protect(str(src), str(weights_file), str(out), "gaussian",
+                                          jobs=2) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: {bad}: truncated file, only 4 bytes"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{p.stem}{ext}" for p in src.iterdir() if p != bad for ext in (".json", ".wav")]
+            + ["manifest.json"])
+        self._assert_left_clean(src, out, blas, before)
+
+
 class TestRerunLegacyProtectManifest:
     @pytest.fixture
     def protected(self, runner, corpus, weights_file, tmp_path):
@@ -708,6 +730,85 @@ class TestRerunLegacyProtectManifest:
         assert "dump-spec" in result.stderr
         assert list(protected.iterdir()) == [manifest]
         assert manifest.read_bytes() == before
+
+
+class TestEmbedWorkers:
+    """embed runs its files on min(CPUs, files) workers, forked processes when
+    more than one. However a run ends, no worker process is left."""
+
+    TEST_PID = os.getpid()
+
+    @pytest.fixture
+    def many(self, tmp_path):
+        src = tmp_path / "many"
+        src.mkdir()
+        for spk in range(3):
+            for utt in range(3):
+                write_wav(src / f"{speaker_key(spk, utt)}.wav",
+                          speaker_utterance(spk, utt, seconds=0.3))
+        return src
+
+    def _embed(self, monkeypatch, cpus, src, weights_file, out):
+        monkeypatch.setattr(voicecloak.cli, "_usable_cpus", lambda: cpus)
+        try:
+            voicecloak.cli.run_embed((str(src),), str(weights_file), str(out))
+        finally:
+            assert multiprocessing.active_children() == []
+
+    def test_the_archive_bytes_do_not_depend_on_the_workers(
+        self, many, weights_file, tmp_path, monkeypatch
+    ):
+        pids, original = tmp_path / "pids", voicecloak.cli.embed
+
+        def recording(*args):
+            with open(pids, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args)
+
+        monkeypatch.setattr(voicecloak.cli, "embed", recording)
+        archives, seen = [], []
+        for cpus in (1, 2):
+            pids.write_text("", encoding="ascii")
+            out = tmp_path / f"cpus-{cpus}.emb"
+            self._embed(monkeypatch, cpus, many, weights_file, out)
+            archives.append(out.read_bytes())
+            seen.append(set(pids.read_text(encoding="ascii").split()))
+        assert archives[0] == archives[1]
+        assert sorted(tensorfile.load(tmp_path / "cpus-2.emb")[0]) == sorted(
+            p.stem for p in many.iterdir())
+        assert seen[0] == {str(self.TEST_PID)}
+        if hasattr(os, "fork"):
+            assert 1 <= len(seen[1]) <= 2 and str(self.TEST_PID) not in seen[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_first_truncated_file_fails_the_run_by_name(
+        self, many, weights_file, tmp_path, monkeypatch, cpus
+    ):
+        first, later = many / f"{speaker_key(1, 1)}.wav", many / f"{speaker_key(2, 2)}.wav"
+        for path in (first, later):
+            path.write_bytes(b"RIFF")
+        out = tmp_path / "e.emb"
+        with pytest.raises(WavFormatError) as caught:
+            self._embed(monkeypatch, cpus, many, weights_file, out)
+        assert str(caught.value) == f"{first}: truncated file, only 4 bytes"
+        assert list(tmp_path.glob("e.emb*")) == [] and list(tmp_path.glob(".e.emb*")) == []
+
+    def test_a_dying_worker_fails_the_run_and_writes_nothing(
+        self, many, weights_file, tmp_path, monkeypatch
+    ):
+        if not hasattr(os, "fork"):
+            pytest.skip("no forked workers on this platform")
+
+        def dying(*args):
+            if os.getpid() == self.TEST_PID:
+                raise _Crash("the file ran in the test process, not in a worker")
+            os._exit(3)
+
+        monkeypatch.setattr(voicecloak.cli, "embed", dying)
+        out = tmp_path / "e.emb"
+        with pytest.raises(BrokenProcessPool):
+            self._embed(monkeypatch, 2, many, weights_file, out)
+        assert list(tmp_path.glob("e.emb*")) == [] and list(tmp_path.glob(".e.emb*")) == []
 
 
 @pytest.fixture(scope="module")

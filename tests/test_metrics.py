@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,15 @@ class TestTrials:
                            match="enrollment key 'ghost' missing from embeddings"):
             score_trials(["zero", "ghost"], ["x", "x"], embeddings, embeddings)
 
+    def test_the_first_missing_key_in_trial_order_is_named(self):
+        # trial 2 lacks its test key and trial 5 its enrollment key; the keys
+        # as sets say nothing of order, so the trial order decides
+        embeddings = {k: np.ones(2) for k in "abcde"}
+        enroll_ids = ["a", "b", "c", "d", "ghost-enroll"]
+        test_ids = ["a", "ghost-test", "c", "d", "e"]
+        with pytest.raises(TrialFormatError, match="test key 'ghost-test' missing"):
+            score_trials(enroll_ids, test_ids, embeddings, embeddings)
+
     @pytest.mark.parametrize("side", ["enroll", "test"])
     def test_near_zero_norm_names_the_key(self, side):
         enroll = {"a": np.ones(3), "b": np.ones(3)}
@@ -339,3 +350,19 @@ class TestSimilarityMatrix:
         assert back_rows == row_keys
         assert back_cols == col_keys
         np.testing.assert_allclose(back, matrix, atol=1e-10)
+
+    def test_csv_bytes_match_csv_writer_cell_by_cell(self, tmp_path):
+        # the row-wise writer against csv.writer with f"{v:.12g}" per cell
+        row_keys = ["plain", "has,comma", 'has"quote', "has space", " lead", ""]
+        col_keys = ["c,1", 'c"2', "c 3", "c4"]
+        matrix = np.array([[1.0, -0.0, 1e-300, 0.1 + 0.2],
+                           [-1.0, 0.0, -1e-300, 1 / 3]] * 3)
+        path, reference = tmp_path / "sim.csv", tmp_path / "reference.csv"
+        write_similarity_csv(path, matrix, row_keys, col_keys)
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([""] + col_keys)
+            for key, row in zip(row_keys, matrix):
+                writer.writerow([key] + [f"{v:.12g}" for v in row])
+        assert path.read_bytes() == reference.read_bytes()
+        assert b'\r\n"has""quote",1,-0,1e-300,0.3\r\n' in path.read_bytes()
