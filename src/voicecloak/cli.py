@@ -201,10 +201,36 @@ def _usable_cpus() -> int:
 
 _file_task = None  # a forked worker's per-file callable, set by the pool's initializer
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def _keep_freed_memory() -> None:
+    """Let malloc keep what this process frees, for its next allocation.
+
+    By default glibc maps a block above its dynamic mmap threshold (the
+    largest mapped block freed so far) on its own and unmaps it when it is
+    freed, and trims a free heap top above twice that threshold. Each
+    file's transient arrays then go back to the kernel, and the next file
+    faults the same pages in again, zero-filled. With these thresholds
+    they stay on the heap from one file to the next. Best-effort: does
+    nothing where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the 64-bit ceiling of glibc's dynamic threshold
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # twice that, glibc's own ratio
+
 
 def _set_file_task(task) -> None:
+    """Initializer of each forked worker: its per-file task, and a heap
+    that keeps what one file frees for the next (see _keep_freed_memory),
+    so the worker's resident size stays near its peak until it exits."""
     global _file_task
     _file_task = task
+    _keep_freed_memory()
 
 
 def _call_file_task(path: Path):
@@ -224,6 +250,11 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     before it are yielded; so does a worker that dies. OpenBLAS gets
     CPUs // workers threads meanwhile (see _blas_threads); the workers are
     forked inside that block and inherit the count.
+
+    Forked workers keep what they free for their next file, so each stays
+    near its peak resident size until the batch ends (see _set_file_task).
+    Work in this process leaves the allocator alone: it is the caller's,
+    and one process spends little time faulting freed pages back in.
     """
     n_cpus = _usable_cpus()
     workers = min(jobs or n_cpus, len(paths))
@@ -333,9 +364,12 @@ def run_protect(
             "loss_trajectory": report.loss_trajectory,
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        # a report on disk describes the WAV beside it: the old one goes
+        # before the new WAV replaces the old WAV, and the new one is last
+        report_path = out_path / f"{path.stem}.json"
+        report_path.unlink(missing_ok=True)
         _write_atomically(wav_path, lambda temp: write_wav(temp, protected))
-        _write_atomically(out_path / f"{path.stem}.json",
-                          lambda temp: temp.write_text(text, encoding="utf-8"))
+        _write_atomically(report_path, lambda temp: temp.write_text(text, encoding="utf-8"))
         logger.info("protected %s: SNR %.2f dB, distance %.3f", path.name, report.snr_db, report.delta_cosd)
 
     def protect_file(path: Path) -> str | None:

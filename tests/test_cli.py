@@ -1,7 +1,9 @@
+import ctypes
 import hashlib
 import json
 import multiprocessing
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -378,6 +380,34 @@ class TestProtect:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [f"{key}.json", f"{key}.wav", "manifest.json"])
         assert len(read_wav(out / f"{key}.wav")) == len(read_wav(corpus / f"{key}.wav"))
+
+    def test_a_new_wav_whose_report_fails_keeps_no_old_report(
+        self, corpus, weights_file, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+
+        def protect(epsilon):
+            return voicecloak.cli.run_protect(str(corpus), str(weights_file), str(out), "fgsm",
+                                              epsilon=epsilon, jobs=1)
+
+        assert protect(0.02) == 0
+        old_wavs = {p.name: p.read_bytes() for p in out.glob("*.wav")}
+        write = voicecloak.cli._write_atomically
+
+        def failing_reports(path, write_temp):
+            if path.suffix == ".json" and path.name != "manifest.json":
+                raise OSError("disk full")
+            write(path, write_temp)
+
+        monkeypatch.setattr(voicecloak.cli, "_write_atomically", failing_reports)
+        assert protect(0.005) == 4
+        assert sorted(old_wavs) == sorted(p.name for p in out.glob("*.wav"))
+        for name, old in old_wavs.items():
+            assert (out / name).read_bytes() != old  # the ε = 0.005 file replaced it
+        reports = [json.loads(p.read_text()) for p in out.glob("*.json")
+                   if p.name != "manifest.json"]
+        assert [r for r in reports if r["epsilon"] == 0.02] == []
+        assert sorted(p.name for p in out.iterdir()) == sorted([*old_wavs, "manifest.json"])
 
 
 class _Crash(BaseException):
@@ -809,6 +839,54 @@ class TestEmbedWorkers:
         with pytest.raises(BrokenProcessPool):
             self._embed(monkeypatch, 2, many, weights_file, out)
         assert list(tmp_path.glob("e.emb*")) == [] and list(tmp_path.glob(".e.emb*")) == []
+
+
+def _third_round_faults(path):
+    """Allocate and free eight 256 KiB arrays (512 pages) three rounds in a
+    row; the minor page faults of the third round."""
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(32 * 1024) for _ in range(8)]
+        del arrays
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return faults
+
+
+class TestForkedWorkerHeap:
+    """A forked worker keeps the memory it frees for its next file; work in
+    the caller's process leaves the caller's allocator alone."""
+
+    def test_a_worker_faults_in_no_pages_it_freed(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no forked workers on this platform")
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("the C library has no mallopt")
+        faults = list(voicecloak.cli._map_files(_third_round_faults, ["a", "b"], 2))
+        assert multiprocessing.active_children() == []
+        assert len(faults) == 2 and max(faults) < 512 // 8
+
+    @pytest.mark.parametrize("jobs, fork", [(1, True), (2, False), (2, True)],
+                             ids=["one-worker", "no-fork", "forked"])
+    def test_only_forked_workers_set_up_their_heap(self, tmp_path, monkeypatch, jobs, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        elif not hasattr(os, "fork"):
+            pytest.skip("no forked workers on this platform")
+        calls = tmp_path / "calls"
+        calls.write_text("", encoding="ascii")
+
+        def recording():
+            with open(calls, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(voicecloak.cli, "_keep_freed_memory", recording)
+        ran_in = set(voicecloak.cli._map_files(lambda path: os.getpid(), ["a", "b", "c"], jobs))
+        set_up_in = {int(pid) for pid in calls.read_text(encoding="ascii").split()}
+        if jobs == 1 or not fork:
+            assert ran_in == {os.getpid()} and set_up_in == set()
+        else:
+            assert os.getpid() not in ran_in and ran_in <= set_up_in
+            assert os.getpid() not in set_up_in
 
 
 @pytest.fixture(scope="module")

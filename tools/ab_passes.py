@@ -13,9 +13,12 @@ A then B in even pairs, B then A in odd ones, so a host that drifts or
 warms up weighs on both sides alike. BLAS is pinned as bench/run.py pins
 it: one thread in this process, and one in the passes of the workloads
 that bench/run.py pins. It prints one JSON line: per side, the median and
-quartiles of `audio_s_per_s` and of `peak_rss_mib` (the worker's own
-`VmHWM`, not its children's) over the passes, and the number of pairs in
-which B had the higher `audio_s_per_s`. Nothing is written under bench/.
+quartiles over the passes of `audio_s_per_s`, of `peak_rss_mib` (the
+worker's own `VmHWM`, not its children's), and of the pass's CPU time and
+minor page faults (`user_s`, `sys_s`, `minor_faults`), and the number of
+pairs in which B had the higher `audio_s_per_s`. The CPU time and faults
+are `getrusage(RUSAGE_CHILDREN)` deltas around the pass's process, so they
+include the pool workers it reaped. Nothing is written under bench/.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -30,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+RUSAGE = ("user_s", "sys_s", "minor_faults")  # a pass's own and its reaped workers'
 
 
 def _quartiles(values: list[float]) -> dict[str, float]:
@@ -40,30 +45,39 @@ def _quartiles(values: list[float]) -> dict[str, float]:
 def summary(pairs: list[tuple[dict, dict]], audio_seconds: float) -> dict:
     """Medians and quartiles per side, and the pairs B won on audio_s_per_s.
 
-    Each pair holds the A and the B report of one `worker.py` pass, which
-    carry "wall" (seconds) and "peak_rss_mib".
+    Each pair holds the A and the B report of one pass, which carry "wall"
+    (seconds), "peak_rss_mib" and the RUSAGE fields.
     """
     out: dict = {}
     for side, i in (("a", 0), ("b", 1)):
         out[side] = {
             "audio_s_per_s": _quartiles([audio_seconds / pair[i]["wall"] for pair in pairs]),
-            "peak_rss_mib": _quartiles([pair[i]["peak_rss_mib"] for pair in pairs]),
+            **{field: _quartiles([pair[i][field] for pair in pairs])
+               for field in ("peak_rss_mib", *RUSAGE)},
         }
     out["b_wins"] = f"{sum(b['wall'] < a['wall'] for a, b in pairs)}/{len(pairs)}"
     return out
 
 
+def _children() -> tuple[float, float, int]:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime, usage.ru_stime, usage.ru_minflt
+
+
 def _pass(name: str, work: Path, src: Path, env: dict) -> dict:
+    """The `worker.py` report of one pass, with its RUSAGE fields added."""
+    before = _children()
     done = subprocess.run(
         [sys.executable, str(BENCH / "worker.py"), name, str(work), str(src), "pass"],
         env=env, stdout=subprocess.PIPE, text=True, timeout=600,
     )
+    usage = dict(zip(RUSAGE, (b - a for a, b in zip(before, _children()))))
     if done.returncode != 0:
         raise RuntimeError(f"{src}: worker exited with code {done.returncode}")
     report = json.loads(done.stdout.splitlines()[-1])
     if report["failed"]:
         raise RuntimeError(f"{src}: {report['failed']} operations failed")
-    return report
+    return {**report, **usage}
 
 
 def main(argv=None) -> int:
