@@ -210,9 +210,10 @@ def _keep_freed_memory() -> None:
     By default glibc maps a block above its dynamic mmap threshold (the
     largest mapped block freed so far) on its own and unmaps it when it is
     freed, and trims a free heap top above twice that threshold. Each
-    file's transient arrays then go back to the kernel, and the next file
-    faults the same pages in again, zero-filled. With these thresholds
-    they stay on the heap from one file to the next. Best-effort: does
+    file's transient arrays then go back to the kernel, and the next file,
+    or the next attack step, faults the same pages in again, zero-filled.
+    With these thresholds they stay on the heap from one use to the next.
+    The settings are process-wide and stay in force. Best-effort: does
     nothing where the C library has no mallopt.
     """
     try:
@@ -227,7 +228,8 @@ def _keep_freed_memory() -> None:
 def _set_file_task(task) -> None:
     """Initializer of each forked worker: its per-file task, and a heap
     that keeps what one file frees for the next (see _keep_freed_memory),
-    so the worker's resident size stays near its peak until it exits."""
+    so the worker's resident size stays near its peak until it exits.
+    The parent, which runs no file, keeps its allocator as it was."""
     global _file_task
     _file_task = task
     _keep_freed_memory()
@@ -241,35 +243,42 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     """Yield task(path) for each path, in input order, computed on
     min(jobs or CPUs, files) workers.
 
-    One worker runs in this process. More are processes forked from it,
-    because the per-file work is many short NumPy calls that hold the GIL,
-    so threads would not overlap them (threads stand in where there is no
-    fork). The fork hands task to each worker unpickled; the pool sends
+    One worker runs in this process, in the calling thread, so the files
+    reuse the free memory of the caller's heap (glibc gives a pool thread
+    an arena of its own). More are processes forked from it, because the
+    per-file work is many short NumPy calls that hold the GIL, so threads
+    would not overlap them (threads stand in where there is no fork).
+    The fork hands task to each worker unpickled; the pool sends
     only paths, in chunks of about a quarter of a worker's share. A task
     that raises ends the iteration with its exception once the files
     before it are yielded; so does a worker that dies. OpenBLAS gets
     CPUs // workers threads meanwhile (see _blas_threads); the workers are
     forked inside that block and inherit the count.
 
-    Forked workers keep what they free for their next file, so each stays
-    near its peak resident size until the batch ends (see _set_file_task).
-    Work in this process leaves the allocator alone: it is the caller's,
-    and one process spends little time faulting freed pages back in.
+    The process that runs the files sets up its heap to keep what it
+    frees for its next file (see _keep_freed_memory): each forked worker
+    does (see _set_file_task), and this process does when it runs them,
+    with one worker or with threads. Its resident size then stays near its
+    peak until it exits.
     """
     n_cpus = _usable_cpus()
     workers = min(jobs or n_cpus, len(paths))
     with _blas_threads(max(1, n_cpus // workers)):
-        if workers == 1 or not hasattr(os, "fork"):
-            pool, call, chunksize = ThreadPoolExecutor(workers), task, 1
+        if workers == 1:
+            _keep_freed_memory()
+            yield from map(task, paths)
+        elif not hasattr(os, "fork"):
+            _keep_freed_memory()
+            with ThreadPoolExecutor(workers) as pool:
+                yield from pool.map(task, paths)
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                       initializer=_set_file_task, initargs=(task,))
-            call, chunksize = _call_file_task, -(-len(paths) // (4 * workers))
-        with pool:
-            yield from pool.map(call, paths, chunksize=chunksize)
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_set_file_task, initargs=(task,)) as pool:
+                yield from pool.map(_call_file_task, paths,
+                                    chunksize=-(-len(paths) // (4 * workers)))
 
 
 def _file_seed(base_seed: int, stem: str) -> int:

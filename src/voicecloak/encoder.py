@@ -16,8 +16,11 @@ length-normalized here, the cosine loss normalizes.
 
 Summation order is fixed, so results are reproducible bit for bit:
 
-* a convolution is one BLAS GEMM (`np.dot`) of the kernels, flattened to
-  [C_out, C_in*9], against explicit im2col rows ordered (c_in, dt, df);
+* a convolution is one BLAS GEMM (`np.matmul`) per block of whole frames
+  (BLOCK_FRAMES of them, the last block shorter) of the kernels, flattened
+  to [C_out, C_in*9], against explicit im2col rows ordered (c_in, dt, df).
+  Each output column is the same `kernels @ column` dot product whichever
+  block holds it, so the blocks change no bit of the result;
 * 2x2 pooling adds the top pair and the bottom pair first,
   ((a + b) + (c + d)) / 4, where a, b are the upper row; when the pooled
   map has a single band it adds left to right, (((a + b) + c) + d) / 4.
@@ -174,27 +177,49 @@ def load_weights(path) -> WeightStore:
     return WeightStore(config, tensors)
 
 
+BLOCK_FRAMES = 128  # frames per im2col block; at C_in 2 and 64 bands a block is 1.1 MiB
+
+# (output, input) band slices of the three frequency taps df = 0, 1, 2
+_BAND_SHIFTS = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),
+                (slice(None, -1), slice(1, None)))
+
+
 def _conv_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """3x3 stride-1 convolution, circular along time, zero-padded along freq.
 
     x is [C_in, T, F], kernels [C_out, C_in, 3, 3]; output [C_out, T, F].
-    One GEMM of the flattened kernels against explicit im2col rows.
+    One GEMM of the flattened kernels against explicit im2col rows per
+    block of BLOCK_FRAMES whole frames, each writing its own output
+    columns; a map of at most one block is one GEMM. The im2col buffer
+    holds one block and is refilled for the next, so its size does not
+    grow with T.
     """
     c_in, t, f = x.shape
     c_out = kernels.shape[0]
-    # cols[c, dt, df, i, j] = x[c, (i + dt - 1) mod T, j + df - 1], and 0 where
-    # j + df - 1 leaves the band; filled straight from x, with no padded copy
-    cols = np.empty((c_in, 3, 3, t, f))
-    shifts = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),
-              (slice(None, -1), slice(1, None)))
-    for dt, (t_out, t_in) in enumerate(shifts):
-        for df, (f_out, f_in) in enumerate(shifts):
-            cols[:, dt, df, t_out, f_out] = x[:, t_in, f_in]
-    cols[:, :, 0, :, 0] = 0.0
-    cols[:, :, 2, :, -1] = 0.0
-    cols[:, 0, :, 0] = cols[:, 1, :, -1]  # the rows that wrap around in time
-    cols[:, 2, :, -1] = cols[:, 1, :, 0]
-    out = np.dot(kernels.reshape(c_out, c_in * 9), cols.reshape(c_in * 9, t * f))
+    block = min(t, BLOCK_FRAMES)
+    # cols[c, dt, df, i, j] = x[c, (start + i + dt - 1) mod T, j + df - 1], and 0
+    # where j + df - 1 leaves the band; filled straight from x, with no padded copy
+    cols = np.empty((c_in * 9, block * f))
+    edges = cols.reshape(c_in, 3, 3, block, f)
+    edges[:, :, 0, :, 0] = 0.0  # the band edges, which no fill below writes
+    edges[:, :, 2, :, -1] = 0.0
+    weights = kernels.reshape(c_out, c_in * 9)
+    out = np.empty((c_out, t * f))
+    for start in range(0, t, block):
+        n = min(block, t - start)
+        part = cols[:, : n * f]  # a short last block uses the first n frames of each row
+        taps = part.reshape(c_in, 3, 3, n, f)
+        for dt in range(3):
+            first = start + dt - 1  # the input frame of the block's frame 0
+            i0, i1 = max(0, -first), min(n, t - first)  # frames inside the map
+            for df, (f_out, f_in) in enumerate(_BAND_SHIFTS):
+                tap = taps[:, dt, df]
+                tap[:, i0:i1, f_out] = x[:, first + i0 : first + i1, f_in]
+                if i0 > 0:  # the frames that wrap around in time
+                    tap[:, 0, f_out] = x[:, t - 1, f_in]
+                if i1 < n:
+                    tap[:, n - 1, f_out] = x[:, 0, f_in]
+        np.matmul(weights, part, out=out[:, start * f : (start + n) * f])
     return out.reshape(c_out, t, f)
 
 

@@ -12,17 +12,24 @@ import pytest
 import reference_ops as ref
 from synth import speaker_utterance
 from voicecloak import attack, encoder
-from voicecloak.attack import AttackConfig, ifgsm, protect_utterance
+from voicecloak.attack import AttackConfig, fgsm, ifgsm, protect_utterance
 from voicecloak.audio_io import CANONICAL_RATE, Waveform, write_wav
 from voicecloak.encoder import EncoderConfig, forward, init_random
 from voicecloak.spectral import N_BINS, Spectrogram, istft, log_mel, mel_matrix, stft
 
-# (C_in, C_out, T, F): odd and tiny maps, plus the four convolutions of the
-# default encoder on 3 s of audio (two forward, two input gradients).
+BLOCK = encoder.BLOCK_FRAMES
+
+# (C_in, C_out, T, F): odd and tiny maps; the four convolutions of the
+# default encoder (two forward, two input gradients) on 3 s and on 10 s of
+# audio; maps of one time block, one block and a frame, and two blocks and
+# an odd remainder, one of them with an odd band count.
 CONV_SHAPES = [
     (1, 1, 1, 1), (1, 1, 2, 3), (1, 3, 5, 7), (2, 1, 7, 9), (3, 5, 8, 2),
     (4, 2, 33, 31), (5, 3, 101, 64), (8, 1, 13, 1),
     (1, 2, 301, 64), (2, 4, 150, 32), (4, 2, 150, 32), (2, 1, 301, 64),
+    (1, 2, 1001, 64), (2, 4, 500, 32), (4, 2, 500, 32), (2, 1, 1001, 64),
+    (2, 1, BLOCK, 64), (2, 1, BLOCK + 1, 64), (3, 2, 2 * BLOCK + 37, 64),
+    (2, 3, 2 * BLOCK + 37, 7),
 ]
 
 
@@ -74,6 +81,23 @@ def test_whole_ifgsm_run_matches_reference_ops(monkeypatch, cfg):
     monkeypatch.setattr(encoder, "_avgpool2_backward", ref.avgpool2_backward)
     monkeypatch.setattr(attack, "loss_and_grad", ref.loss_and_grad)
     slow = ifgsm(x, ws, e_ref, AttackConfig())
+    assert not np.array_equal(fast.adv_magnitude, x)
+    assert ref.bitwise_equal(fast.adv_magnitude, slow.adv_magnitude)
+    assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)
+
+
+def test_ten_second_fgsm_matches_reference_ops(monkeypatch):
+    """One step on 10 s: every convolution map spans several time blocks."""
+    ws = init_random(EncoderConfig(), 3)
+    x = stft(speaker_utterance(7, 0, seconds=10.0)).magnitude
+    assert x.shape[0] > 2 * BLOCK
+    e_ref, _ = forward(log_mel(x, mel_matrix(512, 64)), ws)
+    fast = fgsm(x, ws, e_ref, AttackConfig.epsilon)
+    monkeypatch.setattr(encoder, "_conv_same", ref.conv_same)
+    monkeypatch.setattr(encoder, "_avgpool2", ref.avgpool2)
+    monkeypatch.setattr(encoder, "_avgpool2_backward", ref.avgpool2_backward)
+    monkeypatch.setattr(attack, "loss_and_grad", ref.loss_and_grad)
+    slow = fgsm(x, ws, e_ref, AttackConfig.epsilon)
     assert not np.array_equal(fast.adv_magnitude, x)
     assert ref.bitwise_equal(fast.adv_magnitude, slow.adv_magnitude)
     assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)

@@ -1,5 +1,6 @@
 import ctypes
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -853,8 +854,9 @@ def _third_round_faults(path):
 
 
 class TestForkedWorkerHeap:
-    """A forked worker keeps the memory it frees for its next file; work in
-    the caller's process leaves the caller's allocator alone."""
+    """The process that runs the files keeps the memory it frees for its
+    next file: the caller with one worker or with threads, each forked
+    worker otherwise, and never the workers' parent."""
 
     def test_a_worker_faults_in_no_pages_it_freed(self):
         if not hasattr(os, "fork"):
@@ -865,9 +867,29 @@ class TestForkedWorkerHeap:
         assert multiprocessing.active_children() == []
         assert len(faults) == 2 and max(faults) < 512 // 8
 
+    def test_one_worker_faults_in_no_pages_it_freed(self):
+        """In a fresh interpreter, whose allocator has not yet freed a large block."""
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("the C library has no mallopt")
+        code = "\n".join([
+            "import json, resource",
+            "import numpy as np",
+            "import voicecloak.cli",
+            inspect.getsource(_third_round_faults),
+            "faults = voicecloak.cli._map_files(_third_round_faults, ['a', 'b'], 1)",
+            "print(json.dumps(list(faults)))",
+        ])
+        src = str(Path(voicecloak.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        faults = json.loads(done.stdout)
+        assert len(faults) == 2 and max(faults) < 512 // 8
+
     @pytest.mark.parametrize("jobs, fork", [(1, True), (2, False), (2, True)],
                              ids=["one-worker", "no-fork", "forked"])
-    def test_only_forked_workers_set_up_their_heap(self, tmp_path, monkeypatch, jobs, fork):
+    def test_the_process_that_runs_the_files_sets_up_its_heap(self, tmp_path, monkeypatch,
+                                                              jobs, fork):
         if not fork:
             monkeypatch.delattr(os, "fork", raising=False)
         elif not hasattr(os, "fork"):
@@ -881,11 +903,11 @@ class TestForkedWorkerHeap:
 
         monkeypatch.setattr(voicecloak.cli, "_keep_freed_memory", recording)
         ran_in = set(voicecloak.cli._map_files(lambda path: os.getpid(), ["a", "b", "c"], jobs))
-        set_up_in = {int(pid) for pid in calls.read_text(encoding="ascii").split()}
+        set_up_in = [int(pid) for pid in calls.read_text(encoding="ascii").split()]
         if jobs == 1 or not fork:
-            assert ran_in == {os.getpid()} and set_up_in == set()
+            assert ran_in == {os.getpid()} and set_up_in == [os.getpid()]
         else:
-            assert os.getpid() not in ran_in and ran_in <= set_up_in
+            assert os.getpid() not in ran_in and ran_in <= set(set_up_in)
             assert os.getpid() not in set_up_in
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from voicecloak import encoder
 from voicecloak.encoder import (
     EncoderConfig,
     WeightStore,
@@ -261,6 +263,22 @@ class TestBackward:
         _, cache = forward(np.zeros((8, 64)), default_weights)
         with pytest.raises(ValueError, match="grad_embedding"):
             backward(cache, np.zeros(64))
+
+    def test_layer0_input_gradient_holds_under_a_quarter_of_a_whole_map_im2col(self):
+        """The 10 s map from 2 channels back to 1: its whole-map im2col rows
+        (2 x 9 x 1001 x 64 float64, 9.2 MiB) would be the attack step's
+        largest array; the time-blocked convolution's peak stays below a
+        quarter of that, output included."""
+        grad = np.random.default_rng(5).standard_normal((2, 1001, 64))
+        kernels = np.random.default_rng(6).standard_normal((1, 2, 3, 3))
+        whole_map_cols = 9 * grad.nbytes
+        tracemalloc.start()
+        try:
+            encoder._conv_same(grad, kernels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_map_cols / 4
 
 
 class TestCosineLoss:
