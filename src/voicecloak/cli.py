@@ -214,11 +214,12 @@ def _keep_freed_memory() -> None:
     or the next attack step, faults the same pages in again, zero-filled.
     With these thresholds they stay on the heap from one use to the next.
     The settings are process-wide and stay in force. Best-effort: does
-    nothing where the C library has no mallopt.
+    nothing where the C library has no mallopt, or where ctypes cannot
+    open the running process (on Windows CDLL(None) raises TypeError).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
+    except (OSError, AttributeError, TypeError):
         return
     mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the 64-bit ceiling of glibc's dynamic threshold
@@ -264,14 +265,7 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     n_cpus = _usable_cpus()
     workers = min(jobs or n_cpus, len(paths))
     with _blas_threads(max(1, n_cpus // workers)):
-        if workers == 1:
-            _keep_freed_memory()
-            yield from map(task, paths)
-        elif not hasattr(os, "fork"):
-            _keep_freed_memory()
-            with ThreadPoolExecutor(workers) as pool:
-                yield from pool.map(task, paths)
-        else:
+        if workers > 1 and hasattr(os, "fork"):
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
@@ -279,6 +273,13 @@ def _map_files(task, paths: list[Path], jobs: int | None):
                                      initializer=_set_file_task, initargs=(task,)) as pool:
                 yield from pool.map(_call_file_task, paths,
                                     chunksize=-(-len(paths) // (4 * workers)))
+            return
+        _keep_freed_memory()
+        if workers == 1:
+            yield from map(task, paths)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                yield from pool.map(task, paths)
 
 
 def _file_seed(base_seed: int, stem: str) -> int:

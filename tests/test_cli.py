@@ -910,6 +910,16 @@ class TestForkedWorkerHeap:
             assert os.getpid() not in ran_in and ran_in <= set(set_up_in)
             assert os.getpid() not in set_up_in
 
+    @pytest.mark.parametrize("error", [TypeError, OSError, AttributeError])
+    def test_no_usable_c_library_leaves_the_heap_alone(self, monkeypatch, error):
+        """As on Windows, where ctypes.CDLL(None) raises TypeError."""
+        def unopenable(name, *args, **kwargs):
+            raise error("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", unopenable)
+        assert voicecloak.cli._keep_freed_memory() is None
+        assert list(voicecloak.cli._map_files(str.upper, ["a", "b"], 1)) == ["A", "B"]
+
 
 @pytest.fixture(scope="module")
 def archive(runner, corpus, weights_file, tmp_path_factory):
