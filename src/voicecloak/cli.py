@@ -107,7 +107,7 @@ def _load_waveform_16k(path) -> Waveform:
 def _collect_wavs(path_str: str) -> list[Path]:
     path = Path(path_str)
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".wav")
+        files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".wav" and p.is_file())
         if not files:
             raise ValueError(f"no .wav files in {path}")
         return files
@@ -126,7 +126,7 @@ def _by_stem(files: list[Path]) -> dict[str, Path]:
     return by_stem
 
 
-# Set by the user, any of these fixes the BLAS thread count and protect keeps it.
+# Set by the user, any of these fixes the BLAS thread count; protect and embed keep it.
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -168,8 +168,13 @@ _blas_saved = 0  # the OpenBLAS count before the first of them
 def _blas_threads(n: int):
     """Give OpenBLAS n threads for the block, then restore its count.
 
-    Blocks may overlap in threads of one process: the count in force
-    before the first active block is restored when the last one leaves.
+    Set in the parent before forking, the count reaches the workers
+    through the fork. Set anew in a fresh fork, it starts an OpenBLAS
+    server thread that spins while the worker idles (a probe child went
+    from 1 to 2 OS threads, and 1.67 to 1.90 s of user CPU per pass);
+    restored in the parent while workers run, it starts one there. So
+    blocks that overlap in threads of one process restore the count from
+    before the first only when the last one leaves.
     Does nothing when no OpenBLAS is loaded or a BLAS thread variable is set.
     """
     global _blas_active, _blas_saved
@@ -227,13 +232,10 @@ def _keep_freed_memory() -> None:
 
 
 def _set_file_task(task) -> None:
-    """Initializer of each forked worker: its per-file task, and a heap
-    that keeps what one file frees for the next (see _keep_freed_memory),
-    so the worker's resident size stays near its peak until it exits.
-    The parent, which runs no file, keeps its allocator as it was."""
+    """Initializer of each forked worker: its per-file task. The worker's
+    heap settings came with the fork (see _map_files)."""
     global _file_task
     _file_task = task
-    _keep_freed_memory()
 
 
 def _call_file_task(path: Path):
@@ -244,42 +246,36 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     """Yield task(path) for each path, in input order, computed on
     min(jobs or CPUs, files) workers.
 
-    One worker runs in this process, in the calling thread, so the files
-    reuse the free memory of the caller's heap (glibc gives a pool thread
-    an arena of its own). More are processes forked from it, because the
-    per-file work is many short NumPy calls that hold the GIL, so threads
-    would not overlap them (threads stand in where there is no fork).
-    The fork hands task to each worker unpickled; the pool sends
-    only paths, in chunks of about a quarter of a worker's share. A task
-    that raises ends the iteration with its exception once the files
-    before it are yielded; so does a worker that dies. OpenBLAS gets
-    CPUs // workers threads meanwhile (see _blas_threads); the workers are
-    forked inside that block and inherit the count.
-
-    The process that runs the files sets up its heap to keep what it
-    frees for its next file (see _keep_freed_memory): each forked worker
-    does (see _set_file_task), and this process does when it runs them,
-    with one worker or with threads. Its resident size then stays near its
-    peak until it exits.
+    All set-up happens here, before any fork: this process's heap keeps
+    what it frees for the next file (see _keep_freed_memory), and forked
+    workers inherit that. One worker runs in the calling thread, so the
+    files reuse the free memory of the caller's heap (glibc gives a pool
+    thread an arena of its own). More are processes forked from it,
+    because the per-file work is many short NumPy calls that hold the GIL,
+    so threads would not overlap them; only they get CPUs // workers BLAS
+    threads (see _blas_threads). Threads stand in where there is no fork.
+    The fork hands task to each worker unpickled; the pool sends only
+    paths, in chunks of about a quarter of a worker's share. A task that
+    raises ends the iteration with its exception once the files before it
+    are yielded; so does a worker that dies.
     """
     n_cpus = _usable_cpus()
     workers = min(jobs or n_cpus, len(paths))
-    with _blas_threads(max(1, n_cpus // workers)):
-        if workers > 1 and hasattr(os, "fork"):
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    _keep_freed_memory()
+    if workers == 1:
+        yield from map(task, paths)
+    elif hasattr(os, "fork"):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_set_file_task, initargs=(task,)) as pool:
-                yield from pool.map(_call_file_task, paths,
-                                    chunksize=-(-len(paths) // (4 * workers)))
-            return
-        _keep_freed_memory()
-        if workers == 1:
-            yield from map(task, paths)
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                yield from pool.map(task, paths)
+        with _blas_threads(max(1, n_cpus // workers)), ProcessPoolExecutor(
+                workers, multiprocessing.get_context("fork"),
+                initializer=_set_file_task, initargs=(task,)) as pool:
+            yield from pool.map(_call_file_task, paths,
+                                chunksize=-(-len(paths) // (4 * workers)))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            yield from pool.map(task, paths)
 
 
 def _file_seed(base_seed: int, stem: str) -> int:
@@ -326,12 +322,9 @@ def run_protect(
     its own and the batch goes on. A worker that dies fails every file
     not yet handed back, naming each.
 
-    While the batch runs, OpenBLAS gets CPUs // workers threads, so the
-    two pools do not oversubscribe the cores. It is set only when no BLAS
-    thread variable is in the environment, and the previous count is
-    restored on return, also when this raises. Two batches run at once
-    from threads of one process share that count, and the one that
-    returns last restores it.
+    Forked workers get CPUs // workers OpenBLAS threads, so the two pools
+    do not oversubscribe the cores, unless a BLAS thread variable is set;
+    the count is restored on return, also when this raises.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
@@ -411,9 +404,9 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     """Write the embedding of every input file to one archive, keyed by stem.
 
     The files are embedded on min(CPUs, files) workers, forked processes
-    when more than one (see _map_files); the CPUs are those of the
-    process's affinity mask. The first file in input order that fails
-    raises its error, and nothing is written.
+    when more than one, set up as for run_protect (see _map_files); the
+    CPUs are those of the process's affinity mask. The first file in
+    input order that fails raises its error, and nothing is written.
     """
     files = _by_stem([path for item in inputs for path in _collect_wavs(item)])
     ws = load_weights(weights)

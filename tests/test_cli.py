@@ -411,6 +411,38 @@ class TestProtect:
         assert sorted(p.name for p in out.iterdir()) == sorted([*old_wavs, "manifest.json"])
 
 
+class TestInputDirectories:
+    """protect and embed take the regular *.wav files of a directory;
+    a directory named like a WAV is not one."""
+
+    def _commands(self, src, weights_file, tmp_path):
+        return (["protect", str(src), "--weights", str(weights_file),
+                 "--out", str(tmp_path / "protected"), "--method", "gaussian"],
+                ["embed", str(src), "--weights", str(weights_file),
+                 "--out", str(tmp_path / "embeddings.bin")])
+
+    def test_a_wav_named_directory_is_skipped(self, runner, corpus, weights_file, tmp_path):
+        src, key = tmp_path / "in", speaker_key(0, 0)
+        src.mkdir()
+        shutil.copy(corpus / f"{key}.wav", src)
+        (src / "sub.wav").mkdir()
+        for args in self._commands(src, weights_file, tmp_path):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, result.output + result.stderr
+        assert sorted(p.name for p in (tmp_path / "protected").iterdir()) == sorted(
+            [f"{key}.json", f"{key}.wav", "manifest.json"])
+        assert list(tensorfile.load(tmp_path / "embeddings.bin")[0]) == [key]
+
+    def test_only_wav_named_directories_are_no_wav_files(self, runner, weights_file, tmp_path):
+        src = tmp_path / "in"
+        for name in ("a.wav", "b.WAV"):
+            (src / name).mkdir(parents=True)
+        for args in self._commands(src, weights_file, tmp_path):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 1
+            assert result.stderr == f"error: no .wav files in {src}\n"
+
+
 class _Crash(BaseException):
     """Escapes run_protect's per-file error handling, as an interrupt does."""
 
@@ -569,6 +601,33 @@ class TestProtectBlasThreads:
         assert voicecloak.cli._blas_active == 0
         assert blas() == before
 
+    @pytest.mark.parametrize("jobs, fork", [(1, True), (2, False)], ids=["one-worker", "no-fork"])
+    def test_in_process_workers_run_at_the_callers_count(self, monkeypatch, blas, jobs, fork):
+        if voicecloak.cli._usable_cpus() == 1:
+            pytest.skip("on one CPU every count a batch sets is the caller's")
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        _, set_ = voicecloak.cli._openblas_threads()
+        set_(1)
+        assert list(voicecloak.cli._map_files(lambda path: blas(), ["a", "b"], jobs)) == [1, 1]
+        assert blas() == 1
+
+    def test_a_forked_worker_starts_no_blas_thread(self, blas):
+        """Setting the count anew inside a fresh fork would start an OpenBLAS
+        server thread there; the worker inherits the count the parent set."""
+        if not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"):
+            pytest.skip("no forked workers or no /proc on this platform")
+        if voicecloak.cli._usable_cpus() // 2 != 1:
+            pytest.skip("two workers get one BLAS thread each only on 2 or 3 CPUs")
+
+        def gemm_then_count_threads(path):
+            square = np.ones((300, 300))
+            square @ square
+            return len(os.listdir("/proc/self/task"))
+
+        threads = list(voicecloak.cli._map_files(gemm_then_count_threads, ["a", "b", "c", "d"], 2))
+        assert threads == [1] * 4
+
     def test_jobs_leave_the_bytes_alone(self, runner, blas, tmp_path):
         src = tmp_path / "in"
         src.mkdir()
@@ -590,9 +649,10 @@ class TestProtectBlasThreads:
 
 
 class TestProtectWorkerProcesses:
-    """A batch with more than one worker runs them in forked processes. However
-    its files end, it returns with the BLAS count restored, no worker process
-    left and no visible partial output."""
+    """A batch with more than one worker runs them in forked processes, or in
+    threads where there is no fork. However its files end, it returns with
+    the BLAS count as it found it, no worker process left and no visible
+    partial output."""
 
     DOOMED = speaker_key(0, 1)  # the file whose worker crashes or dies
     TEST_PID = os.getpid()
@@ -854,9 +914,9 @@ def _third_round_faults(path):
 
 
 class TestForkedWorkerHeap:
-    """The process that runs the files keeps the memory it frees for its
-    next file: the caller with one worker or with threads, each forked
-    worker otherwise, and never the workers' parent."""
+    """Every process that runs the files keeps the memory it frees for its
+    next file. The caller sets that up once, before any fork, and forked
+    workers inherit it."""
 
     def test_a_worker_faults_in_no_pages_it_freed(self):
         if not hasattr(os, "fork"):
@@ -888,27 +948,25 @@ class TestForkedWorkerHeap:
 
     @pytest.mark.parametrize("jobs, fork", [(1, True), (2, False), (2, True)],
                              ids=["one-worker", "no-fork", "forked"])
-    def test_the_process_that_runs_the_files_sets_up_its_heap(self, tmp_path, monkeypatch,
-                                                              jobs, fork):
+    def test_the_process_that_runs_the_files_sets_up_its_heap(self, monkeypatch, jobs, fork):
+        """Each file sees the set-up calls made in its process, a forked
+        worker those inherited from the fork: one, in the test's process."""
         if not fork:
             monkeypatch.delattr(os, "fork", raising=False)
         elif not hasattr(os, "fork"):
             pytest.skip("no forked workers on this platform")
-        calls = tmp_path / "calls"
-        calls.write_text("", encoding="ascii")
-
-        def recording():
-            with open(calls, "a", encoding="ascii") as fh:
-                fh.write(f"{os.getpid()}\n")
-
-        monkeypatch.setattr(voicecloak.cli, "_keep_freed_memory", recording)
-        ran_in = set(voicecloak.cli._map_files(lambda path: os.getpid(), ["a", "b", "c"], jobs))
-        set_up_in = [int(pid) for pid in calls.read_text(encoding="ascii").split()]
+        set_up_in = []
+        monkeypatch.setattr(voicecloak.cli, "_keep_freed_memory",
+                            lambda: set_up_in.append(os.getpid()))
+        results = list(voicecloak.cli._map_files(lambda path: (os.getpid(), set_up_in),
+                                                 ["a", "b", "c"], jobs))
+        assert set_up_in == [os.getpid()]
+        assert [seen for _, seen in results] == [[os.getpid()]] * 3
+        ran_in = {pid for pid, _ in results}
         if jobs == 1 or not fork:
-            assert ran_in == {os.getpid()} and set_up_in == [os.getpid()]
+            assert ran_in == {os.getpid()}
         else:
-            assert os.getpid() not in ran_in and ran_in <= set(set_up_in)
-            assert os.getpid() not in set_up_in
+            assert os.getpid() not in ran_in
 
     @pytest.mark.parametrize("error", [TypeError, OSError, AttributeError])
     def test_no_usable_c_library_leaves_the_heap_alone(self, monkeypatch, error):
