@@ -340,8 +340,12 @@ def run_protect(
     else:
         cfg = AttackConfig()
     files = _by_stem(_collect_wavs(inputs))
-    ws = load_weights(weights)
     out_path = Path(out_dir)
+    for stem, path in files.items():
+        wav_path = out_path / f"{stem}.wav"
+        if wav_path.exists() and os.path.samefile(path, wav_path):
+            raise ValueError(f"output {wav_path} would overwrite its input {path}")
+    ws = load_weights(weights)
     out_path.mkdir(parents=True, exist_ok=True)
 
     def protect_one(path: Path) -> None:
@@ -461,7 +465,10 @@ def run_dump_spec(input: str, out: str) -> None:
 
 
 def run_rerun(manifest_path: str):
-    """Check a manifest against the recorded command's signature, then run it."""
+    """Check a manifest against the recorded command's signature, then run it.
+
+    A param that does not bind to the command's `run_*` as it is today, or
+    does not fit its annotation, fails naming it before any input is read."""
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object")
@@ -472,20 +479,8 @@ def run_rerun(manifest_path: str):
     if not isinstance(params, dict):
         raise ValueError(f"{manifest_path}: 'params' must be a JSON object")
     run = _COMMANDS[command]
-    signature = inspect.signature(run)
-    if "seed" not in signature.parameters:
-        # embed, eval, simmat and dump-spec manifests written before their
-        # --seed option was removed record a seed that never affected an output
-        params.pop("seed", None)
-    if command == "protect" and params.pop("dump_spectrograms", False) is not False:
-        # protect manifests from before the spectrogram-dump flag was removed
-        # record it; false changed no output, true asked for CSVs protect no longer writes
-        raise ValueError(
-            f"{manifest_path}: param 'dump_spectrograms' of protect is no longer"
-            " supported; run dump-spec on each protected WAV instead"
-        )
     try:
-        signature.bind(**params)
+        inspect.signature(run).bind(**params)
     except TypeError as exc:
         raise ValueError(f"{manifest_path}: params of {command}: {exc}") from None
     hints = typing.get_type_hints(run)

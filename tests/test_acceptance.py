@@ -6,11 +6,13 @@ terminal summary). Tolerances and instance counts are pinned; loosening
 them is a behavior change, not a test fix.
 """
 
+import functools
 import hashlib
 import json
 import time
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from conftest import record_criterion
@@ -158,17 +160,27 @@ def test_criterion_04_analysis_synthesis_round_trip():
     )
 
 
-def test_criterion_05_method_ordering_at_desk_scale(default_weights):
+@pytest.fixture(scope="module")
+def protected_utterance(default_weights):
+    """protect_utterance of one corpus utterance at the criteria's settings,
+    keyed by (speaker, utterance, method) and computed once for the module:
+    criterion 06 reuses the ifgsm results criterion 05, run before it, times."""
+
+    @functools.cache
+    def protect(spk, utt, method):
+        return protect_utterance(speaker_utterance(spk, utt), default_weights, AttackConfig(),
+                                 method=method, target_snr_db=32.0, seed=5)
+
+    return protect
+
+
+def test_criterion_05_method_ordering_at_desk_scale(protected_utterance):
     started = time.perf_counter()
     means = {}
     for method in ("gaussian", "fgsm", "ifgsm"):
         deltas = []
         for spk in range(20):
-            w = speaker_utterance(spk, 0)
-            _, report = protect_utterance(
-                w, default_weights, AttackConfig(), method=method,
-                target_snr_db=32.0, seed=5,
-            )
+            _, report = protected_utterance(spk, 0, method)
             deltas.append(report.delta_cosd)
         means[method] = float(np.mean(deltas))
     elapsed = time.perf_counter() - started
@@ -186,14 +198,15 @@ def test_criterion_05_method_ordering_at_desk_scale(default_weights):
     )
 
 
-def test_criterion_06_protection_shifts_the_operating_point(default_weights, mel64):
+def test_criterion_06_protection_shifts_the_operating_point(
+    default_weights, mel64, protected_utterance
+):
     clean, protected = {}, {}
     for spk in range(10):
         for utt in range(5):
-            w = speaker_utterance(spk, utt)
             key = (spk, utt)
-            clean[key] = _embed(w, default_weights, mel64)
-            pw, _ = protect_utterance(w, default_weights, AttackConfig(), "ifgsm", 32.0, 5)
+            clean[key] = _embed(speaker_utterance(spk, utt), default_weights, mel64)
+            pw, _ = protected_utterance(spk, utt, "ifgsm")
             protected[key] = _embed(pw, default_weights, mel64)
 
     def eer_against(test_side):

@@ -185,17 +185,28 @@ class TestProtect:
         assert (out / "good.wav").exists()
         assert not (out / "broken.wav").exists()
 
-    def test_dump_spectrograms_flag(self, runner, corpus, weights_file, tmp_path):
-        # removed: `dump-spec <out>/<stem>.wav` dumps the file actually written
-        out = tmp_path / "spec"
-        wav = corpus / f"{speaker_key(0, 1)}.wav"
-        result = runner.invoke(
-            cli,
-            ["protect", str(wav), "--weights", str(weights_file), "--out", str(out),
-             "--iterations", "1", "--alpha", "0.02", "--dump-spectrograms"],
-        )
-        assert result.exit_code == 2
-        assert not out.exists()
+    @pytest.mark.parametrize(
+        "cwd, inputs, out",
+        [
+            pytest.param("in", f"{speaker_key(0, 0)}.wav", ".", id="file-into-its-directory"),
+            pytest.param(".", "in", "in", id="directory-into-itself"),
+        ],
+    )
+    def test_out_that_would_overwrite_an_input_fails(
+        self, runner, weights_file, tmp_path, monkeypatch, cwd, inputs, out
+    ):
+        src = tmp_path / "in"
+        src.mkdir()
+        for utt in range(2):
+            write_wav(src / f"{speaker_key(0, utt)}.wav", speaker_utterance(0, utt, seconds=0.3))
+        before = {p: p.read_bytes() for p in src.iterdir()}
+        monkeypatch.chdir(tmp_path / cwd)
+        result = runner.invoke(cli, ["protect", inputs, "--weights", str(weights_file),
+                                     "--out", out, "--iterations", "1", "--alpha", "0.02"])
+        assert result.exit_code == 1
+        assert f"{speaker_key(0, 0)}.wav" in result.stderr
+        assert "overwrite" in result.stderr
+        assert {p: p.read_bytes() for p in src.iterdir()} == before
 
     def test_dump_spec_reads_the_delivered_file(self, runner, corpus, weights_file, tmp_path):
         out = tmp_path / "protected"
@@ -325,9 +336,21 @@ class TestProtect:
         assert path.read_text() in ("AAAA", "BBBB")
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
-    def test_unknown_option_is_a_usage_error(self, runner):
-        result = runner.invoke(cli, ["protect", "--no-such-flag"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            pytest.param("protect", "--no-such-flag", id="protect-no-such-flag"),
+            pytest.param("protect", "--dump-spectrograms", id="protect-dump-spectrograms"),
+        ],
+    )
+    def test_unknown_option_is_a_usage_error(
+        self, runner, corpus, weights_file, tmp_path, command, option
+    ):
+        out = tmp_path / "out"
+        args = [command, str(corpus), "--weights", str(weights_file), "--out", str(out), option]
+        result = runner.invoke(cli, args)
         assert result.exit_code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "param, value",
@@ -784,45 +807,6 @@ class TestProtectWorkerProcesses:
         self._assert_left_clean(src, out, blas, before)
 
 
-class TestRerunLegacyProtectManifest:
-    @pytest.fixture
-    def protected(self, runner, corpus, weights_file, tmp_path):
-        out = tmp_path / "protected"
-        args = ["protect", str(corpus), "--weights", str(weights_file), "--out", str(out),
-                "--iterations", "2", "--alpha", "0.01", "--jobs", "1"]
-        assert runner.invoke(cli, args).exit_code == 0
-        return out
-
-    def _record_flag(self, out, value):
-        manifest = out / "manifest.json"
-        recorded = json.loads(manifest.read_text())
-        assert "dump_spectrograms" not in recorded["params"]
-        recorded["params"]["dump_spectrograms"] = value
-        manifest.write_text(json.dumps(recorded))
-        outputs = sorted(p for p in out.iterdir() if p != manifest)
-        digests = [_sha256(p) for p in outputs]
-        for p in outputs:
-            p.unlink()
-        return manifest, outputs, digests
-
-    def test_false_flag_reruns_byte_identically(self, runner, protected):
-        manifest, outputs, digests = self._record_flag(protected, False)
-        result = runner.invoke(cli, ["rerun", str(manifest)])
-        assert result.exit_code == 0, result.output + result.stderr
-        assert [_sha256(p) for p in outputs] == digests
-        assert "dump_spectrograms" not in json.loads(manifest.read_text())["params"]
-
-    def test_true_flag_fails_and_points_at_dump_spec(self, runner, protected):
-        manifest, _, _ = self._record_flag(protected, True)
-        before = manifest.read_bytes()
-        result = runner.invoke(cli, ["rerun", str(manifest)])
-        assert result.exit_code == 1
-        assert "dump_spectrograms" in result.stderr
-        assert "dump-spec" in result.stderr
-        assert list(protected.iterdir()) == [manifest]
-        assert manifest.read_bytes() == before
-
-
 class TestEmbedWorkers:
     """embed runs its files on min(CPUs, files) workers, forked processes when
     more than one. However a run ends, no worker process is left."""
@@ -1200,16 +1184,6 @@ class TestDumpSpecAndRerun:
         assert result.exit_code == 0, result.output + result.stderr
         assert np.loadtxt(out, delimiter=",").shape == (41, 257)
 
-    def test_rerun_reproduces_an_embed_archive(self, runner, corpus, weights_file, tmp_path):
-        out = tmp_path / "emb.bin"
-        args = ["embed", str(corpus), "--weights", str(weights_file), "--out", str(out)]
-        assert runner.invoke(cli, args).exit_code == 0
-        first = _sha256(out)
-        out.unlink()
-        result = runner.invoke(cli, ["rerun", str(out) + ".manifest.json"])
-        assert result.exit_code == 0, result.output + result.stderr
-        assert _sha256(out) == first
-
     def test_rerun_rejects_unknown_command(self, runner, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"command": "detonate", "params": {}}))
@@ -1248,9 +1222,33 @@ class TestDumpSpecAndRerun:
                          "'epsilon'", id="bool-epsilon"),
             pytest.param({"command": "simmat", "params": {"rows": "r", "cols": 3, "out": "o"}},
                          "'cols'", id="int-cols"),
+            # params of commands that no longer take them: refused, not dropped
+            pytest.param({"command": "embed", "params": {"inputs": ["a"], "weights": "w",
+                                                         "out": "o", "seed": 0}},
+                         "'seed'", id="embed-seed"),
+            pytest.param({"command": "eval", "params": {"trials": "t", "enroll": "e", "test": "t",
+                                                        "out": "o", "seed": 0}},
+                         "'seed'", id="eval-seed"),
+            pytest.param({"command": "simmat", "params": {"rows": "r", "cols": None, "out": "o",
+                                                          "speaker_level": False, "seed": 0}},
+                         "'seed'", id="simmat-seed"),
+            pytest.param({"command": "dump-spec", "params": {"input": "a.wav", "out": "o",
+                                                             "seed": 0}},
+                         "'seed'", id="dump-spec-seed"),
+            pytest.param({"command": "protect", "params": {"inputs": "a", "weights": "w",
+                                                           "out_dir": "o",
+                                                           "dump_spectrograms": False}},
+                         "'dump_spectrograms'", id="false-dump-spectrograms"),
+            pytest.param({"command": "protect", "params": {"inputs": "a", "weights": "w",
+                                                           "out_dir": "o",
+                                                           "dump_spectrograms": True}},
+                         "'dump_spectrograms'", id="true-dump-spectrograms"),
         ],
     )
-    def test_rerun_checks_the_manifest_before_running(self, runner, tmp_path, manifest, field):
+    def test_rerun_checks_the_manifest_before_running(
+        self, runner, tmp_path, monkeypatch, manifest, field
+    ):
+        monkeypatch.chdir(tmp_path)  # so a manifest that ran would write where this looks
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
         result = runner.invoke(cli, ["rerun", str(path)])
@@ -1258,37 +1256,40 @@ class TestDumpSpecAndRerun:
         assert field in result.stderr
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_rerun_drops_the_seed_of_older_manifests(
-        self, runner, corpus, weights_file, archive, tmp_path
-    ):
-        trials = tmp_path / "trials.txt"
+    def test_rerun_reproduces_every_command(self, runner, corpus, tmp_path):
+        """init-encoder, embed, eval, simmat and dump-spec, each rerun from its
+        unmodified manifest in that order, write every output and manifest
+        again byte for byte; protect's rerun is criterion 10."""
+        config, trials = tmp_path / "config.json", tmp_path / "trials.txt"
+        config.write_text(json.dumps(SMALL_CONFIG))
         trials.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n"
                           f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n")
-        wav = corpus / f"{speaker_key(0, 0)}.wav"
+        weights, archive = tmp_path / "w.bin", tmp_path / "emb.bin"
         runs = {
-            "emb.bin": ["embed", str(corpus), "--weights", str(weights_file)],
-            "ev": ["eval", "--trials", str(trials), "--enroll", str(archive), "--test", str(archive)],
-            "sim.csv": ["simmat", "--rows", str(archive)],
-            "mag.csv": ["dump-spec", str(wav)],
+            weights: ["init-encoder", "--config", str(config), "--seed", "5"],
+            archive: ["embed", str(corpus), "--weights", str(weights)],
+            tmp_path / "ev": ["eval", "--trials", str(trials), "--enroll", str(archive),
+                              "--test", str(archive)],
+            tmp_path / "sim.csv": ["simmat", "--rows", str(archive)],
+            tmp_path / "mag.csv": ["dump-spec", str(corpus / f"{speaker_key(0, 0)}.wav")],
         }
         for out, args in runs.items():
-            result = runner.invoke(cli, args + ["--out", str(tmp_path / out)])
+            result = runner.invoke(cli, args + ["--out", str(out)])
             assert result.exit_code == 0, result.output + result.stderr
-        outputs = sorted(p for p in tmp_path.iterdir() if not p.name.endswith(".json")
-                         and p != trials)
-        outputs.append(tmp_path / "ev.eer.json")
-        digests = [_sha256(p) for p in outputs]
-        for manifest in tmp_path.glob("*.manifest.json"):
-            recorded = json.loads(manifest.read_text())
-            assert "seed" not in recorded["params"]
-            recorded["params"]["seed"] = 7
-            manifest.write_text(json.dumps(recorded))
-        for p in outputs:
-            p.unlink()
-        for manifest in tmp_path.glob("*.manifest.json"):
+
+        def written():
+            return {p.name: _sha256(p) for p in tmp_path.iterdir() if p not in (config, trials)}
+
+        first = written()
+        manifests = [Path(f"{out}.manifest.json") for out in runs]
+        assert len(first) == 11 and all(m.name in first for m in manifests)
+        for p in tmp_path.iterdir():
+            if p not in (config, trials, *manifests):
+                p.unlink()
+        for manifest in manifests:
             result = runner.invoke(cli, ["rerun", str(manifest)])
             assert result.exit_code == 0, result.output + result.stderr
-        assert [_sha256(p) for p in outputs] == digests
+        assert written() == first
 
     def test_log_environment_variable_is_honored(self, runner, corpus, tmp_path):
         out = tmp_path / "mag.csv"
