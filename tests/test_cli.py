@@ -208,6 +208,18 @@ class TestProtect:
         assert "overwrite" in result.stderr
         assert {p: p.read_bytes() for p in src.iterdir()} == before
 
+    def test_dump_spectrograms_flag(self, runner, corpus, weights_file, tmp_path):
+        # removed: `dump-spec <out>/<stem>.wav` dumps the file actually written
+        out = tmp_path / "spec"
+        wav = corpus / f"{speaker_key(0, 1)}.wav"
+        result = runner.invoke(
+            cli,
+            ["protect", str(wav), "--weights", str(weights_file), "--out", str(out),
+             "--iterations", "1", "--alpha", "0.02", "--dump-spectrograms"],
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
+
     def test_dump_spec_reads_the_delivered_file(self, runner, corpus, weights_file, tmp_path):
         out = tmp_path / "protected"
         key = speaker_key(0, 1)
@@ -336,19 +348,10 @@ class TestProtect:
         assert path.read_text() in ("AAAA", "BBBB")
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
-    @pytest.mark.parametrize(
-        "command, option",
-        [
-            pytest.param("protect", "--no-such-flag", id="protect-no-such-flag"),
-            pytest.param("protect", "--dump-spectrograms", id="protect-dump-spectrograms"),
-        ],
-    )
-    def test_unknown_option_is_a_usage_error(
-        self, runner, corpus, weights_file, tmp_path, command, option
-    ):
+    def test_unknown_option_is_a_usage_error(self, runner, corpus, weights_file, tmp_path):
         out = tmp_path / "out"
-        args = [command, str(corpus), "--weights", str(weights_file), "--out", str(out), option]
-        result = runner.invoke(cli, args)
+        result = runner.invoke(cli, ["protect", str(corpus), "--weights", str(weights_file),
+                                     "--out", str(out), "--no-such-flag"])
         assert result.exit_code == 2
         assert not out.exists()
 
@@ -1183,6 +1186,16 @@ class TestDumpSpecAndRerun:
         result = runner.invoke(cli, ["dump-spec", str(wav), "--out", str(out)])
         assert result.exit_code == 0, result.output + result.stderr
         assert np.loadtxt(out, delimiter=",").shape == (41, 257)
+
+    def test_rerun_reproduces_an_embed_archive(self, runner, corpus, weights_file, tmp_path):
+        out = tmp_path / "emb.bin"
+        args = ["embed", str(corpus), "--weights", str(weights_file), "--out", str(out)]
+        assert runner.invoke(cli, args).exit_code == 0
+        first = _sha256(out)
+        out.unlink()
+        result = runner.invoke(cli, ["rerun", str(out) + ".manifest.json"])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert _sha256(out) == first
 
     def test_rerun_rejects_unknown_command(self, runner, tmp_path):
         manifest = tmp_path / "m.json"
