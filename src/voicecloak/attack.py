@@ -29,7 +29,8 @@ from .audio_io import Waveform, add_gaussian_noise
 from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backward
 from .metrics import snr_db
 from .spectral import (
-    istft, log_energies, log_mel, log_mel_backward, mel_energies, mel_matrix, stft,
+    ROW_BLOCK, Spectrogram, istft, log_energies, log_mel, log_mel_backward, mel_energies,
+    mel_matrix, stft,
 )
 
 
@@ -91,17 +92,34 @@ class ProtectionReport:
 
 
 def sign_matrix(g: np.ndarray) -> np.ndarray:
-    """Entrywise sign with sign(0) = 0."""
+    """Entrywise sign with sign(0) = 0, written over g, which is returned.
+
+    NumPy's sign runs several times slower when its output is its input,
+    so each block of ROW_BLOCK rows takes its sign in one small buffer.
+    """
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
-    return np.sign(g)
+    buffer = np.empty_like(g[:ROW_BLOCK])
+    for start in range(0, len(g), ROW_BLOCK):
+        rows = g[start : start + ROW_BLOCK]
+        rows[...] = np.sign(rows, out=buffer[: len(rows)])
+    return g
 
 
 def clip_linf(x_tilde: np.ndarray, x: np.ndarray, epsilon: float) -> np.ndarray:
-    """Project onto the epsilon-band around x, then onto [0, inf)."""
+    """Project onto the epsilon-band around x, then onto [0, inf).
+
+    The projection is written over x_tilde, which is returned; x is only
+    read. It goes ROW_BLOCK rows at a time, so the band bounds are never
+    arrays of x's size.
+    """
     if x_tilde.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_tilde.shape} vs {x.shape}")
-    return np.maximum(np.clip(x_tilde, x - epsilon, x + epsilon), 0.0)
+    for start in range(0, len(x), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        np.clip(x_tilde[rows], x[rows] - epsilon, x[rows] + epsilon, out=x_tilde[rows])
+        np.maximum(x_tilde[rows], 0.0, out=x_tilde[rows])
+    return x_tilde
 
 
 def embed(mag: np.ndarray, ws: WeightStore) -> np.ndarray:
@@ -123,12 +141,14 @@ def loss_and_grad(
     Composes log-mel -> encoder -> cosine loss forward, then reverses the
     chain. e_ref must be precomputed from the original magnitude and held
     fixed across iterations. The filterbank energies are computed once and
-    shared by the forward features and the log-mel backward pass.
+    shared by the forward features and the log-mel backward pass; the
+    encoder's cache is dropped before that pass makes the gradient.
     """
     energies = mel_energies(x_tilde, mel)
     embedding, cache = forward(log_energies(energies), ws)
     loss = cosine_loss(e_ref, embedding)
     grad_feat = backward(cache, cosine_loss_grad(e_ref, embedding))
+    del cache
     return loss, log_mel_backward(grad_feat, x_tilde, mel, energies)
 
 
@@ -141,18 +161,24 @@ def ifgsm(
     stationary at the start and the computed gradient can round to an
     exactly zero matrix; a sign step of all ones is substituted in that
     case so the iteration can leave the plateau deterministically.
+
+    x is never written. Each step is formed in the gradient array that
+    `loss_and_grad` returned: its sign, times alpha, plus the iterate, and
+    `clip_linf` projects it in place, so a step holds three arrays of x's
+    size at most.
     """
     mel = mel_matrix((x.shape[1] - 1) * 2, ws.config.n_mels)
     x_tilde = x.copy()
     trajectory: list[float] = []
     for _ in range(cfg.iterations):
-        loss, grad = loss_and_grad(x_tilde, mel, ws, e_ref)
+        loss, step = loss_and_grad(x_tilde, mel, ws, e_ref)
         trajectory.append(loss)
-        step_sign = sign_matrix(grad)
-        if not step_sign.any():
-            step_sign = np.ones_like(x_tilde)
-        x_tilde = clip_linf(x_tilde + cfg.alpha * step_sign, x, cfg.epsilon)
-        del grad, step_sign  # not held through the next step's gradient
+        step = sign_matrix(step)
+        if not step.any():
+            step.fill(1.0)
+        step *= cfg.alpha
+        step += x_tilde
+        x_tilde = clip_linf(step, x, cfg.epsilon)
     trajectory.append(cosine_loss(e_ref, embed(x_tilde, ws)))
     return AttackResult(adv_magnitude=x_tilde, loss_trajectory=trajectory)
 
@@ -178,12 +204,16 @@ def protect_utterance(
 
     fgsm/ifgsm: analyze, attack the magnitude, and resynthesize it times
     the clean phasor of a second analysis (only the magnitude is held
-    through the attack). gaussian: bypass the gradient path and add white
-    noise at target_snr_db in the time domain (the baseline). Only gaussian
-    reads target_snr_db and seed; only fgsm (cfg.epsilon alone) and ifgsm
-    read cfg. The report's delta_cosd is always recomputed from the
-    re-analyzed protected waveform, and the output length always equals
-    the input's. `stft` rejects input at any rate but CANONICAL_RATE.
+    through the attack). The clean magnitude and the `AttackResult` are
+    dropped before that analysis, and the second spectrum is written over,
+    ROW_BLOCK frames at a time, with the attacked magnitude times the
+    `Spectrogram.phasor` of those frames, so synthesis holds one spectrum.
+    gaussian: bypass the gradient path and add white noise at
+    target_snr_db in the time domain (the baseline). Only gaussian reads
+    target_snr_db and seed; only fgsm (cfg.epsilon alone) and ifgsm read
+    cfg. The report's delta_cosd is always recomputed from the re-analyzed
+    protected waveform, and the output length always equals the input's.
+    `stft` rejects input at any rate but CANONICAL_RATE.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -199,8 +229,15 @@ def protect_utterance(
             result = fgsm(magnitude, ws, e_ref, cfg.epsilon)
         else:
             result = ifgsm(magnitude, ws, e_ref, cfg)
-        trajectory = result.loss_trajectory
-        protected = istft(result.adv_magnitude * stft(w).phasor, len(w))
+        trajectory, adv = result.loss_trajectory, result.adv_magnitude
+        del magnitude, result  # only the attacked magnitude is held into synthesis
+        spectrum = stft(w).spectrum
+        for start in range(0, len(spectrum), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            np.multiply(adv[rows], Spectrogram(spectrum[rows]).phasor, out=spectrum[rows])
+        del adv
+        protected = istft(spectrum, len(w))
+        del spectrum  # not held through the re-analysis
 
     e_protected = embed(stft(protected).magnitude, ws)
     report = ProtectionReport(

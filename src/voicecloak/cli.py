@@ -69,6 +69,28 @@ def _write_atomically(path: Path, write) -> None:
         raise
 
 
+def _refuse_overwrite(inputs, outputs) -> None:
+    """Raise ValueError naming both paths if an existing output is an input.
+
+    Same file means what `os.path.samefile` means: the same device and
+    inode, so a link or another spelling of the path counts. Every command
+    that writes through _write_atomically runs this on its outputs and its
+    manifest before it reads any input, so one that fails here writes
+    nothing. An input that does not exist is left to the code that reads it.
+    """
+    read = {}
+    for path in inputs:
+        with contextlib.suppress(FileNotFoundError):
+            st = os.stat(path)
+            read[st.st_dev, st.st_ino] = path
+    for output in outputs:
+        with contextlib.suppress(FileNotFoundError):
+            st = os.stat(output)
+            path = read.get((st.st_dev, st.st_ino))
+            if path is not None:
+                raise ValueError(f"output {output} would overwrite its input {path}")
+
+
 _COMMANDS: dict[str, typing.Callable] = {}  # command name -> its recorded run_*, for rerun
 
 
@@ -285,6 +307,7 @@ def _file_seed(base_seed: int, stem: str) -> int:
 
 @_recorded("init-encoder", "{out}.manifest.json")
 def run_init_encoder(config: str, seed: int, out: str) -> None:
+    _refuse_overwrite([config], [out, f"{out}.manifest.json"])
     overrides = json.loads(Path(config).read_text(encoding="utf-8"))
     if not isinstance(overrides, dict):
         raise ValueError(f"{config}: encoder config must be a JSON object")
@@ -341,10 +364,8 @@ def run_protect(
         cfg = AttackConfig()
     files = _by_stem(_collect_wavs(inputs))
     out_path = Path(out_dir)
-    for stem, path in files.items():
-        wav_path = out_path / f"{stem}.wav"
-        if wav_path.exists() and os.path.samefile(path, wav_path):
-            raise ValueError(f"output {wav_path} would overwrite its input {path}")
+    outputs = [os.path.join(out_dir, f"{s}{suffix}") for s in files for suffix in (".wav", ".json")]
+    _refuse_overwrite([*files.values(), weights], [*outputs, os.path.join(out_dir, "manifest.json")])
     ws = load_weights(weights)
     out_path.mkdir(parents=True, exist_ok=True)
 
@@ -413,6 +434,7 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     input order that fails raises its error, and nothing is written.
     """
     files = _by_stem([path for item in inputs for path in _collect_wavs(item)])
+    _refuse_overwrite([*files.values(), weights], [out, f"{out}.manifest.json"])
     ws = load_weights(weights)
 
     def embed_one(path: Path):
@@ -425,6 +447,8 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
 
 @_recorded("eval", "{out}.manifest.json")
 def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
+    _refuse_overwrite([trials, enroll, test],
+                      [f"{out}.scores.txt", f"{out}.eer.json", f"{out}.manifest.json"])
     enroll_ids, test_ids, is_target = parse_trials(trials)
     enroll_embeddings, _ = tensorfile.load(enroll)
     test_embeddings, _ = tensorfile.load(test)
@@ -451,6 +475,7 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
 
 @_recorded("simmat", "{out}.manifest.json")
 def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = False) -> None:
+    _refuse_overwrite([rows] if cols is None else [rows, cols], [out, f"{out}.manifest.json"])
     row_embeddings, _ = tensorfile.load(rows)
     col_embeddings = row_embeddings if cols is None else tensorfile.load(cols)[0]
     matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings, speaker_level)
@@ -460,6 +485,7 @@ def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = Fals
 
 @_recorded("dump-spec", "{out}.manifest.json")
 def run_dump_spec(input: str, out: str) -> None:
+    _refuse_overwrite([input], [out, f"{out}.manifest.json"])
     magnitude = stft(_load_waveform_16k(Path(input))).magnitude
     _write_atomically(Path(out), lambda temp: write_magnitude_csv(magnitude, temp))
 

@@ -41,6 +41,7 @@ N_BINS = FFT_SIZE // 2 + 1
 WINDOW = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WIN_LENGTH) / WIN_LENGTH))
 WINDOW.flags.writeable = False
 _LPAD = (FFT_SIZE - WIN_LENGTH) // 2  # window offset inside each FFT frame
+ROW_BLOCK = 128  # frames per block of a pass that would otherwise make a full-size temporary
 
 
 @dataclass
@@ -67,7 +68,8 @@ def stft(w: Waveform) -> Spectrogram:
     """Analyze a waveform into its complex spectrum.
 
     Requires at least one window of samples at CANONICAL_RATE; resample
-    first otherwise.
+    first otherwise. Frames are windowed and transformed ROW_BLOCK at a
+    time into the spectrum, so no array of all the frames is made.
     """
     if w.sample_rate != CANONICAL_RATE:
         raise ValueError(
@@ -82,10 +84,14 @@ def stft(w: Waveform) -> Spectrogram:
     padded = np.pad(x, (half, half), mode="reflect")
     n_frames = len(x) // HOP_LENGTH + 1
 
-    frames = np.zeros((n_frames, FFT_SIZE))
     windows = np.lib.stride_tricks.sliding_window_view(padded, WIN_LENGTH)[::HOP_LENGTH]
-    np.multiply(windows, WINDOW, out=frames[:, _LPAD : _LPAD + WIN_LENGTH])
-    return Spectrogram(np.fft.rfft(frames, n=FFT_SIZE, axis=1))
+    spectrum = np.empty((n_frames, N_BINS), dtype=complex)
+    frames = np.zeros((min(n_frames, ROW_BLOCK), FFT_SIZE))
+    for start in range(0, n_frames, ROW_BLOCK):
+        block = windows[start : start + ROW_BLOCK]
+        np.multiply(block, WINDOW, out=frames[: len(block), _LPAD : _LPAD + WIN_LENGTH])
+        spectrum[start : start + len(block)] = np.fft.rfft(frames[: len(block)], axis=1)
+    return Spectrogram(spectrum)
 
 
 def istft(spectrum: np.ndarray, length: int) -> Waveform:
@@ -94,7 +100,8 @@ def istft(spectrum: np.ndarray, length: int) -> Waveform:
     The synthesis window equals the analysis window; each output sample is
     normalized by the accumulated squared window, which makes
     istft(stft(w).spectrum) an identity away from the signal edges. Output
-    is trimmed to `length` samples at CANONICAL_RATE.
+    is trimmed to `length` samples at CANONICAL_RATE. The spectrum is only
+    read, and goes back to time ROW_BLOCK frames at a time.
     """
     n_frames = spectrum.shape[0]
     if spectrum.shape[1] != N_BINS:
@@ -104,14 +111,16 @@ def istft(spectrum: np.ndarray, length: int) -> Waveform:
     span = (n_frames - 1) * HOP_LENGTH + WIN_LENGTH
     out = np.zeros(span)
     wsum = np.zeros(span)
-    frames_time = np.fft.irfft(spectrum, n=FFT_SIZE, axis=1)
-    for k in range(n_frames):
-        start = k * HOP_LENGTH
-        out[start : start + WIN_LENGTH] += frames_time[k, _LPAD : _LPAD + WIN_LENGTH] * WINDOW
-        wsum[start : start + WIN_LENGTH] += WINDOW**2
+    for first in range(0, n_frames, ROW_BLOCK):
+        frames_time = np.fft.irfft(spectrum[first : first + ROW_BLOCK], n=FFT_SIZE, axis=1)
+        for k, frame in enumerate(frames_time, first):
+            start = k * HOP_LENGTH
+            out[start : start + WIN_LENGTH] += frame[_LPAD : _LPAD + WIN_LENGTH] * WINDOW
+            wsum[start : start + WIN_LENGTH] += WINDOW**2
     nonzero = wsum >= WINDOW_SUM_EPS
-    out[nonzero] /= wsum[nonzero]
+    np.divide(out, wsum, out=out, where=nonzero)
     out[~nonzero] = 0.0
+    del wsum  # not held beside the output
 
     result = np.zeros(length)
     avail = min(length, span - half)
@@ -187,14 +196,20 @@ def log_mel_backward(
 
     Exact reverse-mode differentiation; channels sitting on the log floor
     contribute zero. `energies` are `mel_energies(mag, mel)` from the
-    forward pass, shared rather than recomputed.
+    forward pass, shared rather than recomputed. The GEMM's output is
+    scaled by 2 * mag in place, a block of frames at a time, and returned,
+    so no other array of mag's size is made; no argument is written.
     """
     if grad_out.shape != energies.shape:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match features {energies.shape}"
         )
     grad_energy = np.where(energies > LOG_FLOOR, grad_out / np.maximum(energies, LOG_FLOOR), 0.0)
-    return (grad_energy @ mel) * (2.0 * mag)
+    grad_mag = grad_energy @ mel
+    for start in range(0, len(grad_mag), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        grad_mag[rows] *= 2.0 * mag[rows]
+    return grad_mag
 
 
 def write_magnitude_csv(magnitude: np.ndarray, path) -> None:

@@ -6,6 +6,12 @@ gradient step that computed the filterbank energies once for the features
 and again for the log-mel backward pass. The faster versions in
 `voicecloak` must reproduce them bit for bit.
 
+`ifgsm` is the attack loop with every step allocating: the log-mel
+backward's product, the sign, the stepped iterate and its projection are
+each a new array. `stft` and `istft` transform all frames in one FFT call,
+and `protect_utterance` (ifgsm) synthesizes from the whole clean phasor.
+The in-place and blocked versions must give the same bits.
+
 `angle_phasor` is the clean phase as synthesis first took it, through the
 angle: `istft(magnitude * angle_phasor(spec), n)` is that synthesis. The
 unit phasor that replaced it must give the same PCM16 samples.
@@ -16,8 +22,14 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from voicecloak.attack import AttackConfig, AttackResult, ProtectionReport, embed
+from voicecloak.audio_io import CANONICAL_RATE, Waveform
 from voicecloak.encoder import backward, cosine_loss, cosine_loss_grad, forward
-from voicecloak.spectral import Spectrogram, log_mel, log_mel_backward, mel_energies
+from voicecloak.metrics import snr_db
+from voicecloak.spectral import (
+    FFT_SIZE, HOP_LENGTH, LOG_FLOOR, WIN_LENGTH, WINDOW, WINDOW_SUM_EPS, Spectrogram, log_mel,
+    mel_energies, mel_matrix,
+)
 
 
 def conv_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -42,11 +54,80 @@ def avgpool2_backward(grad: np.ndarray, unpooled_shape: tuple[int, ...]) -> np.n
     return out
 
 
+def log_mel_backward(grad_out, mag, mel, energies):
+    grad_energy = np.where(energies > LOG_FLOOR, grad_out / np.maximum(energies, LOG_FLOOR), 0.0)
+    return (grad_energy @ mel) * (2.0 * mag)
+
+
 def loss_and_grad(x_tilde, mel, ws, e_ref):
     embedding, cache = forward(log_mel(x_tilde, mel), ws)
     loss = cosine_loss(e_ref, embedding)
     grad_feat = backward(cache, cosine_loss_grad(e_ref, embedding))
     return loss, log_mel_backward(grad_feat, x_tilde, mel, mel_energies(x_tilde, mel))
+
+
+def sign_matrix(g):
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient contains non-finite entries")
+    return np.sign(g)
+
+
+def clip_linf(x_tilde, x, epsilon):
+    return np.maximum(np.clip(x_tilde, x - epsilon, x + epsilon), 0.0)
+
+
+def ifgsm(x, ws, e_ref, cfg):
+    mel = mel_matrix((x.shape[1] - 1) * 2, ws.config.n_mels)
+    x_tilde = x.copy()
+    trajectory = []
+    for _ in range(cfg.iterations):
+        loss, grad = loss_and_grad(x_tilde, mel, ws, e_ref)
+        trajectory.append(loss)
+        step_sign = sign_matrix(grad)
+        if not step_sign.any():
+            step_sign = np.ones_like(x_tilde)
+        x_tilde = clip_linf(x_tilde + cfg.alpha * step_sign, x, cfg.epsilon)
+    trajectory.append(cosine_loss(e_ref, embed(x_tilde, ws)))
+    return AttackResult(adv_magnitude=x_tilde, loss_trajectory=trajectory)
+
+
+def stft(w: Waveform) -> Spectrogram:
+    half, lpad = WIN_LENGTH // 2, (FFT_SIZE - WIN_LENGTH) // 2
+    padded = np.pad(w.samples, (half, half), mode="reflect")
+    frames = np.zeros((len(w.samples) // HOP_LENGTH + 1, FFT_SIZE))
+    windows = sliding_window_view(padded, WIN_LENGTH)[::HOP_LENGTH]
+    np.multiply(windows, WINDOW, out=frames[:, lpad : lpad + WIN_LENGTH])
+    return Spectrogram(np.fft.rfft(frames, n=FFT_SIZE, axis=1))
+
+
+def istft(spectrum, length):
+    n_frames = spectrum.shape[0]
+    half, lpad = WIN_LENGTH // 2, (FFT_SIZE - WIN_LENGTH) // 2
+    span = (n_frames - 1) * HOP_LENGTH + WIN_LENGTH
+    out = np.zeros(span)
+    wsum = np.zeros(span)
+    frames_time = np.fft.irfft(spectrum, n=FFT_SIZE, axis=1)
+    for k in range(n_frames):
+        start = k * HOP_LENGTH
+        out[start : start + WIN_LENGTH] += frames_time[k, lpad : lpad + WIN_LENGTH] * WINDOW
+        wsum[start : start + WIN_LENGTH] += WINDOW**2
+    nonzero = wsum >= WINDOW_SUM_EPS
+    out[nonzero] /= wsum[nonzero]
+    out[~nonzero] = 0.0
+    result = np.zeros(length)
+    avail = min(length, span - half)
+    result[:avail] = out[half : half + avail]
+    return Waveform(result, CANONICAL_RATE)
+
+
+def protect_utterance(w: Waveform, ws, cfg: AttackConfig):
+    magnitude = stft(w).magnitude
+    e_ref = embed(magnitude, ws)
+    result = ifgsm(magnitude, ws, e_ref, cfg)
+    protected = istft(result.adv_magnitude * stft(w).phasor, len(w))
+    e_protected = embed(stft(protected).magnitude, ws)
+    return protected, ProtectionReport(
+        snr_db(w, protected), cosine_loss(e_ref, e_protected), result.loss_trajectory)
 
 
 def angle_phasor(spec: Spectrogram) -> np.ndarray:

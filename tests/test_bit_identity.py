@@ -1,9 +1,11 @@
 """The fast convolution, pooling, gradient step and synthesis against `reference_ops`.
 
 Every kernel comparison is bitwise: no I-FGSM output may move by one ulp
-when the convolution or pooling is reimplemented. Synthesis from the unit
-phasor may move float samples in the last ulps, so it is compared as the
-PCM16 samples `write_wav` stores.
+when the convolution or pooling is reimplemented, or when the attack step,
+the log-mel backward pass and synthesis write over their own arrays
+instead of allocating new ones. Synthesis from the unit phasor may move
+float samples in the last ulps against synthesis through the angle, so
+that is compared as the PCM16 samples `write_wav` stores.
 """
 
 import numpy as np
@@ -15,7 +17,9 @@ from voicecloak import attack, encoder
 from voicecloak.attack import AttackConfig, fgsm, ifgsm, protect_utterance
 from voicecloak.audio_io import CANONICAL_RATE, Waveform, write_wav
 from voicecloak.encoder import EncoderConfig, forward, init_random
-from voicecloak.spectral import N_BINS, Spectrogram, istft, log_mel, mel_matrix, stft
+from voicecloak.spectral import (
+    HOP_LENGTH, N_BINS, ROW_BLOCK, WIN_LENGTH, Spectrogram, istft, log_mel, mel_matrix, stft,
+)
 
 BLOCK = encoder.BLOCK_FRAMES
 
@@ -31,6 +35,12 @@ CONV_SHAPES = [
     (2, 1, BLOCK, 64), (2, 1, BLOCK + 1, 64), (3, 2, 2 * BLOCK + 37, 64),
     (2, 3, 2 * BLOCK + 37, 7),
 ]
+
+
+def _reference_encoder(monkeypatch):
+    monkeypatch.setattr(encoder, "_conv_same", ref.conv_same)
+    monkeypatch.setattr(encoder, "_avgpool2", ref.avgpool2)
+    monkeypatch.setattr(encoder, "_avgpool2_backward", ref.avgpool2_backward)
 
 
 def _scaled(rng, shape):
@@ -70,35 +80,56 @@ def test_pooling_rejects_maps_below_two_by_two():
     EncoderConfig(conv_channels=(3, 2, 2), pool_after=(0, 1, 2), n_mels=8, min_frames=8),
 ], ids=["default", "one-band"])
 def test_whole_ifgsm_run_matches_reference_ops(monkeypatch, cfg):
-    """50 steps on 3 s of speech; the one-band config pools 8 mels down to 1."""
+    """50 steps on 3 s of speech; the one-band config pools 8 mels down to 1.
+
+    The reference runs every step allocating, and the caller's x is never written."""
     ws = init_random(cfg, 3)
     spec = stft(speaker_utterance(5, 1, seconds=3.0))
     x = spec.magnitude
+    clean = x.copy()
     e_ref, _ = forward(log_mel(x, mel_matrix(512, cfg.n_mels)), ws)
     fast = ifgsm(x, ws, e_ref, AttackConfig())
-    monkeypatch.setattr(encoder, "_conv_same", ref.conv_same)
-    monkeypatch.setattr(encoder, "_avgpool2", ref.avgpool2)
-    monkeypatch.setattr(encoder, "_avgpool2_backward", ref.avgpool2_backward)
-    monkeypatch.setattr(attack, "loss_and_grad", ref.loss_and_grad)
-    slow = ifgsm(x, ws, e_ref, AttackConfig())
+    assert ref.bitwise_equal(x, clean)
+    _reference_encoder(monkeypatch)
+    slow = ref.ifgsm(x, ws, e_ref, AttackConfig())
     assert not np.array_equal(fast.adv_magnitude, x)
     assert ref.bitwise_equal(fast.adv_magnitude, slow.adv_magnitude)
     assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)
 
 
 def test_ten_second_fgsm_matches_reference_ops(monkeypatch):
-    """One step on 10 s: every convolution map spans several time blocks."""
+    """One step on 10 s: every convolution map and the log-mel backward pass
+    span several time blocks."""
     ws = init_random(EncoderConfig(), 3)
     x = stft(speaker_utterance(7, 0, seconds=10.0)).magnitude
+    clean = x.copy()
     assert x.shape[0] > 2 * BLOCK
     e_ref, _ = forward(log_mel(x, mel_matrix(512, 64)), ws)
     fast = fgsm(x, ws, e_ref, AttackConfig.epsilon)
-    monkeypatch.setattr(encoder, "_conv_same", ref.conv_same)
-    monkeypatch.setattr(encoder, "_avgpool2", ref.avgpool2)
-    monkeypatch.setattr(encoder, "_avgpool2_backward", ref.avgpool2_backward)
-    monkeypatch.setattr(attack, "loss_and_grad", ref.loss_and_grad)
+    assert ref.bitwise_equal(x, clean)
+    _reference_encoder(monkeypatch)
+    monkeypatch.setattr(attack, "ifgsm", ref.ifgsm)
     slow = fgsm(x, ws, e_ref, AttackConfig.epsilon)
     assert not np.array_equal(fast.adv_magnitude, x)
+    assert ref.bitwise_equal(fast.adv_magnitude, slow.adv_magnitude)
+    assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)
+
+
+def test_zero_gradient_fallback_and_zero_clamp_match_reference_ops(monkeypatch):
+    """Magnitudes under the log floor: with e_ref = embed(x) the first gradient
+    is exactly zero, so the first step is the all-ones fallback, and later
+    steps push entries below zero, onto the clamp."""
+    ws = init_random(EncoderConfig(), 0)
+    x = np.full((301, N_BINS), 1e-7)
+    e_ref = attack.embed(x, ws)
+    cfg = AttackConfig(iterations=10)
+    first = ifgsm(x, ws, e_ref, AttackConfig(iterations=1))
+    assert np.array_equal(first.adv_magnitude, x + cfg.alpha)
+    fast = ifgsm(x, ws, e_ref, cfg)
+    assert np.all(x == 1e-7)
+    assert np.count_nonzero(fast.adv_magnitude == 0.0) > 100
+    _reference_encoder(monkeypatch)
+    slow = ref.ifgsm(x, ws, e_ref, cfg)
     assert ref.bitwise_equal(fast.adv_magnitude, slow.adv_magnitude)
     assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)
 
@@ -113,6 +144,18 @@ def _silent_stretch() -> Waveform:
     x = speaker_utterance(2, 0, seconds=2.0).samples.copy()
     x[12000:20000] = 0.0
     return Waveform(x, CANONICAL_RATE)
+
+
+@pytest.mark.parametrize("n", [WIN_LENGTH, (ROW_BLOCK - 2) * HOP_LENGTH,
+                               (ROW_BLOCK - 1) * HOP_LENGTH, ROW_BLOCK * HOP_LENGTH, 160_077])
+def test_blocked_analysis_and_synthesis_match_whole_array_ffts(n):
+    """3 frames; one frame short of a block of ROW_BLOCK, one block, one
+    frame over; and 1001 frames, several blocks and a remainder."""
+    w = Waveform(np.random.default_rng(n).standard_normal(n) * 0.1, CANONICAL_RATE)
+    spectrum = stft(w).spectrum
+    assert ref.bitwise_equal(spectrum.view(np.float64), ref.stft(w).spectrum.view(np.float64))
+    scaled = spectrum * np.random.default_rng(n + 1).uniform(0.5, 1.5, spectrum.shape)
+    assert ref.bitwise_equal(istft(scaled, n).samples, ref.istft(scaled, n).samples)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -154,3 +197,21 @@ def test_protect_utterance_matches_angle_synthesis(tmp_path, monkeypatch, method
     through_angles, _ = protect_utterance(w, ws, AttackConfig(), method, 32.0, 0)
     assert _pcm16(protected, tmp_path / "phasor.wav") == _pcm16(
         through_angles, tmp_path / "angle.wav")
+
+
+def test_protect_utterance_matches_reference_ops(tmp_path, monkeypatch):
+    """Default ifgsm on 2 s with silent frames: the same samples, WAV bytes and
+    report as the allocating attack and whole-array analysis and synthesis,
+    and the caller's waveform unchanged."""
+    ws = init_random(EncoderConfig(), 0)
+    w = _silent_stretch()
+    clean = w.samples.copy()
+    fast, fast_report = protect_utterance(w, ws, AttackConfig(), "ifgsm", 32.0, 0)
+    assert ref.bitwise_equal(w.samples, clean)
+    _reference_encoder(monkeypatch)
+    slow, slow_report = ref.protect_utterance(w, ws, AttackConfig())
+    assert ref.bitwise_equal(fast.samples, slow.samples)
+    assert _pcm16(fast, tmp_path / "fast.wav") == _pcm16(slow, tmp_path / "slow.wav")
+    assert ref.bitwise_equal(
+        [fast_report.snr_db, fast_report.delta_cosd, *fast_report.loss_trajectory],
+        [slow_report.snr_db, slow_report.delta_cosd, *slow_report.loss_trajectory])

@@ -1179,6 +1179,58 @@ class TestRuntimeErrors:
         assert "Traceback" in debug.stderr
 
 
+class TestOutputThatIsAnInput:
+    """A command exits 1 before it reads an input that one of its outputs or
+    its manifest would replace, naming both paths and writing nothing."""
+
+    @pytest.mark.parametrize("args, clobbered", [
+        pytest.param(["embed", "a.wav", "--weights", "w.bin", "--out", "a.wav"], "a.wav",
+                     id="embed"),
+        pytest.param(["embed", "a.wav", "--weights", "w.bin", "--out", "w.bin"], "w.bin",
+                     id="embed-weights"),
+        pytest.param(["dump-spec", "a.wav", "--out", "a.wav"], "a.wav", id="dump-spec"),
+        pytest.param(["dump-spec", "m.manifest.json", "--out", "m"], "m.manifest.json",
+                     id="dump-spec-manifest"),
+        pytest.param(["eval", "--trials", "ev.scores.txt", "--enroll", "e.bin", "--test", "e.bin",
+                      "--out", "ev"], "ev.scores.txt", id="eval"),
+        pytest.param(["eval", "--trials", "t.txt", "--enroll", "e.bin", "--test", "ev.eer.json",
+                      "--out", "ev"], "ev.eer.json", id="eval-eer"),
+        pytest.param(["simmat", "--rows", "e.bin", "--out", "e.bin"], "e.bin", id="simmat"),
+        pytest.param(["simmat", "--rows", "e.bin", "--cols", "f.bin", "--out", "f.bin"], "f.bin",
+                     id="simmat-cols"),
+        pytest.param(["init-encoder", "--config", "c.json", "--out", "c.json"], "c.json",
+                     id="init-encoder"),
+        pytest.param(["init-encoder", "--config", "w.manifest.json", "--out", "w"],
+                     "w.manifest.json", id="init-encoder-manifest"),
+        pytest.param(["protect", "out/a.json", "--weights", "w.bin", "--out", "out"],
+                     "out/a.json", id="protect-report"),
+        pytest.param(["protect", "a.wav", "--weights", "out/manifest.json", "--out", "out"],
+                     "out/manifest.json", id="protect-weights"),
+    ])
+    def test_exits_1_with_its_inputs_unchanged(
+        self, runner, corpus, weights_file, archive, tmp_path, monkeypatch, args, clobbered
+    ):
+        wav, trials = corpus / f"{speaker_key(0, 0)}.wav", tmp_path / "t.txt"
+        trials.write_text(f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n"
+                          f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n")
+        shutil.copy(trials, tmp_path / "ev.scores.txt")
+        (tmp_path / "out").mkdir()
+        for name in ("a.wav", "out/a.json", "m.manifest.json"):
+            shutil.copy(wav, tmp_path / name)
+        for name in ("e.bin", "f.bin", "ev.eer.json"):
+            shutil.copy(archive, tmp_path / name)
+        for name in ("c.json", "w.manifest.json"):
+            (tmp_path / name).write_text(json.dumps(SMALL_CONFIG))
+        shutil.copy(weights_file, tmp_path / "w.bin")
+        shutil.copy(weights_file, tmp_path / "out" / "manifest.json")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert f"output {clobbered} would overwrite its input {clobbered}" in result.stderr
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 class TestDumpSpecAndRerun:
     def test_dump_spec_shape(self, runner, corpus, tmp_path):
         out = tmp_path / "mag.csv"
