@@ -29,7 +29,7 @@ from .audio_io import Waveform, add_gaussian_noise
 from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backward
 from .metrics import snr_db
 from .spectral import (
-    ROW_BLOCK, Spectrogram, istft, log_energies, log_mel, log_mel_backward, mel_energies,
+    BLOCK_FRAMES, Spectrogram, istft, log_energies, log_mel, log_mel_backward, mel_energies,
     mel_matrix, stft,
 )
 
@@ -95,13 +95,13 @@ def sign_matrix(g: np.ndarray) -> np.ndarray:
     """Entrywise sign with sign(0) = 0, written over g, which is returned.
 
     NumPy's sign runs several times slower when its output is its input,
-    so each block of ROW_BLOCK rows takes its sign in one small buffer.
+    so each block of BLOCK_FRAMES rows takes its sign in one small buffer.
     """
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
-    buffer = np.empty_like(g[:ROW_BLOCK])
-    for start in range(0, len(g), ROW_BLOCK):
-        rows = g[start : start + ROW_BLOCK]
+    buffer = np.empty_like(g[:BLOCK_FRAMES])
+    for start in range(0, len(g), BLOCK_FRAMES):
+        rows = g[start : start + BLOCK_FRAMES]
         rows[...] = np.sign(rows, out=buffer[: len(rows)])
     return g
 
@@ -110,13 +110,13 @@ def clip_linf(x_tilde: np.ndarray, x: np.ndarray, epsilon: float) -> np.ndarray:
     """Project onto the epsilon-band around x, then onto [0, inf).
 
     The projection is written over x_tilde, which is returned; x is only
-    read. It goes ROW_BLOCK rows at a time, so the band bounds are never
+    read. It goes BLOCK_FRAMES rows at a time, so the band bounds are never
     arrays of x's size.
     """
     if x_tilde.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_tilde.shape} vs {x.shape}")
-    for start in range(0, len(x), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
+    for start in range(0, len(x), BLOCK_FRAMES):
+        rows = slice(start, start + BLOCK_FRAMES)
         np.clip(x_tilde[rows], x[rows] - epsilon, x[rows] + epsilon, out=x_tilde[rows])
         np.maximum(x_tilde[rows], 0.0, out=x_tilde[rows])
     return x_tilde
@@ -206,7 +206,7 @@ def protect_utterance(
     the clean phasor of a second analysis (only the magnitude is held
     through the attack). The clean magnitude and the `AttackResult` are
     dropped before that analysis, and the second spectrum is written over,
-    ROW_BLOCK frames at a time, with the attacked magnitude times the
+    BLOCK_FRAMES frames at a time, with the attacked magnitude times the
     `Spectrogram.phasor` of those frames, so synthesis holds one spectrum.
     gaussian: bypass the gradient path and add white noise at
     target_snr_db in the time domain (the baseline). Only gaussian reads
@@ -232,8 +232,8 @@ def protect_utterance(
         trajectory, adv = result.loss_trajectory, result.adv_magnitude
         del magnitude, result  # only the attacked magnitude is held into synthesis
         spectrum = stft(w).spectrum
-        for start in range(0, len(spectrum), ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
+        for start in range(0, len(spectrum), BLOCK_FRAMES):
+            rows = slice(start, start + BLOCK_FRAMES)
             np.multiply(adv[rows], Spectrogram(spectrum[rows]).phasor, out=spectrum[rows])
         del adv
         protected = istft(spectrum, len(w))

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import inspect
@@ -69,20 +70,28 @@ def _write_atomically(path: Path, write) -> None:
         raise
 
 
+# the manifest path of the `_recorded` command running in this context
+_MANIFEST: contextvars.ContextVar[str | None] = contextvars.ContextVar("manifest", default=None)
+
+
 def _refuse_overwrite(inputs, outputs) -> None:
     """Raise ValueError naming both paths if an existing output is an input.
 
     Same file means what `os.path.samefile` means: the same device and
     inode, so a link or another spelling of the path counts. Every command
-    that writes through _write_atomically runs this on its outputs and its
-    manifest before it reads any input, so one that fails here writes
-    nothing. An input that does not exist is left to the code that reads it.
+    that writes through _write_atomically runs this on its outputs before
+    it reads any input, so one that fails here writes nothing; the running
+    command's manifest, which `_recorded` formats, is checked with them.
+    An input that does not exist is left to the code that reads it.
     """
     read = {}
     for path in inputs:
         with contextlib.suppress(FileNotFoundError):
             st = os.stat(path)
             read[st.st_dev, st.st_ino] = path
+    manifest = _MANIFEST.get()
+    if manifest is not None:
+        outputs = [*outputs, manifest]
     for output in outputs:
         with contextlib.suppress(FileNotFoundError):
             st = os.stat(output)
@@ -97,19 +106,24 @@ _COMMANDS: dict[str, typing.Callable] = {}  # command name -> its recorded run_*
 def _recorded(command: str, manifest: str):
     """Register a `run_*` for rerun as `command`. Once a call returns, its
     arguments, defaults applied, are the params of the manifest written to
-    the path `manifest` formats from them; a call that raises writes none."""
+    the path `manifest` formats from them; a call that raises writes none.
+    While the call runs, `_refuse_overwrite` checks that path too."""
 
     def decorate(run):
         @functools.wraps(run)
         def recorded(*args, **kwargs):
             bound = inspect.signature(run).bind(*args, **kwargs)
             bound.apply_defaults()
-            result = run(*args, **kwargs)
+            path = manifest.format(**bound.arguments)
+            token = _MANIFEST.set(path)
+            try:
+                result = run(*args, **kwargs)
+            finally:
+                _MANIFEST.reset(token)
             record = {"tool": "voicecloak", "version": __version__, "command": command,
                       "params": bound.arguments}
             text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
-            _write_atomically(Path(manifest.format(**bound.arguments)),
-                              lambda temp: temp.write_text(text, encoding="utf-8"))
+            _write_atomically(Path(path), lambda temp: temp.write_text(text, encoding="utf-8"))
             return result
 
         _COMMANDS[command] = recorded
@@ -307,7 +321,7 @@ def _file_seed(base_seed: int, stem: str) -> int:
 
 @_recorded("init-encoder", "{out}.manifest.json")
 def run_init_encoder(config: str, seed: int, out: str) -> None:
-    _refuse_overwrite([config], [out, f"{out}.manifest.json"])
+    _refuse_overwrite([config], [out])
     overrides = json.loads(Path(config).read_text(encoding="utf-8"))
     if not isinstance(overrides, dict):
         raise ValueError(f"{config}: encoder config must be a JSON object")
@@ -365,7 +379,7 @@ def run_protect(
     files = _by_stem(_collect_wavs(inputs))
     out_path = Path(out_dir)
     outputs = [os.path.join(out_dir, f"{s}{suffix}") for s in files for suffix in (".wav", ".json")]
-    _refuse_overwrite([*files.values(), weights], [*outputs, os.path.join(out_dir, "manifest.json")])
+    _refuse_overwrite([*files.values(), weights], outputs)
     ws = load_weights(weights)
     out_path.mkdir(parents=True, exist_ok=True)
 
@@ -434,7 +448,7 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     input order that fails raises its error, and nothing is written.
     """
     files = _by_stem([path for item in inputs for path in _collect_wavs(item)])
-    _refuse_overwrite([*files.values(), weights], [out, f"{out}.manifest.json"])
+    _refuse_overwrite([*files.values(), weights], [out])
     ws = load_weights(weights)
 
     def embed_one(path: Path):
@@ -447,8 +461,7 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
 
 @_recorded("eval", "{out}.manifest.json")
 def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
-    _refuse_overwrite([trials, enroll, test],
-                      [f"{out}.scores.txt", f"{out}.eer.json", f"{out}.manifest.json"])
+    _refuse_overwrite([trials, enroll, test], [f"{out}.scores.txt", f"{out}.eer.json"])
     enroll_ids, test_ids, is_target = parse_trials(trials)
     enroll_embeddings, _ = tensorfile.load(enroll)
     test_embeddings, _ = tensorfile.load(test)
@@ -475,7 +488,7 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
 
 @_recorded("simmat", "{out}.manifest.json")
 def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = False) -> None:
-    _refuse_overwrite([rows] if cols is None else [rows, cols], [out, f"{out}.manifest.json"])
+    _refuse_overwrite([rows] if cols is None else [rows, cols], [out])
     row_embeddings, _ = tensorfile.load(rows)
     col_embeddings = row_embeddings if cols is None else tensorfile.load(cols)[0]
     matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings, speaker_level)
@@ -485,7 +498,7 @@ def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = Fals
 
 @_recorded("dump-spec", "{out}.manifest.json")
 def run_dump_spec(input: str, out: str) -> None:
-    _refuse_overwrite([input], [out, f"{out}.manifest.json"])
+    _refuse_overwrite([input], [out])
     magnitude = stft(_load_waveform_16k(Path(input))).magnitude
     _write_atomically(Path(out), lambda temp: write_magnitude_csv(magnitude, temp))
 

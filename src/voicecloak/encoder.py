@@ -36,6 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensorfile
+from .spectral import BLOCK_FRAMES
 
 NORM_EPS = 1e-12
 
@@ -176,8 +177,6 @@ def load_weights(path) -> WeightStore:
         raise tensorfile.TensorFileError(f"{path}: bad encoder config: {exc!r}") from exc
     return WeightStore(config, tensors)
 
-
-BLOCK_FRAMES = 128  # frames per im2col block; at C_in 2 and 64 bands a block is 1.1 MiB
 
 # (output, input) band slices of the three frequency taps df = 0, 1, 2
 _BAND_SHIFTS = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),

@@ -18,7 +18,7 @@ from voicecloak.attack import AttackConfig, fgsm, ifgsm, protect_utterance
 from voicecloak.audio_io import CANONICAL_RATE, Waveform, write_wav
 from voicecloak.encoder import EncoderConfig, forward, init_random
 from voicecloak.spectral import (
-    HOP_LENGTH, N_BINS, ROW_BLOCK, WIN_LENGTH, Spectrogram, istft, log_mel, mel_matrix, stft,
+    BLOCK_FRAMES, HOP_LENGTH, N_BINS, WIN_LENGTH, Spectrogram, istft, log_mel, mel_matrix, stft,
 )
 
 BLOCK = encoder.BLOCK_FRAMES
@@ -146,10 +146,10 @@ def _silent_stretch() -> Waveform:
     return Waveform(x, CANONICAL_RATE)
 
 
-@pytest.mark.parametrize("n", [WIN_LENGTH, (ROW_BLOCK - 2) * HOP_LENGTH,
-                               (ROW_BLOCK - 1) * HOP_LENGTH, ROW_BLOCK * HOP_LENGTH, 160_077])
+@pytest.mark.parametrize("n", [WIN_LENGTH, (BLOCK_FRAMES - 2) * HOP_LENGTH,
+                               (BLOCK_FRAMES - 1) * HOP_LENGTH, BLOCK_FRAMES * HOP_LENGTH, 160_077])
 def test_blocked_analysis_and_synthesis_match_whole_array_ffts(n):
-    """3 frames; one frame short of a block of ROW_BLOCK, one block, one
+    """3 frames; one frame short of a block of BLOCK_FRAMES, one block, one
     frame over; and 1001 frames, several blocks and a remainder."""
     w = Waveform(np.random.default_rng(n).standard_normal(n) * 0.1, CANONICAL_RATE)
     spectrum = stft(w).spectrum

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-  python3 tools/peak_steps.py SRC SEED [--top N]
+  python3 tools/peak_steps.py SRC SEED
 
 SRC is a directory holding a `voicecloak` package, such as the `src/` of a
 checkout. The script writes the workload's inputs from SEED in a temporary
@@ -12,7 +12,7 @@ process with one BLAS thread. From the call of `workloads.run_job` on, a
 return. Each rise is charged to the code that ran since the previous
 event: the body of the Python function being called from or returning, or
 the C function returning. The kernel folds RSS counts in batches, so a
-charge can land a few events late. It prints the N functions that raised
+charge can land a few events late. It prints the TOP functions that raised
 `VmHWM` most, with their share in MiB and the number of rises, and the
 call, with its stack, whose rise set the pass's final peak.
 
@@ -34,6 +34,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 WORKLOAD = "protect-ifgsm"
 STACK_DEPTH = 8  # frames named for the call that set the final peak
+TOP = 12  # functions listed
 
 
 def vmhwm_kib(status) -> int:
@@ -93,7 +94,7 @@ class PeakWatch:
         }
 
 
-def _child(work: str, src: str, top: int) -> None:
+def _child(work: str, src: str) -> None:
     """`bench/worker.py`'s pass, hooked from `run_job` on; prints the worker's
     reply and then this report, each as one JSON line on stdout."""
     replies = sys.stdout
@@ -121,7 +122,7 @@ def _child(work: str, src: str, top: int) -> None:
     finally:
         sys.setprofile(None)
         os.close(fd)
-    print(json.dumps(watches[0].report(top)), file=replies)
+    print(json.dumps(watches[0].report(TOP)), file=replies)
 
 
 def print_report(report: dict) -> None:
@@ -138,7 +139,7 @@ def print_report(report: dict) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:  # the fresh process of the pass
-        _child(argv[1], argv[2], int(argv[3]))
+        _child(argv[1], argv[2])
         return 0
     import argparse
     import subprocess
@@ -147,7 +148,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="directory holding the voicecloak package")
     parser.add_argument("seed", type=int, help="seed of the workload inputs")
-    parser.add_argument("--top", type=int, default=12, help="functions listed")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "voicecloak" / "__init__.py").is_file():
@@ -167,8 +167,7 @@ def main(argv=None) -> int:
         work.mkdir()
         workloads.make_inputs(WORKLOAD, work, args.seed)
         done = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--child", str(work), str(src),
-             str(args.top)],
+            [sys.executable, str(Path(__file__).resolve()), "--child", str(work), str(src)],
             env=env, stdout=subprocess.PIPE, text=True, timeout=1200,
         )
     if done.returncode != 0:
