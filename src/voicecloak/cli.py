@@ -459,12 +459,25 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     _write_atomically(Path(out), lambda temp: tensorfile.save(temp, embeddings, meta))
 
 
+def _load_embedding_pair(first: str, second: str | None):
+    """The embeddings of two archives; one read serves both when second is
+    None or the same path. Archives of different embed_dim are refused,
+    naming both."""
+    embeddings, meta = tensorfile.load_embeddings(first)
+    if second is None or second == first:
+        return embeddings, embeddings
+    other, other_meta = tensorfile.load_embeddings(second)
+    if other_meta["embed_dim"] != meta["embed_dim"]:
+        raise ValueError(f"{first} holds embeddings of dimension {meta['embed_dim']},"
+                         f" {second} of dimension {other_meta['embed_dim']}")
+    return embeddings, other
+
+
 @_recorded("eval", "{out}.manifest.json")
 def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
     _refuse_overwrite([trials, enroll, test], [f"{out}.scores.txt", f"{out}.eer.json"])
     enroll_ids, test_ids, is_target = parse_trials(trials)
-    enroll_embeddings, _ = tensorfile.load(enroll)
-    test_embeddings, _ = tensorfile.load(test)
+    enroll_embeddings, test_embeddings = _load_embedding_pair(enroll, test)
     scores = score_trials(enroll_ids, test_ids, enroll_embeddings, test_embeddings)
     eer, threshold = compute_eer(scores[is_target], scores[~is_target])
     summary = {
@@ -489,8 +502,7 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
 @_recorded("simmat", "{out}.manifest.json")
 def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = False) -> None:
     _refuse_overwrite([rows] if cols is None else [rows, cols], [out])
-    row_embeddings, _ = tensorfile.load(rows)
-    col_embeddings = row_embeddings if cols is None else tensorfile.load(cols)[0]
+    row_embeddings, col_embeddings = _load_embedding_pair(rows, cols)
     matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings, speaker_level)
     _write_atomically(Path(out),
                       lambda temp: write_similarity_csv(temp, matrix, row_keys, col_keys))
@@ -508,7 +520,10 @@ def run_rerun(manifest_path: str):
 
     A param that does not bind to the command's `run_*` as it is today, or
     does not fit its annotation, fails naming it before any input is read."""
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{manifest_path}: not a JSON manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     command = manifest.get("command")

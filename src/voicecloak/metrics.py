@@ -11,6 +11,12 @@ counts, so EER values are exact. Scores and similarity matrices are one
 product of row-normalised matrices, which sums in a different order than
 a per-pair cosine (`-cosine_loss`), so they may differ from it (and the
 EER threshold with them) in the last few ulps.
+
+Memory contract: `parse_trials` holds each distinct key once, however
+many trials name it, and `score_trials` gathers its cells through integer
+index arrays, not lists; the EER sweep finds its distinct thresholds with a
+sort and one comparison, as `np.unique` does, without importing
+`numpy.ma`, which NumPy 2's `np.unique` loads.
 """
 
 from __future__ import annotations
@@ -56,32 +62,38 @@ def parse_trials(path) -> tuple[list[str], list[str], np.ndarray]:
     """Parse a trial file: one `enroll test label` triple per line.
 
     Labels are case-insensitive target/nontarget; fields are whitespace
-    separated; blank lines are skipped. Malformed lines are rejected with
-    their line number. Returns the columns in file order: enrollment ids,
-    test ids, and a boolean array that is True for target trials.
+    separated; blank lines are skipped. Malformed lines, and a file that is
+    not UTF-8, are rejected naming the path (and the line number). Returns
+    the columns in file order: enrollment ids, test ids, and a boolean array
+    that is True for target trials. The id columns share one `str` per
+    distinct key.
     """
     enroll_ids: list[str] = []
     test_ids: list[str] = []
     is_target: list[bool] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if len(fields) != 3:
-                raise TrialFormatError(
-                    f"{path}:{lineno}: expected 3 fields (enroll test label),"
-                    f" got {len(fields)}: {stripped!r}"
-                )
-            enroll, test, label = fields
-            if label.lower() not in VALID_LABELS:
-                raise TrialFormatError(
-                    f"{path}:{lineno}: label must be target or nontarget, got {label!r}"
-                )
-            enroll_ids.append(enroll)
-            test_ids.append(test)
-            is_target.append(label.lower() == "target")
+    keys: dict[str, str] = {}  # each key as first read, so repeats hold no copy
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                fields = stripped.split()
+                if len(fields) != 3:
+                    raise TrialFormatError(
+                        f"{path}:{lineno}: expected 3 fields (enroll test label),"
+                        f" got {len(fields)}: {stripped!r}"
+                    )
+                enroll, test, label = fields
+                if label.lower() not in VALID_LABELS:
+                    raise TrialFormatError(
+                        f"{path}:{lineno}: label must be target or nontarget, got {label!r}"
+                    )
+                enroll_ids.append(keys.setdefault(enroll, enroll))
+                test_ids.append(keys.setdefault(test, test))
+                is_target.append(label.lower() == "target")
+    except UnicodeDecodeError as exc:
+        raise TrialFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not enroll_ids:
         raise TrialFormatError(f"{path}: no trials found")
     return enroll_ids, test_ids, np.array(is_target, dtype=bool)
@@ -123,8 +135,8 @@ def score_trials(
                 raise TrialFormatError(f"test key {test_id!r} missing from embeddings")
     if not enroll_index:
         return np.zeros(0)
-    ei = list(map(enroll_index.__getitem__, enroll_ids))
-    ti = list(map(test_index.__getitem__, test_ids))
+    ei = np.fromiter(map(enroll_index.__getitem__, enroll_ids), np.intp, len(enroll_ids))
+    ti = np.fromiter(map(test_index.__getitem__, test_ids), np.intp, len(test_ids))
     enroll = _unit_rows(enroll_embeddings, list(enroll_index))
     test = _unit_rows(test_embeddings, list(test_index))
     return (enroll @ test.T)[ei, ti]
@@ -135,9 +147,14 @@ def _operating_points(target_scores: np.ndarray, nontarget_scores: np.ndarray):
 
     FAR(t) counts nontargets >= t, FRR(t) counts targets < t; both are
     step functions that only change at score values, so this sweep visits
-    every achievable operating point, counted by binary search.
+    every achievable operating point, counted by binary search. The
+    thresholds are `np.unique`'s bit for bit: its sort, then the first of
+    each run of equal values (so ±0 as it keeps them). Only NaNs, which it
+    folds into one, each stay, at coinciding points.
     """
-    thresholds = np.unique(np.concatenate([target_scores, nontarget_scores]))
+    pooled = np.concatenate([target_scores, nontarget_scores])
+    pooled.sort()
+    thresholds = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)
     n_non, n_target = len(nontarget_scores), len(target_scores)
     far = (n_non - np.searchsorted(np.sort(nontarget_scores), thresholds, "left")) / n_non

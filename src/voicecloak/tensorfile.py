@@ -42,7 +42,7 @@ def save(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(blob.astype("<f8").tobytes())
+        fh.write(blob.astype("<f8", copy=False).tobytes())
 
 
 def _manifest_entry(path, i: int, entry) -> tuple[str, tuple[int, ...], int]:
@@ -127,4 +127,27 @@ def load(path) -> tuple[dict[str, np.ndarray], dict]:
             f"{path}: blob holds {blob.size} elements but the manifest accounts"
             f" for {expected_offset} (length mismatch)"
         )
+    return tensors, meta
+
+
+def load_embeddings(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read an embedding archive back; returns (embeddings, meta).
+
+    Beyond `load`'s checks, the meta must say `kind` "embeddings" with an
+    integer `embed_dim` of at least 1, and every tensor must have shape
+    (embed_dim,). Anything else raises TensorFileError naming the path and
+    the field or key at fault.
+    """
+    tensors, meta = load(path)
+    if meta.get("kind") != "embeddings":
+        raise TensorFileError(f"{path}: meta 'kind' is {meta.get('kind')!r}, not 'embeddings'")
+    dim = meta.get("embed_dim")
+    if type(dim) is not int or dim < 1:
+        raise TensorFileError(f"{path}: meta 'embed_dim' is {dim!r}; need an integer >= 1")
+    for key, tensor in tensors.items():
+        if tensor.shape != (dim,):
+            raise TensorFileError(
+                f"{path}: embedding {key!r} has shape {list(tensor.shape)};"
+                f" need [{dim}] (embed_dim)"
+            )
     return tensors, meta

@@ -1118,6 +1118,63 @@ class TestEmbedEvalSimmat:
         assert result.stderr == "error: enrollment key 'ghost' missing from embeddings\n"
         assert not (tmp_path / "x.scores.txt").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "simmat"])
+    def test_a_weight_file_is_not_an_embedding_archive(
+        self, runner, archive, weights_file, tmp_path, command
+    ):
+        trials = tmp_path / "trials.txt"
+        trials.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n"
+                          f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n")
+        args = {
+            "eval": ["--trials", str(trials), "--enroll", str(weights_file), "--test", str(archive)],
+            "simmat": ["--rows", str(archive), "--cols", str(weights_file)],
+        }[command]
+        result = runner.invoke(cli, [command, *args, "--out", str(tmp_path / "result")])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: {weights_file}: meta 'kind' is 'encoder-weights', not 'embeddings'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.txt"]
+
+    @pytest.mark.parametrize("command", ["eval", "simmat"])
+    def test_archives_of_two_dimensions_are_refused_naming_both(
+        self, runner, corpus, archive, tmp_path, command
+    ):
+        config, weights = tmp_path / "config.json", tmp_path / "w8.bin"
+        config.write_text(json.dumps({**SMALL_CONFIG, "embed_dim": 8}))
+        narrow = tmp_path / "narrow.bin"
+        for args in (["init-encoder", "--config", str(config), "--out", str(weights)],
+                     ["embed", str(corpus), "--weights", str(weights), "--out", str(narrow)]):
+            assert runner.invoke(cli, args).exit_code == 0
+        trials = tmp_path / "trials.txt"
+        trials.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n"
+                          f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n")
+        args = {
+            "eval": ["--trials", str(trials), "--enroll", str(archive), "--test", str(narrow)],
+            "simmat": ["--rows", str(archive), "--cols", str(narrow)],
+        }[command]
+        result = runner.invoke(cli, [command, *args, "--out", str(tmp_path / "result")])
+        assert result.exit_code == 1
+        assert result.stderr == (f"error: {archive} holds embeddings of dimension 16,"
+                                 f" {narrow} of dimension 8\n")
+        assert not list(tmp_path.glob("result*"))
+
+    def test_eval_in_a_fresh_interpreter_leaves_numpy_ma_unimported(self, archive, tmp_path):
+        trials = tmp_path / "trials.txt"
+        trials.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n"
+                          f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n")
+        args = ["eval", "--trials", str(trials), "--enroll", str(archive), "--test", str(archive),
+                "--out", str(tmp_path / "result")]
+        code = ("import sys; from voicecloak.cli import cli;"
+                f" cli.main({args!r}, standalone_mode=False);"
+                " print('numpy.ma' in sys.modules)")
+        src = str(Path(voicecloak.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "result.eer.json").is_file()
+
     def test_simmat_full_and_speaker_level(self, runner, archive, tmp_path):
         full = tmp_path / "full.csv"
         result = runner.invoke(cli, ["simmat", "--rows", str(archive), "--out", str(full)])
@@ -1248,6 +1305,15 @@ class TestDumpSpecAndRerun:
         result = runner.invoke(cli, ["rerun", str(out) + ".manifest.json"])
         assert result.exit_code == 0, result.output + result.stderr
         assert _sha256(out) == first
+
+    @pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe{}"])
+    def test_rerun_names_a_manifest_that_is_not_json(self, runner, tmp_path, content):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(content)
+        result = runner.invoke(cli, ["rerun", str(manifest)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {manifest}: not a JSON manifest: ")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_rerun_rejects_unknown_command(self, runner, tmp_path):
         manifest = tmp_path / "m.json"

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from voicecloak.audio_io import Waveform
 from voicecloak.encoder import cosine_loss
 from voicecloak.metrics import (
     TrialFormatError,
+    _operating_points,
     average_by_speaker,
     compute_eer,
     parse_trials,
@@ -141,6 +143,23 @@ class TestTrials:
         path.write_text("\n\n")
         with pytest.raises(TrialFormatError, match="no trials"):
             parse_trials(path)
+
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes("a b target\n".encode("utf-16"))  # starts with the bytes ff fe
+        with pytest.raises(TrialFormatError, match=rf"^{re.escape(str(path))}: not UTF-8"):
+            parse_trials(path)
+
+    def test_ids_share_one_object_per_key(self, tmp_path):
+        keys = [f"spk{i // 10:02d}-utt{i % 10:02d}" for i in range(200)]
+        pairs = np.random.default_rng(0).integers(0, len(keys), size=(20_000, 2))
+        path = tmp_path / "trials.txt"
+        path.write_text("".join(f"{keys[a]} {keys[b]} nontarget\n" for a, b in pairs))
+        enroll_ids, test_ids, _ = parse_trials(path)
+        assert enroll_ids == [keys[a] for a in pairs[:, 0]]
+        assert test_ids == [keys[b] for b in pairs[:, 1]]
+        named = set(enroll_ids + test_ids)
+        assert len({id(k) for k in enroll_ids + test_ids}) == len(named) == 200
 
     def test_score_trials_orders_and_looks_up(self):
         embeddings = {
@@ -276,6 +295,20 @@ class TestEer:
     def test_rejects_empty_sides(self):
         with pytest.raises(ValueError, match="at least one"):
             compute_eer([], [0.1])
+
+    def test_thresholds_are_np_uniques_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        tied = np.array([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, 0.25])
+        for _ in range(200):
+            n_target, n_nontarget = rng.integers(1, 60, size=2)
+            scores = rng.choice(tied, n_target + n_nontarget)
+            free = rng.random(scores.size) < rng.random()
+            scores[free] = rng.normal(0.0, 0.5, int(free.sum()))
+            target, nontarget = scores[:n_target], scores[n_target:]
+            thresholds, _, _ = _operating_points(target, nontarget)
+            unique = np.unique(np.concatenate([target, nontarget]))
+            assert thresholds[:-1].view(np.int64).tolist() == unique.view(np.int64).tolist()
+            assert thresholds[-1] == unique[-1] + 1.0
 
     @pytest.mark.parametrize("n_target, n_nontarget, shift", [
         (1500, 6000, 0.3),

@@ -39,5 +39,5 @@ def test_a_rise_is_charged_to_the_code_that_ran_since_the_last_event():
 
 
 def test_a_source_without_voicecloak_is_a_usage_error(tmp_path, capsys):
-    assert peak_steps.main([str(tmp_path), "1"]) == 2
+    assert peak_steps.main(["evaluate", str(tmp_path), "1"]) == 2
     assert f"no voicecloak package in {tmp_path}" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -209,3 +210,43 @@ def test_load_of_a_mutated_file_raises_tensorfile_error_or_round_trips(tmp_path_
     for name, tensor in loaded.items():
         assert back[name].shape == tensor.shape
         np.testing.assert_array_equal(back[name], tensor)
+
+
+def test_load_embeddings_returns_an_archive_as_saved(tmp_path):
+    path = tmp_path / "e.bin"
+    embeddings = {"a": np.arange(3.0), "b": np.ones(3)}
+    meta = {"kind": "embeddings", "embed_dim": 3, "weights": "w.bin"}
+    tensorfile.save(path, embeddings, meta)
+    back, got_meta = tensorfile.load_embeddings(path)
+    assert got_meta == meta
+    assert list(back) == ["a", "b"]
+    np.testing.assert_array_equal(back["a"], embeddings["a"])
+
+
+@pytest.mark.parametrize(
+    "tensors, meta, field",
+    [
+        pytest.param({"a": np.ones(3)}, {"kind": "encoder-weights", "embed_dim": 3},
+                     "meta 'kind' is 'encoder-weights', not 'embeddings'", id="weights"),
+        pytest.param({"a": np.ones(3)}, {"embed_dim": 3}, "meta 'kind' is None", id="no-kind"),
+        pytest.param({"a": np.ones(3)}, {"kind": "embeddings"}, "meta 'embed_dim' is None",
+                     id="no-dim"),
+        pytest.param({"a": np.ones(1)}, {"kind": "embeddings", "embed_dim": True},
+                     "meta 'embed_dim' is True", id="bool-dim"),
+        pytest.param({}, {"kind": "embeddings", "embed_dim": 0}, "meta 'embed_dim' is 0",
+                     id="zero-dim"),
+        pytest.param({"a": np.ones(3)}, {"kind": "embeddings", "embed_dim": 3.0},
+                     r"meta 'embed_dim' is 3\.0", id="float-dim"),
+        pytest.param({"a": np.ones(3), "b": np.ones(4)}, {"kind": "embeddings", "embed_dim": 3},
+                     r"embedding 'b' has shape \[4\]; need \[3\]", id="long"),
+        pytest.param({"a": np.ones((1, 3))}, {"kind": "embeddings", "embed_dim": 3},
+                     r"embedding 'a' has shape \[1, 3\]", id="2-d"),
+        pytest.param({"a": np.array(1.0)}, {"kind": "embeddings", "embed_dim": 1},
+                     r"embedding 'a' has shape \[\]", id="0-d"),
+    ],
+)
+def test_load_embeddings_names_the_path_and_the_field(tmp_path, tensors, meta, field):
+    path = tmp_path / "e.bin"
+    tensorfile.save(path, tensors, meta)
+    with pytest.raises(TensorFileError, match=rf"^{re.escape(str(path))}: {field}"):
+        tensorfile.load_embeddings(path)

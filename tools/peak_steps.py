@@ -1,15 +1,16 @@
-"""Where a `protect-ifgsm` pass's peak resident memory is set, function by function.
+"""Where a benchmark pass's peak resident memory is set, function by function.
 
 Usage, from the root of a checkout:
 
-  python3 tools/peak_steps.py SRC SEED
+  python3 tools/peak_steps.py WORKLOAD SRC SEED
 
-SRC is a directory holding a `voicecloak` package, such as the `src/` of a
+WORKLOAD names one of `bench/workloads.py`'s workloads, and SRC is a
+directory holding a `voicecloak` package, such as the `src/` of a
 checkout. The script writes the workload's inputs from SEED in a temporary
 directory, then runs `bench/worker.py`'s pass of the job in a fresh
-process with one BLAS thread. From the call of `workloads.run_job` on, a
-`sys.setprofile` hook reads the process's `VmHWM` at every call and
-return. Each rise is charged to the code that ran since the previous
+process, with BLAS pinned as `bench/run.py` pins it. From the call of
+`workloads.run_job` on, a `sys.setprofile` hook reads the process's
+`VmHWM` at every call and return. Each rise is charged to the code that ran since the previous
 event: the body of the Python function being called from or returning, or
 the C function returning. The kernel folds RSS counts in batches, so a
 charge can land a few events late. It prints the TOP functions that raised
@@ -32,7 +33,6 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-WORKLOAD = "protect-ifgsm"
 STACK_DEPTH = 8  # frames named for the call that set the final peak
 TOP = 12  # functions listed
 
@@ -94,12 +94,12 @@ class PeakWatch:
         }
 
 
-def _child(work: str, src: str) -> None:
+def _child(workload: str, work: str, src: str) -> None:
     """`bench/worker.py`'s pass, hooked from `run_job` on; prints the worker's
     reply and then this report, each as one JSON line on stdout."""
     replies = sys.stdout
     sys.path.insert(0, str(BENCH))
-    sys.argv = [str(BENCH / "worker.py"), WORKLOAD, work, src, "pass"]
+    sys.argv = [str(BENCH / "worker.py"), workload, work, src, "pass"]
     import worker
 
     fd = os.open("/proc/self/status", os.O_RDONLY)
@@ -139,13 +139,14 @@ def print_report(report: dict) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:  # the fresh process of the pass
-        _child(argv[1], argv[2])
+        _child(argv[1], argv[2], argv[3])
         return 0
     import argparse
     import subprocess
     import tempfile
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", help="a workload of bench/workloads.py")
     parser.add_argument("src", type=Path, help="directory holding the voicecloak package")
     parser.add_argument("seed", type=int, help="seed of the workload inputs")
     args = parser.parse_args(argv)
@@ -161,13 +162,18 @@ def main(argv=None) -> int:
     os.environ.update(run.PIN_BLAS)  # before NumPy loads
     import workloads
 
-    env = dict(caller_env, PYTHONDONTWRITEBYTECODE="1", **run.PIN_BLAS)
+    if args.workload not in workloads.WORKLOADS:
+        print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
+        return 2
+    env = dict(caller_env, PYTHONDONTWRITEBYTECODE="1",
+               **(run.PIN_BLAS if args.workload in workloads.ONE_BLAS_THREAD else {}))
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp) / WORKLOAD
+        work = Path(tmp) / args.workload
         work.mkdir()
-        workloads.make_inputs(WORKLOAD, work, args.seed)
+        workloads.make_inputs(args.workload, work, args.seed)
         done = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--child", str(work), str(src)],
+            [sys.executable, str(Path(__file__).resolve()), "--child", args.workload, str(work),
+             str(src)],
             env=env, stdout=subprocess.PIPE, text=True, timeout=1200,
         )
     if done.returncode != 0:
