@@ -3,7 +3,7 @@
 from .attack import (
     AttackConfig, AttackResult, ProtectionReport, embed, fgsm, ifgsm, protect_utterance,
 )
-from .audio_io import Waveform, add_gaussian_noise, read_wav, resample_linear, write_wav
+from .audio_io import Waveform, add_gaussian_noise, read_wav, write_wav
 from .encoder import (
     EncoderConfig,
     WeightStore,
@@ -41,7 +41,6 @@ __all__ = [
     "parse_trials",
     "protect_utterance",
     "read_wav",
-    "resample_linear",
     "save_weights",
     "score_trials",
     "similarity_matrix",

@@ -1,7 +1,7 @@
-"""Mono waveform I/O: RIFF/WAVE reading and writing, resampling, noise injection.
+"""Mono waveform I/O: RIFF/WAVE reading and writing, noise injection.
 
-Canonical internal rate is 16 kHz; files at other rates are accepted and can
-be brought to the canonical rate with :func:`resample_linear`.
+Audio is 16 kHz (CANONICAL_RATE) throughout; `read_wav` refuses a file at
+any other rate, naming it, rather than resample it.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def read_wav(path) -> Waveform:
     """Read a mono RIFF/WAVE file (PCM 16-bit or IEEE float 32-bit).
 
     16-bit samples are scaled to [-1, 1) by dividing by 32768. Anything else
-    (other encodings, multichannel audio) raises WavFormatError naming the
-    offending header field.
+    (other encodings, multichannel audio, a rate other than CANONICAL_RATE)
+    raises WavFormatError naming the path and the offending header field.
     """
     raw = Path(path).read_bytes()
     chunks = _read_chunks(raw, str(path))
@@ -91,9 +91,9 @@ def read_wav(path) -> Waveform:
         "<HHIIHH", fmt, 0
     )
     if channels != 1:
-        raise WavFormatError(
-            f"{path}: channel count {channels} not supported, mono required"
-        )
+        raise WavFormatError(f"{path}: channel count {channels} not supported, mono required")
+    if rate != CANONICAL_RATE:
+        raise WavFormatError(f"{path}: sample_rate {rate} Hz not supported, need {CANONICAL_RATE}")
     if (format_code, bits) == (1, 16):
         dtype, scale = np.dtype("<i2"), 1.0 / INT16_FULL_SCALE
     elif (format_code, bits) == (3, 32):
@@ -112,7 +112,7 @@ def read_wav(path) -> Waveform:
     samples = np.frombuffer(body, dtype=dtype).astype(np.float64) * scale
     try:
         return Waveform(samples, rate)
-    except ValueError as exc:  # a zero sample rate, or NaN/inf float samples
+    except ValueError as exc:  # NaN/inf float samples
         raise WavFormatError(f"{path}: {exc}") from exc
 
 
@@ -142,25 +142,6 @@ def write_wav(path, w: Waveform) -> None:
         len(body),
     )
     Path(path).write_bytes(header + body)
-
-
-def resample_linear(w: Waveform, target_rate: int) -> Waveform:
-    """Resample by linear interpolation between neighboring input samples.
-
-    Equal source and target rates return the input unchanged. Adequate for
-    speech at this scale; no anti-aliasing filter is applied, which limits
-    quality when downsampling wideband material.
-    """
-    if target_rate <= 0:
-        raise ValueError(f"target_rate must be positive, got {target_rate}")
-    if target_rate == w.sample_rate:
-        return Waveform(w.samples.copy(), w.sample_rate)
-    n_out = int(round(len(w.samples) * target_rate / w.sample_rate))
-    if n_out == 0 or len(w.samples) == 0:
-        return Waveform(np.zeros(0), target_rate)
-    positions = np.arange(n_out) * (w.sample_rate / target_rate)
-    resampled = np.interp(positions, np.arange(len(w.samples)), w.samples)
-    return Waveform(resampled, target_rate)
 
 
 def add_gaussian_noise(w: Waveform, target_snr_db: float, seed: int) -> Waveform:

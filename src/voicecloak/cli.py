@@ -34,14 +34,11 @@ import click
 
 from . import __version__, tensorfile
 from .attack import METHODS, AttackConfig, AttackConfigError, embed, protect_utterance
-from .audio_io import CANONICAL_RATE, Waveform, read_wav, resample_linear, write_wav
+from .audio_io import WavFormatError, read_wav, write_wav
 from .encoder import EncoderConfig, init_random, load_weights, save_weights
 from .metrics import (
-    compute_eer,
-    parse_trials,
-    score_trials,
-    similarity_matrix,
-    write_similarity_csv,
+    MissingKeyError, TrialFormatError, compute_eer, parse_trials, score_trials,
+    similarity_matrix, write_similarity_csv,
 )
 from .spectral import stft, write_magnitude_csv
 
@@ -132,12 +129,15 @@ def _recorded(command: str, manifest: str):
     return decorate
 
 
-def _load_waveform_16k(path) -> Waveform:
-    w = read_wav(path)
-    if w.sample_rate != CANONICAL_RATE:
-        logger.info("resampling %s from %d Hz to %d Hz", path, w.sample_rate, CANONICAL_RATE)
-        w = resample_linear(w, CANONICAL_RATE)
-    return w
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix a ValueError the block raises with path; read_wav's errors name it already."""
+    try:
+        yield
+    except WavFormatError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _collect_wavs(path_str: str) -> list[Path]:
@@ -384,7 +384,7 @@ def run_protect(
     out_path.mkdir(parents=True, exist_ok=True)
 
     def protect_one(path: Path) -> None:
-        w = _load_waveform_16k(path)
+        w = read_wav(path)
         file_seed = _file_seed(seed, path.stem)
         protected, report = protect_utterance(w, ws, cfg, method, target_snr, file_seed)
         for name in ("snr_db", "delta_cosd"):
@@ -445,14 +445,16 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     The files are embedded on min(CPUs, files) workers, forked processes
     when more than one, set up as for run_protect (see _map_files); the
     CPUs are those of the process's affinity mask. The first file in
-    input order that fails raises its error, and nothing is written.
+    input order that fails raises its error, naming it, and nothing is
+    written.
     """
     files = _by_stem([path for item in inputs for path in _collect_wavs(item)])
     _refuse_overwrite([*files.values(), weights], [out])
     ws = load_weights(weights)
 
     def embed_one(path: Path):
-        return embed(stft(_load_waveform_16k(path)).magnitude, ws)
+        with _naming(path):
+            return embed(stft(read_wav(path)).magnitude, ws)
 
     embeddings = dict(zip(files, _map_files(embed_one, list(files.values()), None)))
     meta = {"kind": "embeddings", "embed_dim": ws.config.embed_dim, "weights": str(weights)}
@@ -478,7 +480,10 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
     _refuse_overwrite([trials, enroll, test], [f"{out}.scores.txt", f"{out}.eer.json"])
     enroll_ids, test_ids, is_target = parse_trials(trials)
     enroll_embeddings, test_embeddings = _load_embedding_pair(enroll, test)
-    scores = score_trials(enroll_ids, test_ids, enroll_embeddings, test_embeddings)
+    try:
+        scores = score_trials(enroll_ids, test_ids, enroll_embeddings, test_embeddings)
+    except MissingKeyError as exc:  # name the archive that lacks the key
+        raise TrialFormatError(f"{enroll if exc.args[0] == 'enrollment' else test}: {exc}") from None
     eer, threshold = compute_eer(scores[is_target], scores[~is_target])
     summary = {
         "eer": eer,
@@ -511,7 +516,8 @@ def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = Fals
 @_recorded("dump-spec", "{out}.manifest.json")
 def run_dump_spec(input: str, out: str) -> None:
     _refuse_overwrite([input], [out])
-    magnitude = stft(_load_waveform_16k(Path(input))).magnitude
+    with _naming(input):
+        magnitude = stft(read_wav(input)).magnitude
     _write_atomically(Path(out), lambda temp: write_magnitude_csv(magnitude, temp))
 
 

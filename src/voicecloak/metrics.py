@@ -37,6 +37,13 @@ class TrialFormatError(ValueError):
     """Raised for malformed trial files and for trials naming a key no embedding has."""
 
 
+class MissingKeyError(TrialFormatError):
+    """A trial names a key that one side's embeddings lack; args are (side, key)."""
+
+    def __str__(self):
+        return "%s key %r missing from embeddings" % self.args
+
+
 def snr_db(ref: Waveform, test: Waveform) -> float:
     """10*log10(ref energy / error energy), trimmed to the common length.
 
@@ -130,9 +137,9 @@ def score_trials(
             and test_index.keys() <= test_embeddings.keys()):
         for enroll_id, test_id in zip(enroll_ids, test_ids):  # name the first missing key
             if enroll_id not in enroll_embeddings:
-                raise TrialFormatError(f"enrollment key {enroll_id!r} missing from embeddings")
+                raise MissingKeyError("enrollment", enroll_id)
             if test_id not in test_embeddings:
-                raise TrialFormatError(f"test key {test_id!r} missing from embeddings")
+                raise MissingKeyError("test", test_id)
     if not enroll_index:
         return np.zeros(0)
     ei = np.fromiter(map(enroll_index.__getitem__, enroll_ids), np.intp, len(enroll_ids))
@@ -149,8 +156,7 @@ def _operating_points(target_scores: np.ndarray, nontarget_scores: np.ndarray):
     step functions that only change at score values, so this sweep visits
     every achievable operating point, counted by binary search. The
     thresholds are `np.unique`'s bit for bit: its sort, then the first of
-    each run of equal values (so ±0 as it keeps them). Only NaNs, which it
-    folds into one, each stay, at coinciding points.
+    each run of equal values (so ±0 as it keeps them).
     """
     pooled = np.concatenate([target_scores, nontarget_scores])
     pooled.sort()
@@ -168,11 +174,14 @@ def compute_eer(target_scores, nontarget_scores) -> tuple[float, float]:
     Sweeps every distinct operating point and linearly interpolates
     between the two adjacent points where FAR - FRR changes sign. The
     result is a fraction; values above 0.5 indicate inverted polarity.
+    A NaN or infinite score raises ValueError.
     """
     target_scores = np.asarray(target_scores, dtype=np.float64)
     nontarget_scores = np.asarray(nontarget_scores, dtype=np.float64)
     if target_scores.size == 0 or nontarget_scores.size == 0:
         raise ValueError("need at least one target and one nontarget score")
+    if not (np.isfinite(target_scores).all() and np.isfinite(nontarget_scores).all()):
+        raise ValueError("scores must be finite, not NaN or infinite")
     thresholds, far, frr = _operating_points(target_scores, nontarget_scores)
     diff = far - frr  # monotone nonincreasing in the threshold
     k = int(np.argmax(diff <= 0.0))

@@ -134,9 +134,9 @@ def load_embeddings(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read an embedding archive back; returns (embeddings, meta).
 
     Beyond `load`'s checks, the meta must say `kind` "embeddings" with an
-    integer `embed_dim` of at least 1, and every tensor must have shape
-    (embed_dim,). Anything else raises TensorFileError naming the path and
-    the field or key at fault.
+    integer `embed_dim` of at least 1, and the archive must hold at least
+    one tensor, each of shape (embed_dim,). Anything else raises
+    TensorFileError naming the path and the field or key at fault.
     """
     tensors, meta = load(path)
     if meta.get("kind") != "embeddings":
@@ -144,6 +144,8 @@ def load_embeddings(path) -> tuple[dict[str, np.ndarray], dict]:
     dim = meta.get("embed_dim")
     if type(dim) is not int or dim < 1:
         raise TensorFileError(f"{path}: meta 'embed_dim' is {dim!r}; need an integer >= 1")
+    if not tensors:
+        raise TensorFileError(f"{path}: holds no embeddings")
     for key, tensor in tensors.items():
         if tensor.shape != (dim,):
             raise TensorFileError(

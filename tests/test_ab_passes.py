@@ -31,6 +31,9 @@ def test_summary_gives_medians_quartiles_and_wins():
     assert result["a"]["minor_faults"]["median"] == 1000
     assert result["b"]["minor_faults"] == {"median": 300, "q1": 200, "q3": 400}
     assert result["b_wins"] == "3/5"  # a tie is no win
+    assert result["b_peak_wins"] == "0/5"  # B's peak is higher in every pair
+    lower = ab_passes.summary([_pair(1.0, 1.0, rss_b=39.0), _pair(1.0, 1.0, rss_b=40.0)], 1.0)
+    assert lower["b_peak_wins"] == "1/2"  # a tie is no win
 
 
 FAKE_WORKER = """\

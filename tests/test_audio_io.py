@@ -10,7 +10,6 @@ from voicecloak.audio_io import (
     WavFormatError,
     add_gaussian_noise,
     read_wav,
-    resample_linear,
     write_wav,
 )
 
@@ -61,7 +60,7 @@ class TestReadWrite:
 
     def test_write_clamps_out_of_range(self, tmp_path):
         path = tmp_path / "clip.wav"
-        write_wav(path, Waveform(np.array([2.0, -2.0]), 8000))
+        write_wav(path, Waveform(np.array([2.0, -2.0]), 16000))
         w = read_wav(path)
         assert w.samples[0] == 32767 / 32768
         assert w.samples[1] == -1.0
@@ -69,9 +68,9 @@ class TestReadWrite:
     def test_read_float32(self, tmp_path):
         x = np.array([0.25, -0.5, 1.5, 0.0], dtype=np.float32)
         path = tmp_path / "f32.wav"
-        path.write_bytes(_wav_bytes(x.tobytes(), format_code=3, rate=22050, bits=32))
+        path.write_bytes(_wav_bytes(x.tobytes(), format_code=3, bits=32))
         w = read_wav(path)
-        assert w.sample_rate == 22050
+        assert w.sample_rate == 16000
         np.testing.assert_array_equal(w.samples, x.astype(np.float64))
 
     def test_read_skips_unknown_chunks_with_odd_padding(self, tmp_path):
@@ -117,6 +116,15 @@ class TestReadWrite:
         with pytest.raises(WavFormatError, match="'data'"):
             read_wav(path)
 
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    @pytest.mark.parametrize("format_code, bits", [(1, 16), (3, 32)])
+    def test_rejects_a_rate_other_than_16k_naming_the_file(self, tmp_path, rate, format_code, bits):
+        path = tmp_path / "other.wav"
+        path.write_bytes(_wav_bytes(b"\x00" * 8, format_code=format_code, rate=rate, bits=bits))
+        with pytest.raises(WavFormatError) as caught:
+            read_wav(path)
+        assert str(caught.value) == f"{path}: sample_rate {rate} Hz not supported, need 16000"
+
     def test_rejects_odd_data_size(self, tmp_path):
         path = tmp_path / "odd.wav"
         path.write_bytes(_wav_bytes(b"\x00" * 7))
@@ -161,34 +169,6 @@ class TestReadWrite:
         except WavFormatError:
             return
         assert isinstance(w, Waveform)
-
-class TestResample:
-    def test_same_rate_returns_copy(self):
-        w = Waveform(np.arange(10, dtype=float), 16000)
-        r = resample_linear(w, 16000)
-        np.testing.assert_array_equal(r.samples, w.samples)
-        r.samples[0] = 99.0
-        assert w.samples[0] == 0.0
-
-    def test_matches_interp_oracle(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(800)
-        w = Waveform(x, 8000)
-        r = resample_linear(w, 16000)
-        assert r.sample_rate == 16000
-        assert len(r) == 1600
-        expected = np.interp(np.arange(1600) * 0.5, np.arange(800), x)
-        np.testing.assert_allclose(r.samples, expected, atol=1e-12)
-
-    def test_downsample_by_two_keeps_even_samples(self):
-        x = np.sin(np.arange(100))
-        r = resample_linear(Waveform(x, 32000), 16000)
-        np.testing.assert_allclose(r.samples, x[::2], atol=1e-12)
-
-    def test_rejects_bad_target(self):
-        with pytest.raises(ValueError, match="target_rate"):
-            resample_linear(Waveform(np.zeros(4), 16000), -1)
-
 
 class TestAddGaussianNoise:
     @pytest.mark.parametrize("target", [0.0, 12.5, 32.0, 60.0])

@@ -22,7 +22,7 @@ from metrics_io import read_similarity_csv
 from synth import speaker_key, speaker_utterance
 import voicecloak
 from voicecloak import tensorfile
-from voicecloak.audio_io import WavFormatError, read_wav, write_wav
+from voicecloak.audio_io import Waveform, WavFormatError, read_wav, write_wav
 from voicecloak.cli import cli
 from voicecloak.encoder import EncoderConfig, init_random, load_weights, save_weights
 from voicecloak.metrics import score_trials
@@ -577,7 +577,7 @@ class TestProtectBlasThreads:
         a_running, b_running, a_returned = (tmp_path / m for m in ("a-running", "b-running",
                                                                    "a-returned"))
         seen_by_b = tmp_path / "seen-by-b"
-        original = voicecloak.cli._load_waveform_16k
+        original = voicecloak.cli.read_wav
 
         def ordered(path):
             if path.parent.name == "a":
@@ -590,7 +590,7 @@ class TestProtectBlasThreads:
                     fh.write(f"{blas()}\n")
             return original(path)
 
-        monkeypatch.setattr(voicecloak.cli, "_load_waveform_16k", ordered)
+        monkeypatch.setattr(voicecloak.cli, "read_wav", ordered)
         before = blas()
         b_count = max(1, voicecloak.cli._usable_cpus() // 2)
 
@@ -1115,8 +1115,31 @@ class TestEmbedEvalSimmat:
              "--test", str(archive), "--out", str(tmp_path / "x")],
         )
         assert result.exit_code == 1
-        assert result.stderr == "error: enrollment key 'ghost' missing from embeddings\n"
+        assert result.stderr == f"error: {archive}: enrollment key 'ghost' missing from embeddings\n"
         assert not (tmp_path / "x.scores.txt").exists()
+
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
+    def test_eval_names_the_archive_that_lacks_a_key(self, runner, archive, tmp_path, side):
+        enroll, test = tmp_path / "enroll.bin", tmp_path / "test.bin"
+        shutil.copy(archive, enroll)
+        shutil.copy(archive, test)
+        pair = ("ghost", "spk00-utt00") if side == "enrollment" else ("spk00-utt00", "ghost")
+        trials = tmp_path / "trials.txt"
+        trials.write_text(f"spk00-utt00 spk00-utt01 nontarget\n{' '.join(pair)} target\n")
+        result = runner.invoke(cli, ["eval", "--trials", str(trials), "--enroll", str(enroll),
+                                     "--test", str(test), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        named = enroll if side == "enrollment" else test
+        assert result.stderr == f"error: {named}: {side} key 'ghost' missing from embeddings\n"
+
+    def test_simmat_names_an_archive_with_no_embeddings(self, runner, tmp_path):
+        empty = tmp_path / "empty.emb"
+        tensorfile.save(empty, {}, {"kind": "embeddings", "embed_dim": 16})
+        result = runner.invoke(cli, ["simmat", "--rows", str(empty),
+                                     "--out", str(tmp_path / "m.csv")])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {empty}: holds no embeddings\n"
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "simmat"])
     def test_a_weight_file_is_not_an_embedding_archive(
@@ -1192,6 +1215,57 @@ class TestEmbedEvalSimmat:
         matrix, row_keys, _ = read_similarity_csv(spk)
         assert matrix.shape == (2, 2)
         assert row_keys == ["spk00", "spk01"]
+
+
+class TestPerFileErrors:
+    """Audio enters at 16 kHz only, and every error about one file names it once."""
+
+    @pytest.fixture(scope="class")
+    def bad_wavs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bad-wavs")
+        t = np.arange(4000) / 8000
+        write_wav(root / "rate-8000.wav", Waveform(0.3 * np.sin(2 * np.pi * 440 * t), 8000))
+        t = np.arange(22050) / 44100
+        write_wav(root / "rate-44100.wav", Waveform(0.3 * np.sin(2 * np.pi * 12000 * t), 44100))
+        write_wav(root / "short.wav", Waveform(np.full(200, 0.1), 16000))
+        return root
+
+    MESSAGES = {
+        "rate-8000": "{path}: sample_rate 8000 Hz not supported, need 16000",
+        "rate-44100": "{path}: sample_rate 44100 Hz not supported, need 16000",
+        "short": "{path}: signal of 200 samples is shorter than one window (400 samples)",
+    }
+
+    @pytest.mark.parametrize("stem", ["rate-8000", "rate-44100", "short"])
+    @pytest.mark.parametrize("command", ["embed", "dump-spec"])
+    def test_embed_and_dump_spec_name_the_file_once(
+        self, runner, bad_wavs, weights_file, tmp_path, command, stem
+    ):
+        path, out = bad_wavs / f"{stem}.wav", tmp_path / "out"
+        args = [str(path), "--out", str(out)]
+        if command == "embed":
+            args += ["--weights", str(weights_file)]
+        result = runner.invoke(cli, [command, *args])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {self.MESSAGES[stem].format(path=path)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stem", ["rate-8000", "rate-44100"])
+    def test_protect_refuses_another_rate_and_writes_nothing_for_it(
+        self, runner, bad_wavs, corpus, weights_file, tmp_path, stem
+    ):
+        src, out = tmp_path / "in", tmp_path / "out"
+        shutil.copytree(corpus, src)
+        shutil.copy(bad_wavs / f"{stem}.wav", src)
+        path = src / f"{stem}.wav"
+        result = runner.invoke(cli, ["protect", str(src), "--weights", str(weights_file),
+                                     "--out", str(out), "--method", "gaussian", "--jobs", "1"])
+        assert result.exit_code == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"error: {path}: ")
+        assert result.stderr.endswith(self.MESSAGES[stem].format(path=path) + "\n")
+        assert not list(out.glob(f"{stem}.*"))
+        assert sorted(p.name for p in out.glob("*.wav")) == sorted(p.name for p in corpus.iterdir())
 
 
 class TestRuntimeErrors:

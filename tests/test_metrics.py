@@ -296,6 +296,14 @@ class TestEer:
         with pytest.raises(ValueError, match="at least one"):
             compute_eer([], [0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["target", "nontarget"])
+    def test_rejects_nan_and_infinite_scores(self, bad, side):
+        target, nontarget = [0.9, 0.8], [0.1, 0.85]
+        (target if side == "target" else nontarget).insert(0, bad)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            compute_eer(target, nontarget)
+
     def test_thresholds_are_np_uniques_bit_for_bit(self):
         rng = np.random.default_rng(11)
         tied = np.array([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, 0.25])

@@ -243,6 +243,8 @@ def test_load_embeddings_returns_an_archive_as_saved(tmp_path):
                      r"embedding 'a' has shape \[1, 3\]", id="2-d"),
         pytest.param({"a": np.array(1.0)}, {"kind": "embeddings", "embed_dim": 1},
                      r"embedding 'a' has shape \[\]", id="0-d"),
+        pytest.param({}, {"kind": "embeddings", "embed_dim": 3}, "holds no embeddings",
+                     id="empty"),
     ],
 )
 def test_load_embeddings_names_the_path_and_the_field(tmp_path, tensors, meta, field):
@@ -250,3 +252,46 @@ def test_load_embeddings_names_the_path_and_the_field(tmp_path, tensors, meta, f
     tensorfile.save(path, tensors, meta)
     with pytest.raises(TensorFileError, match=rf"^{re.escape(str(path))}: {field}"):
         tensorfile.load_embeddings(path)
+
+
+_SHAPES = st.lists(st.integers(0, 4), max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_load_embeddings_of_a_mutated_archive_raises_only_tensorfile_error(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp() / "mutated-embeddings"
+    root.mkdir(exist_ok=True)
+    embeddings = {"a": np.arange(3.0), "b": np.ones(3)}
+    tensorfile.save(root / "orig.bin", embeddings, {"kind": "embeddings", "embed_dim": 3})
+    raw = (root / "orig.bin").read_bytes()
+    sep = raw.find(b"\n")
+    header, blob = json.loads(raw[:sep]), np.frombuffer(raw[sep + 1 :], "<f8")
+    for _ in range(data.draw(st.integers(1, 3))):
+        where = data.draw(st.sampled_from(["kind", "embed_dim", "shape", "count"]))
+        if where == "kind":
+            header["meta"]["kind"] = data.draw(st.sampled_from(["embeddings", "encoder-weights"])
+                                               | _JSON)
+        elif where == "embed_dim":
+            header["meta"]["embed_dim"] = data.draw(st.integers(-1, 5) | _JSON)
+        elif where == "shape" and header["tensors"]:
+            i = data.draw(st.integers(0, len(header["tensors"]) - 1))
+            header["tensors"][i]["shape"] = data.draw(_SHAPES)
+        elif where == "count":
+            header["tensors"] = header["tensors"][: data.draw(st.integers(0, 2))]
+    if data.draw(st.booleans()):  # retile the blob to the shapes, so `load` accepts it
+        offset, parts = 0, [np.zeros(0)]
+        for entry in header["tensors"]:
+            entry["offset"] = offset
+            size = int(np.prod(entry["shape"]))
+            parts.append(np.resize(blob, size))
+            offset += size
+        blob = np.concatenate(parts)
+    path = root / "mutated.bin"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob.astype("<f8").tobytes())
+    try:
+        loaded, meta = tensorfile.load_embeddings(path)
+    except TensorFileError:
+        return
+    assert meta["kind"] == "embeddings" and type(meta["embed_dim"]) is int
+    assert loaded and all(v.shape == (meta["embed_dim"],) for v in loaded.values())

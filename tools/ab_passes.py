@@ -15,8 +15,9 @@ it: one thread in this process, and one in the passes of the workloads
 that bench/run.py pins. It prints one JSON line: per side, the median and
 quartiles over the passes of `audio_s_per_s`, of `peak_rss_mib` (the
 worker's own `VmHWM`, not its children's), and of the pass's CPU time and
-minor page faults (`user_s`, `sys_s`, `minor_faults`), and the number of
-pairs in which B had the higher `audio_s_per_s`. The CPU time and faults
+minor page faults (`user_s`, `sys_s`, `minor_faults`), the number of pairs
+in which B had the higher `audio_s_per_s` (`b_wins`), and the number in
+which B had the lower `peak_rss_mib` (`b_peak_wins`). The CPU time and faults
 are `getrusage(RUSAGE_CHILDREN)` deltas around the pass's process, so they
 include the pool workers it reaped. Nothing is written under bench/.
 """
@@ -43,7 +44,8 @@ def _quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summary(pairs: list[tuple[dict, dict]], audio_seconds: float) -> dict:
-    """Medians and quartiles per side, and the pairs B won on audio_s_per_s.
+    """Medians and quartiles per side, and the pairs B won: "b_wins" on
+    audio_s_per_s, "b_peak_wins" on a lower peak_rss_mib.
 
     Each pair holds the A and the B report of one pass, which carry "wall"
     (seconds), "peak_rss_mib" and the RUSAGE fields.
@@ -55,7 +57,8 @@ def summary(pairs: list[tuple[dict, dict]], audio_seconds: float) -> dict:
             **{field: _quartiles([pair[i][field] for pair in pairs])
                for field in ("peak_rss_mib", *RUSAGE)},
         }
-    out["b_wins"] = f"{sum(b['wall'] < a['wall'] for a, b in pairs)}/{len(pairs)}"
+    for key, field in (("b_wins", "wall"), ("b_peak_wins", "peak_rss_mib")):  # B lower wins
+        out[key] = f"{sum(b[field] < a[field] for a, b in pairs)}/{len(pairs)}"
     return out
 
 
