@@ -29,8 +29,8 @@ from .audio_io import Waveform, add_gaussian_noise
 from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backward
 from .metrics import snr_db
 from .spectral import (
-    BLOCK_FRAMES, Spectrogram, istft, log_energies, log_mel, log_mel_backward, mel_energies,
-    mel_matrix, stft,
+    BLOCK_FRAMES, log_energies, log_mel, log_mel_backward, mel_energies, mel_matrix, resynthesize,
+    stft_magnitude,
 )
 
 
@@ -141,8 +141,9 @@ def loss_and_grad(
     Composes log-mel -> encoder -> cosine loss forward, then reverses the
     chain. e_ref must be precomputed from the original magnitude and held
     fixed across iterations. The filterbank energies are computed once and
-    shared by the forward features and the log-mel backward pass; the
-    encoder's cache is dropped before that pass makes the gradient.
+    shared by the forward features and the log-mel backward pass, which
+    writes its energy gradient over them; the encoder's cache is dropped
+    before that pass makes the gradient.
     """
     energies = mel_energies(x_tilde, mel)
     embedding, cache = forward(log_energies(energies), ws)
@@ -202,13 +203,12 @@ def protect_utterance(
 ) -> tuple[Waveform, ProtectionReport]:
     """Protect one utterance end to end.
 
-    fgsm/ifgsm: analyze, attack the magnitude, and resynthesize it times
-    the clean phasor of a second analysis (only the magnitude is held
-    through the attack). The clean magnitude and the `AttackResult` are
-    dropped before that analysis, and the second spectrum is written over,
-    BLOCK_FRAMES frames at a time, with the attacked magnitude times the
-    `Spectrogram.phasor` of those frames, so synthesis holds one spectrum.
-    gaussian: bypass the gradient path and add white noise at
+    fgsm/ifgsm: analyze the magnitude only, attack it, and resynthesize it
+    times the clean phasor. The clean magnitude and the `AttackResult` are
+    dropped first; `resynthesize` then analyzes the clean signal again one
+    block of BLOCK_FRAMES frames at a time, for each block's phasor, and
+    overlap-adds each product as it goes, so no complex spectrum of the
+    whole file is ever held. gaussian: bypass the gradient path and add white noise at
     target_snr_db in the time domain (the baseline). Only gaussian reads
     target_snr_db and seed; only fgsm (cfg.epsilon alone) and ifgsm read
     cfg. The report's delta_cosd is always recomputed from the re-analyzed
@@ -218,7 +218,7 @@ def protect_utterance(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 
-    magnitude = stft(w).magnitude
+    magnitude = stft_magnitude(w)
     e_ref = embed(magnitude, ws)
 
     trajectory: list[float] = []
@@ -231,15 +231,10 @@ def protect_utterance(
             result = ifgsm(magnitude, ws, e_ref, cfg)
         trajectory, adv = result.loss_trajectory, result.adv_magnitude
         del magnitude, result  # only the attacked magnitude is held into synthesis
-        spectrum = stft(w).spectrum
-        for start in range(0, len(spectrum), BLOCK_FRAMES):
-            rows = slice(start, start + BLOCK_FRAMES)
-            np.multiply(adv[rows], Spectrogram(spectrum[rows]).phasor, out=spectrum[rows])
+        protected = resynthesize(w, adv)
         del adv
-        protected = istft(spectrum, len(w))
-        del spectrum  # not held through the re-analysis
 
-    e_protected = embed(stft(protected).magnitude, ws)
+    e_protected = embed(stft_magnitude(protected), ws)
     report = ProtectionReport(
         snr_db=snr_db(w, protected),
         delta_cosd=cosine_loss(e_ref, e_protected),

@@ -40,7 +40,7 @@ from .metrics import (
     MissingKeyError, TrialFormatError, compute_eer, parse_trials, score_trials,
     similarity_matrix, write_similarity_csv,
 )
-from .spectral import stft, write_magnitude_csv
+from .spectral import stft_magnitude, write_magnitude_csv
 
 logger = logging.getLogger("voicecloak")
 
@@ -415,26 +415,27 @@ def run_protect(
         logger.info("protected %s: SNR %.2f dB, distance %.3f", path.name, report.snr_db, report.delta_cosd)
 
     def protect_file(path: Path) -> str | None:
-        # each file's error comes back on its own, not as the end of its chunk
+        # each file's error comes back on its own, not as the end of its chunk,
+        # naming the file once: read_wav's errors name it already
         try:
             protect_one(path)
         except Exception as exc:
             logger.debug("protecting %s failed", path, exc_info=True)
-            return str(exc)
+            return str(exc) if isinstance(exc, WavFormatError) else f"{path}: {exc}"
         return None
 
-    def report(path: Path, error: str | None) -> bool:
+    def report(error: str | None) -> bool:
         if error is not None:
-            click.echo(f"error: {path}: {error}", err=True)
+            click.echo(f"error: {error}", err=True)
         return error is not None
 
     paths = list(files.values())
     failures = done = 0
     try:
         for done, error in enumerate(_map_files(protect_file, paths, jobs), 1):
-            failures += report(paths[done - 1], error)
+            failures += report(error)
     except Exception as exc:  # the pool failed (a worker died): so does every file left
-        failures += sum(report(path, str(exc)) for path in paths[done:])
+        failures += sum(report(f"{path}: {exc}") for path in paths[done:])
     return failures
 
 
@@ -454,7 +455,7 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
 
     def embed_one(path: Path):
         with _naming(path):
-            return embed(stft(read_wav(path)).magnitude, ws)
+            return embed(stft_magnitude(read_wav(path)), ws)
 
     embeddings = dict(zip(files, _map_files(embed_one, list(files.values()), None)))
     meta = {"kind": "embeddings", "embed_dim": ws.config.embed_dim, "weights": str(weights)}
@@ -517,7 +518,7 @@ def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = Fals
 def run_dump_spec(input: str, out: str) -> None:
     _refuse_overwrite([input], [out])
     with _naming(input):
-        magnitude = stft(read_wav(input)).magnitude
+        magnitude = stft_magnitude(read_wav(input))
     _write_atomically(Path(out), lambda temp: write_magnitude_csv(magnitude, temp))
 
 

@@ -259,7 +259,12 @@ def _avgpool2_backward(grad: np.ndarray, unpooled_shape: tuple[int, ...]) -> np.
 
 @dataclass
 class ForwardCache:
-    """Single-use record of everything `backward` needs."""
+    """Single-use record of everything `backward` needs.
+
+    pre_acts holds each conv layer's ReLU mask, z > 0 for its
+    pre-activation z, as a boolean [C, T, F] array: the ReLU itself is
+    applied in z's own array, so no float pre-activation map is kept.
+    """
 
     store: WeightStore
     pre_acts: list[np.ndarray]
@@ -288,9 +293,9 @@ def forward(feat: np.ndarray, ws: WeightStore) -> tuple[np.ndarray, ForwardCache
     for i in range(len(cfg.conv_channels)):
         z = _conv_same(a, ws.tensors[f"conv{i}.kernel"])
         z += ws.tensors[f"conv{i}.bias"][:, None, None]
-        r = np.maximum(z, 0.0)
-        pre_acts.append(z)
-        a = _avgpool2(r) if i in cfg.pool_after else r
+        pre_acts.append(z > 0.0)
+        np.maximum(z, 0.0, out=z)  # the ReLU, in the conv's own array
+        a = _avgpool2(z) if i in cfg.pool_after else z
 
     mu = a.mean(axis=1)  # [C, F]
     centered = a - mu[:, None, :]
@@ -324,9 +329,9 @@ def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
     d_a = d_mu[:, None, :] / t_pooled + sig_term[:, None, :] * cache.centered
 
     for i in reversed(range(len(cfg.conv_channels))):
-        z = cache.pre_acts[i]
-        d_z = _avgpool2_backward(d_a, z.shape) if i in cfg.pool_after else d_a
-        d_z *= z > 0.0  # in place: d_a is a fresh array no one else holds
+        live = cache.pre_acts[i]
+        d_z = _avgpool2_backward(d_a, live.shape) if i in cfg.pool_after else d_a
+        d_z *= live  # in place: d_a is a fresh array no one else holds
         d_a = _conv_same_input_grad(d_z, ws.tensors[f"conv{i}.kernel"])
     return d_a[0]
 

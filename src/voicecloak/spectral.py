@@ -15,6 +15,11 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
   set to zero);
 * analysis keeps the complex spectrum; the attack surface is its linear
   magnitude, resynthesized times the clean unit phasor S/|S|;
+* every pass goes BLOCK_FRAMES frames at a time: `stft_magnitude` and
+  `resynthesize` (magnitude times the clean phasor, synthesized) never
+  hold a spectrum of the whole signal, and `istft` and `resynthesize`
+  share one overlap-add over hop-sized slots that adds, per sample, the
+  frames in the order a frame-by-frame loop would;
 * the filterbank consumes the power spectrum (squared magnitude) and the
   output is log-compressed with floor LOG_FLOOR.
 
@@ -24,6 +29,7 @@ stay tight.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +47,7 @@ N_BINS = FFT_SIZE // 2 + 1
 WINDOW = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WIN_LENGTH) / WIN_LENGTH))
 WINDOW.flags.writeable = False
 _LPAD = (FFT_SIZE - WIN_LENGTH) // 2  # window offset inside each FFT frame
+_CHUNKS = -(-WIN_LENGTH // HOP_LENGTH)  # hop-sized slots one window spans
 # frames per block of a pass that would otherwise make a full-size temporary:
 # the encoder's im2col (1.1 MiB at C_in 2 and 64 bands), the FFTs, the step
 BLOCK_FRAMES = 128
@@ -66,17 +73,19 @@ class Spectrogram:
         return np.divide(self.spectrum, mag, out=np.ones_like(self.spectrum), where=mag > 0)
 
 
-def stft(w: Waveform) -> Spectrogram:
-    """Analyze a waveform into its complex spectrum.
+def _analysis(w: Waveform) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
+    """The frame count of w's analysis, and a generator of its transforms.
 
-    Requires at least one window of samples at CANONICAL_RATE; resample
-    first otherwise. Frames are windowed and transformed BLOCK_FRAMES at a
-    time into the spectrum, so no array of all the frames is made; a
-    signal of at most one block is one transform, with no copy.
+    Requires at least one window of samples at CANONICAL_RATE, the only
+    rate accepted. The generator windows BLOCK_FRAMES frames at a time
+    into one small buffer and yields (first frame, rfft of the block), a
+    fresh [rows x N_BINS] complex array each time, so no array of all the
+    frames or of the whole spectrum is made.
     """
     if w.sample_rate != CANONICAL_RATE:
         raise ValueError(
-            f"expected {CANONICAL_RATE} Hz input, got {w.sample_rate} Hz; resample first"
+            f"expected {CANONICAL_RATE} Hz input, got {w.sample_rate} Hz;"
+            f" only {CANONICAL_RATE} Hz is accepted"
         )
     x = w.samples
     if len(x) < WIN_LENGTH:
@@ -86,18 +95,61 @@ def stft(w: Waveform) -> Spectrogram:
     half = WIN_LENGTH // 2
     padded = np.pad(x, (half, half), mode="reflect")
     n_frames = len(x) // HOP_LENGTH + 1
-
     windows = np.lib.stride_tricks.sliding_window_view(padded, WIN_LENGTH)[::HOP_LENGTH]
-    spectrum = None if n_frames <= BLOCK_FRAMES else np.empty((n_frames, N_BINS), dtype=complex)
-    frames = np.zeros((min(n_frames, BLOCK_FRAMES), FFT_SIZE))
-    for start in range(0, n_frames, BLOCK_FRAMES):
-        block = windows[start : start + BLOCK_FRAMES]
-        np.multiply(block, WINDOW, out=frames[: len(block), _LPAD : _LPAD + WIN_LENGTH])
-        part = np.fft.rfft(frames[: len(block)], axis=1)
-        if spectrum is None:  # one block: its transform is the spectrum, with no copy
-            return Spectrogram(part)
-        spectrum[start : start + len(block)] = part
+
+    def blocks():
+        frames = np.zeros((min(n_frames, BLOCK_FRAMES), FFT_SIZE))
+        for start in range(0, n_frames, BLOCK_FRAMES):
+            block = windows[start : start + BLOCK_FRAMES]
+            np.multiply(block, WINDOW, out=frames[: len(block), _LPAD : _LPAD + WIN_LENGTH])
+            yield start, np.fft.rfft(frames[: len(block)], axis=1)
+
+    return n_frames, blocks()
+
+
+def stft(w: Waveform) -> Spectrogram:
+    """Analyze a waveform into its complex spectrum.
+
+    Only CANONICAL_RATE input of at least one window is accepted. A signal
+    of at most one block is one transform, with no copy.
+    """
+    n_frames, blocks = _analysis(w)
+    if n_frames <= BLOCK_FRAMES:
+        return Spectrogram(next(blocks)[1])
+    spectrum = np.empty((n_frames, N_BINS), dtype=complex)
+    for start, part in blocks:
+        spectrum[start : start + len(part)] = part
     return Spectrogram(spectrum)
+
+
+def stft_magnitude(w: Waveform) -> np.ndarray:
+    """|stft(w).spectrum|, [frames x bins], with no complex spectrum held:
+    each block's transform goes into its rows and is dropped."""
+    n_frames, blocks = _analysis(w)
+    magnitude = np.empty((n_frames, N_BINS))
+    for start, part in blocks:
+        np.abs(part, out=magnitude[start : start + len(part)])
+    return magnitude
+
+
+def resynthesize(w: Waveform, magnitude: np.ndarray) -> Waveform:
+    """istft(magnitude * stft(w).phasor, len(w)), with no spectrum held.
+
+    Each block of w's analysis is written over with its rows of magnitude
+    times its own `Spectrogram.phasor` and goes straight to overlap-add.
+    magnitude is only read.
+    """
+    n_frames, blocks = _analysis(w)
+    if magnitude.shape != (n_frames, N_BINS):
+        raise ValueError(f"magnitude shape {magnitude.shape} does not match the analysis"
+                         f" ({n_frames}, {N_BINS}) of {len(w)} samples")
+
+    def spectra():
+        for start, part in blocks:
+            rows = magnitude[start : start + len(part)]
+            yield start, np.multiply(rows, Spectrogram(part).phasor, out=part)
+
+    return _overlap_add(spectra(), n_frames, len(w))
 
 
 def istft(spectrum: np.ndarray, length: int) -> Waveform:
@@ -112,26 +164,41 @@ def istft(spectrum: np.ndarray, length: int) -> Waveform:
     n_frames = spectrum.shape[0]
     if spectrum.shape[1] != N_BINS:
         raise ValueError(f"expected {N_BINS} bins, got {spectrum.shape[1]}")
+    blocks = ((start, spectrum[start : start + BLOCK_FRAMES])
+              for start in range(0, n_frames, BLOCK_FRAMES))
+    return _overlap_add(blocks, n_frames, length)
+
+
+def _overlap_add(blocks, n_frames: int, length: int) -> Waveform:
+    """Overlap-add the (first frame, complex block) pairs of n_frames frames,
+    in order, normalize and trim to length samples.
+
+    The output is viewed as HOP_LENGTH-sample slots: frame k's chunks 0, 1
+    and 2 land in slots k, k+1 and k+2. Each block adds its frames' chunk 2,
+    then chunk 1, then chunk 0, so every sample sums frame k-2, then k-1,
+    then k, the order of adding frame by frame. The squared-window sum is
+    built the same way, once.
+    """
+    n_slots = n_frames + _CHUNKS - 1
     half = WIN_LENGTH // 2
-
-    span = (n_frames - 1) * HOP_LENGTH + WIN_LENGTH
-    out = np.zeros(span)
-    wsum = np.zeros(span)
-    for first in range(0, n_frames, BLOCK_FRAMES):
-        frames_time = np.fft.irfft(spectrum[first : first + BLOCK_FRAMES], n=FFT_SIZE, axis=1)
-        for k, frame in enumerate(frames_time, first):
-            start = k * HOP_LENGTH
-            out[start : start + WIN_LENGTH] += frame[_LPAD : _LPAD + WIN_LENGTH] * WINDOW
-            wsum[start : start + WIN_LENGTH] += WINDOW**2
+    out = np.zeros(max(n_slots * HOP_LENGTH, half + length))
+    slots = out[: n_slots * HOP_LENGTH].reshape(n_slots, HOP_LENGTH)
+    for first, block in blocks:
+        frames = np.fft.irfft(block, n=FFT_SIZE, axis=1)[:, _LPAD : _LPAD + WIN_LENGTH]
+        frames *= WINDOW
+        _add_chunks(slots, frames, first)
+    wsum = np.zeros_like(slots)
+    _add_chunks(wsum, np.broadcast_to(WINDOW**2, (n_frames, WIN_LENGTH)), 0)
     nonzero = wsum >= WINDOW_SUM_EPS
-    np.divide(out, wsum, out=out, where=nonzero)
-    out[~nonzero] = 0.0
-    del wsum  # not held beside the output
+    np.divide(slots, wsum, out=slots, where=nonzero)
+    slots[~nonzero] = 0.0
+    return Waveform(out[half : half + length], CANONICAL_RATE)
 
-    result = np.zeros(length)
-    avail = min(length, span - half)
-    result[:avail] = out[half : half + avail]
-    return Waveform(result, CANONICAL_RATE)
+
+def _add_chunks(slots: np.ndarray, frames: np.ndarray, first: int) -> None:
+    for c in reversed(range(_CHUNKS)):  # frame k-2's chunk first, frame k's last
+        chunk = frames[:, c * HOP_LENGTH : (c + 1) * HOP_LENGTH]
+        slots[first + c : first + c + len(chunk), : chunk.shape[1]] += chunk
 
 
 def hz_to_mel(f):
@@ -186,8 +253,9 @@ def mel_energies(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
 
 
 def log_energies(energies: np.ndarray) -> np.ndarray:
-    """log(max(energies, floor)): the log compression of `log_mel`."""
-    return np.log(np.maximum(energies, LOG_FLOOR))
+    """log(max(energies, floor)): the log compression of `log_mel`, in one new array."""
+    out = np.maximum(energies, LOG_FLOOR)
+    return np.log(out, out=out)
 
 
 def log_mel(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
@@ -202,15 +270,19 @@ def log_mel_backward(
 
     Exact reverse-mode differentiation; channels sitting on the log floor
     contribute zero. `energies` are `mel_energies(mag, mel)` from the
-    forward pass, shared rather than recomputed. The GEMM's output is
+    forward pass, shared rather than recomputed, and are written over with
+    the energy gradient, grad_out / energies above the floor and 0 on it,
+    so that gradient takes no array of its own. The GEMM's output is
     scaled by 2 * mag in place, a block of frames at a time, and returned,
-    so no other array of mag's size is made; no argument is written.
+    so no other array of mag's size is made; grad_out and mag are only read.
     """
     if grad_out.shape != energies.shape:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match features {energies.shape}"
         )
-    grad_energy = np.where(energies > LOG_FLOOR, grad_out / np.maximum(energies, LOG_FLOOR), 0.0)
+    live = energies > LOG_FLOOR
+    grad_energy = np.divide(grad_out, energies, out=energies, where=live)
+    grad_energy[~live] = 0.0
     grad_mag = grad_energy @ mel
     for start in range(0, len(grad_mag), BLOCK_FRAMES):
         rows = slice(start, start + BLOCK_FRAMES)

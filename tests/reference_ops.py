@@ -6,11 +6,13 @@ gradient step that computed the filterbank energies once for the features
 and again for the log-mel backward pass. The faster versions in
 `voicecloak` must reproduce them bit for bit.
 
-`ifgsm` is the attack loop with every step allocating: the log-mel
-backward's product, the sign, the stepped iterate and its projection are
-each a new array. `stft` and `istft` transform all frames in one FFT call,
-and `protect_utterance` (ifgsm) synthesizes from the whole clean phasor.
-The in-place and blocked versions must give the same bits.
+`ifgsm` is the attack loop with every step allocating: the log
+compression, the log-mel backward's quotient and product, the sign, the
+stepped iterate and its projection are each a new array. `stft` and
+`istft` transform all frames in one FFT call and `istft` adds frame by
+frame; `protect_utterance` (ifgsm) analyzes the whole clean spectrum and
+synthesizes from its whole phasor. The in-place, blocked and streaming
+versions must give the same bits.
 
 `angle_phasor` is the clean phase as synthesis first took it, through the
 angle: `istft(magnitude * angle_phasor(spec), n)` is that synthesis. The
@@ -22,12 +24,12 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from voicecloak.attack import AttackConfig, AttackResult, ProtectionReport, embed
+from voicecloak.attack import AttackConfig, AttackResult, ProtectionReport
 from voicecloak.audio_io import CANONICAL_RATE, Waveform
 from voicecloak.encoder import backward, cosine_loss, cosine_loss_grad, forward
 from voicecloak.metrics import snr_db
 from voicecloak.spectral import (
-    FFT_SIZE, HOP_LENGTH, LOG_FLOOR, WIN_LENGTH, WINDOW, WINDOW_SUM_EPS, Spectrogram, log_mel,
+    FFT_SIZE, HOP_LENGTH, LOG_FLOOR, WIN_LENGTH, WINDOW, WINDOW_SUM_EPS, Spectrogram,
     mel_energies, mel_matrix,
 )
 
@@ -52,6 +54,14 @@ def avgpool2_backward(grad: np.ndarray, unpooled_shape: tuple[int, ...]) -> np.n
     out = np.zeros(unpooled_shape)
     out[:, : 2 * t2, : 2 * f2] = np.repeat(np.repeat(grad, 2, axis=1), 2, axis=2) / 4.0
     return out
+
+
+def log_mel(mag, mel):
+    return np.log(np.maximum(mel_energies(mag, mel), LOG_FLOOR))
+
+
+def embed(mag, ws):
+    return forward(log_mel(mag, mel_matrix((mag.shape[1] - 1) * 2, ws.config.n_mels)), ws)[0]
 
 
 def log_mel_backward(grad_out, mag, mel, energies):

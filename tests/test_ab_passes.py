@@ -34,6 +34,17 @@ def test_summary_gives_medians_quartiles_and_wins():
     assert result["b_peak_wins"] == "0/5"  # B's peak is higher in every pair
     lower = ab_passes.summary([_pair(1.0, 1.0, rss_b=39.0), _pair(1.0, 1.0, rss_b=40.0)], 1.0)
     assert lower["b_peak_wins"] == "1/2"  # a tie is no win
+    # audio: (12.5 - 8) / (10 - 5); A's peak has no spread
+    assert result["gap_over_a_spread"] == {"audio_s_per_s": 0.9, "peak_rss_mib": None}
+
+
+def test_gap_over_spread_is_signed_by_b_minus_a():
+    pairs = [_pair(1.0, 1.0, rss_a=40.0, rss_b=38.0), _pair(2.0, 2.0, rss_a=41.0, rss_b=38.5),
+             _pair(4.0, 4.0, rss_a=42.0, rss_b=39.0)]
+    # A peaks 40, 41, 42 (spread 1); B peaks 38, 38.5, 39 (median 38.5); equal rates
+    gap = ab_passes.summary(pairs, audio_seconds=4.0)["gap_over_a_spread"]
+    assert gap["peak_rss_mib"] == -2.5
+    assert gap["audio_s_per_s"] == 0.0
 
 
 FAKE_WORKER = """\

@@ -251,9 +251,11 @@ class TestProtectUtterance:
     def test_ifgsm_on_ten_seconds_holds_under_six_magnitudes(self, weights):
         """Every stage of a protected file, the attack step and synthesis among
         them, holds few arrays of the [1001 x 257] magnitude's size at once:
-        the traced peak is 4.5 of them, where a step that allocated its sign,
-        sum, bounds and projection, and synthesis from a whole phasor, reached
-        8.6. Every step peaks alike, so three iterations stand for fifty."""
+        the traced peak is 3.9 of them (4.5 with a whole complex spectrum at
+        analysis and synthesis and float ReLU maps), where a step that
+        allocated its sign, sum, bounds and projection, and synthesis from a
+        whole phasor, reached 8.6. Every step peaks alike, so three
+        iterations stand for fifty."""
         w = speaker_utterance(3, 0, seconds=10.0)
         magnitude_bytes = stft(w).magnitude.nbytes
         assert magnitude_bytes == 1001 * 257 * 8

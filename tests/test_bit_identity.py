@@ -1,12 +1,16 @@
 """The fast convolution, pooling, gradient step and synthesis against `reference_ops`.
 
 Every kernel comparison is bitwise: no I-FGSM output may move by one ulp
-when the convolution or pooling is reimplemented, or when the attack step,
+when the convolution or pooling is reimplemented, when the attack step,
 the log-mel backward pass and synthesis write over their own arrays
-instead of allocating new ones. Synthesis from the unit phasor may move
-float samples in the last ulps against synthesis through the angle, so
-that is compared as the PCM16 samples `write_wav` stores.
+instead of allocating new ones, or when analysis and synthesis stream
+through frame blocks instead of holding a spectrum. Synthesis from the
+unit phasor may move float samples in the last ulps against synthesis
+through the angle, so that is compared as the PCM16 samples `write_wav`
+stores.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from voicecloak.attack import AttackConfig, fgsm, ifgsm, protect_utterance
 from voicecloak.audio_io import CANONICAL_RATE, Waveform, write_wav
 from voicecloak.encoder import EncoderConfig, forward, init_random
 from voicecloak.spectral import (
-    BLOCK_FRAMES, HOP_LENGTH, N_BINS, WIN_LENGTH, Spectrogram, istft, log_mel, mel_matrix, stft,
+    BLOCK_FRAMES, HOP_LENGTH, LOG_FLOOR, N_BINS, WIN_LENGTH, Spectrogram, istft, log_mel,
+    log_mel_backward, mel_energies, mel_matrix, resynthesize, stft, stft_magnitude,
 )
 
 BLOCK = encoder.BLOCK_FRAMES
@@ -134,6 +139,25 @@ def test_zero_gradient_fallback_and_zero_clamp_match_reference_ops(monkeypatch):
     assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)
 
 
+def test_log_mel_backward_writes_its_energy_gradient_over_the_energies():
+    """Two blocks and a remainder, the first 40 frames under the log floor:
+    the reference's bits, grad_out and mag untouched, and the energies
+    replaced by grad_out / energies above the floor and 0 on it."""
+    rng = np.random.default_rng(9)
+    mel = mel_matrix(512, 64)
+    mag = rng.uniform(0.0, 0.2, (2 * BLOCK_FRAMES + 37, N_BINS))
+    mag[:40] = 1e-8
+    grad_out = _scaled(rng, (len(mag), 64))
+    energies = mel_energies(mag, mel)
+    clean_energies, clean_grad_out, clean_mag = energies.copy(), grad_out.copy(), mag.copy()
+    expected = ref.log_mel_backward(grad_out, mag, mel, clean_energies)
+    assert ref.bitwise_equal(log_mel_backward(grad_out, mag, mel, energies), expected)
+    assert ref.bitwise_equal(grad_out, clean_grad_out) and ref.bitwise_equal(mag, clean_mag)
+    live = clean_energies > LOG_FLOOR
+    assert 0 < live.sum() < live.size
+    assert ref.bitwise_equal(energies, np.where(live, grad_out / clean_energies, 0.0))
+
+
 def _pcm16(w: Waveform, path) -> bytes:
     write_wav(path, w)
     return path.read_bytes()
@@ -156,6 +180,63 @@ def test_blocked_analysis_and_synthesis_match_whole_array_ffts(n):
     assert ref.bitwise_equal(spectrum.view(np.float64), ref.stft(w).spectrum.view(np.float64))
     scaled = spectrum * np.random.default_rng(n + 1).uniform(0.5, 1.5, spectrum.shape)
     assert ref.bitwise_equal(istft(scaled, n).samples, ref.istft(scaled, n).samples)
+
+
+# the lengths above: 3 frames, around one block, and 1001 frames
+LENGTHS = [WIN_LENGTH, (BLOCK_FRAMES - 2) * HOP_LENGTH, (BLOCK_FRAMES - 1) * HOP_LENGTH,
+           BLOCK_FRAMES * HOP_LENGTH, 160_077]
+
+
+@pytest.mark.parametrize("n", [WIN_LENGTH, 160_077])
+@pytest.mark.parametrize("extra", [-1, -HOP_LENGTH - 3, 3 * HOP_LENGTH])
+def test_istft_trims_and_pads_like_the_whole_array_loop(n, extra):
+    """Output lengths short of the signal, and past the last frame's window,
+    where the samples are zeros."""
+    spectrum = stft(Waveform(np.random.default_rng(n).standard_normal(n) * 0.1,
+                             CANONICAL_RATE)).spectrum
+    length = n + extra
+    assert ref.bitwise_equal(istft(spectrum, length).samples, ref.istft(spectrum, length).samples)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_magnitude_only_analysis_matches_abs_of_stft(n):
+    w = Waveform(np.random.default_rng(n).standard_normal(n) * 0.1, CANONICAL_RATE)
+    assert ref.bitwise_equal(stft_magnitude(w), np.abs(stft(w).spectrum))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_resynthesize_matches_istft_of_magnitude_times_phasor(n):
+    """The fused synthesis against the whole-array istft of the whole phasor product;
+    the magnitude it is given is only read."""
+    w = Waveform(np.random.default_rng(n).standard_normal(n) * 0.1, CANONICAL_RATE)
+    spec = ref.stft(w)
+    mag = spec.magnitude * np.random.default_rng(n + 1).uniform(0.5, 1.5, spec.spectrum.shape)
+    held = mag.copy()
+    fused = resynthesize(w, mag)
+    assert ref.bitwise_equal(mag, held)
+    assert ref.bitwise_equal(fused.samples, ref.istft(mag * spec.phasor, n).samples)
+
+
+def test_resynthesize_refuses_a_magnitude_of_another_shape():
+    w = speaker_utterance(0, 0, seconds=0.5)
+    with pytest.raises(ValueError, match="does not match"):
+        resynthesize(w, stft_magnitude(w)[:-1])
+
+
+def test_ten_second_magnitude_analysis_holds_no_complex_spectrum():
+    """A [T x 257] complex spectrum is two magnitudes' worth; with the result held
+    too, holding one would put the traced peak at three magnitudes or more."""
+    w = speaker_utterance(3, 0, seconds=10.0)
+    magnitude_bytes = 1001 * N_BINS * 8
+    stft_magnitude(w)
+    tracemalloc.start()
+    try:
+        magnitude = stft_magnitude(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert magnitude.nbytes == magnitude_bytes
+    assert peak < 3 * magnitude_bytes
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -186,6 +267,18 @@ def test_zero_magnitude_bins_synthesize_with_phasor_one(tmp_path):
     raised = _pcm16(istft(adv * spec.phasor, len(w)), tmp_path / "phasor.wav")
     assert raised == _pcm16(istft(adv * ref.angle_phasor(spec), len(w)), tmp_path / "angle.wav")
     assert raised != _pcm16(istft(spec.spectrum, len(w)), tmp_path / "clean.wav")
+
+
+def test_resynthesize_matches_whole_arrays_over_a_zero_magnitude_stretch():
+    """The silent frames' phasor of 1 comes from each block's own analysis."""
+    w = _silent_stretch()
+    spec = ref.stft(w)
+    zero = spec.magnitude == 0
+    adv = spec.magnitude.copy()
+    adv[zero & (np.arange(N_BINS) % 2 == 0)] += AttackConfig.alpha
+    expected = ref.istft(adv * spec.phasor, len(w)).samples
+    assert ref.bitwise_equal(resynthesize(w, adv).samples, expected)
+    assert not ref.bitwise_equal(expected, ref.istft(spec.spectrum, len(w)).samples)
 
 
 @pytest.mark.parametrize("method", ["fgsm", "ifgsm"])

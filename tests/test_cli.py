@@ -802,8 +802,7 @@ class TestProtectWorkerProcesses:
         before = blas()
         assert voicecloak.cli.run_protect(str(src), str(weights_file), str(out), "gaussian",
                                           jobs=2) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {bad}: {bad}: truncated file, only 4 bytes"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: truncated file, only 4 bytes"]
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [f"{p.stem}{ext}" for p in src.iterdir() if p != bad for ext in (".json", ".wav")]
             + ["manifest.json"])
@@ -1228,15 +1227,17 @@ class TestPerFileErrors:
         t = np.arange(22050) / 44100
         write_wav(root / "rate-44100.wav", Waveform(0.3 * np.sin(2 * np.pi * 12000 * t), 44100))
         write_wav(root / "short.wav", Waveform(np.full(200, 0.1), 16000))
+        (root / "truncated.wav").write_bytes(b"RIFF")
         return root
 
     MESSAGES = {
         "rate-8000": "{path}: sample_rate 8000 Hz not supported, need 16000",
         "rate-44100": "{path}: sample_rate 44100 Hz not supported, need 16000",
         "short": "{path}: signal of 200 samples is shorter than one window (400 samples)",
+        "truncated": "{path}: truncated file, only 4 bytes",
     }
 
-    @pytest.mark.parametrize("stem", ["rate-8000", "rate-44100", "short"])
+    @pytest.mark.parametrize("stem", ["rate-8000", "rate-44100", "short", "truncated"])
     @pytest.mark.parametrize("command", ["embed", "dump-spec"])
     def test_embed_and_dump_spec_name_the_file_once(
         self, runner, bad_wavs, weights_file, tmp_path, command, stem
@@ -1250,10 +1251,9 @@ class TestPerFileErrors:
         assert result.stderr == f"error: {self.MESSAGES[stem].format(path=path)}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("stem", ["rate-8000", "rate-44100"])
-    def test_protect_refuses_another_rate_and_writes_nothing_for_it(
-        self, runner, bad_wavs, corpus, weights_file, tmp_path, stem
-    ):
+    def _protect_beside_a_corpus(self, runner, bad_wavs, corpus, weights_file, tmp_path, stem):
+        """Protect a copy of the corpus plus one bad file: exit 1, one whole error
+        line naming the file once, and nothing written for it."""
         src, out = tmp_path / "in", tmp_path / "out"
         shutil.copytree(corpus, src)
         shutil.copy(bad_wavs / f"{stem}.wav", src)
@@ -1261,11 +1261,22 @@ class TestPerFileErrors:
         result = runner.invoke(cli, ["protect", str(src), "--weights", str(weights_file),
                                      "--out", str(out), "--method", "gaussian", "--jobs", "1"])
         assert result.exit_code == 1
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith(f"error: {path}: ")
-        assert result.stderr.endswith(self.MESSAGES[stem].format(path=path) + "\n")
+        assert result.stderr == f"error: {self.MESSAGES[stem].format(path=path)}\n"
         assert not list(out.glob(f"{stem}.*"))
         assert sorted(p.name for p in out.glob("*.wav")) == sorted(p.name for p in corpus.iterdir())
+
+    @pytest.mark.parametrize("stem", ["rate-8000", "rate-44100"])
+    def test_protect_refuses_another_rate_and_writes_nothing_for_it(
+        self, runner, bad_wavs, corpus, weights_file, tmp_path, stem
+    ):
+        self._protect_beside_a_corpus(runner, bad_wavs, corpus, weights_file, tmp_path, stem)
+
+    @pytest.mark.parametrize("stem", ["truncated", "short"])
+    def test_protect_names_a_truncated_or_short_file_once(
+        self, runner, bad_wavs, corpus, weights_file, tmp_path, stem
+    ):
+        """read_wav's error names the file already; stft's does not, so protect adds it."""
+        self._protect_beside_a_corpus(runner, bad_wavs, corpus, weights_file, tmp_path, stem)
 
 
 class TestRuntimeErrors:

@@ -17,7 +17,10 @@ quartiles over the passes of `audio_s_per_s`, of `peak_rss_mib` (the
 worker's own `VmHWM`, not its children's), and of the pass's CPU time and
 minor page faults (`user_s`, `sys_s`, `minor_faults`), the number of pairs
 in which B had the higher `audio_s_per_s` (`b_wins`), and the number in
-which B had the lower `peak_rss_mib` (`b_peak_wins`). The CPU time and faults
+which B had the lower `peak_rss_mib` (`b_peak_wins`). For those two metrics
+`gap_over_a_spread` gives B's median minus A's, divided by A's quartile
+spread (q3 - q1): a claimed gain needs it beyond 1 in the better direction
+as well as 9 of 10 pairs won. It is null where A's spread is 0. The CPU time and faults
 are `getrusage(RUSAGE_CHILDREN)` deltas around the pass's process, so they
 include the pool workers it reaped. Nothing is written under bench/.
 """
@@ -44,8 +47,9 @@ def _quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summary(pairs: list[tuple[dict, dict]], audio_seconds: float) -> dict:
-    """Medians and quartiles per side, and the pairs B won: "b_wins" on
-    audio_s_per_s, "b_peak_wins" on a lower peak_rss_mib.
+    """Medians and quartiles per side, the pairs B won ("b_wins" on
+    audio_s_per_s, "b_peak_wins" on a lower peak_rss_mib), and for both
+    metrics the median gap B - A over A's quartile spread ("gap_over_a_spread").
 
     Each pair holds the A and the B report of one pass, which carry "wall"
     (seconds), "peak_rss_mib" and the RUSAGE fields.
@@ -59,6 +63,12 @@ def summary(pairs: list[tuple[dict, dict]], audio_seconds: float) -> dict:
         }
     for key, field in (("b_wins", "wall"), ("b_peak_wins", "peak_rss_mib")):  # B lower wins
         out[key] = f"{sum(b[field] < a[field] for a, b in pairs)}/{len(pairs)}"
+    out["gap_over_a_spread"] = {}
+    for field in ("audio_s_per_s", "peak_rss_mib"):
+        a, b = out["a"][field], out["b"][field]
+        spread = a["q3"] - a["q1"]
+        out["gap_over_a_spread"][field] = (
+            round((b["median"] - a["median"]) / spread, 2) if spread > 0 else None)
     return out
 
 
