@@ -162,7 +162,7 @@ def _by_stem(files: list[Path]) -> dict[str, Path]:
     return by_stem
 
 
-# Set by the user, any of these fixes the BLAS thread count; protect and embed keep it.
+# Set by the user, any of these fixes the BLAS thread count; every command keeps it.
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -204,11 +204,14 @@ _blas_saved = 0  # the OpenBLAS count before the first of them
 def _blas_threads(n: int):
     """Give OpenBLAS n threads for the block, then restore its count.
 
-    Set in the parent before forking, the count reaches the workers
-    through the fork. Set anew in a fresh fork, it starts an OpenBLAS
-    server thread that spins while the worker idles (a probe child went
-    from 1 to 2 OS threads, and 1.67 to 1.90 s of user CPU per pass);
-    restored in the parent while workers run, it starts one there. So
+    Files run at one thread in the calling process (see _map_files), and
+    so do the Grams of eval and simmat, which are too small to gain from
+    more; a forked pool's workers get CPUs // workers. Set in the parent
+    before forking, the count reaches the workers through the fork. Set
+    anew in a fresh fork, it starts an OpenBLAS server thread that spins
+    while the worker idles (a probe child went from 1 to 2 OS threads,
+    and 1.67 to 1.90 s of user CPU per pass); restored in the parent
+    while workers run, it starts one there. So
     blocks that overlap in threads of one process restore the count from
     before the first only when the last one leaves.
     Does nothing when no OpenBLAS is loaded or a BLAS thread variable is set.
@@ -254,7 +257,10 @@ def _keep_freed_memory() -> None:
     file's transient arrays then go back to the kernel, and the next file,
     or the next attack step, faults the same pages in again, zero-filled.
     With these thresholds they stay on the heap from one use to the next.
-    The settings are process-wide and stay in force. Best-effort: does
+    The settings are process-wide and stay in force, so only a process
+    that runs files calls this (see _map_files): a forked pool's parent,
+    which runs none, keeps glibc's defaults and hands back what it frees
+    after the pool, as eval and simmat do after embed. Best-effort: does
     nothing where the C library has no mallopt, or where ctypes cannot
     open the running process (on Windows CDLL(None) raises TypeError).
     """
@@ -268,10 +274,12 @@ def _keep_freed_memory() -> None:
 
 
 def _set_file_task(task) -> None:
-    """Initializer of each forked worker: its per-file task. The worker's
-    heap settings came with the fork (see _map_files)."""
+    """Initializer of each forked worker: its per-file task, and a heap
+    that keeps what the worker frees (see _keep_freed_memory). Its BLAS
+    count came with the fork (see _blas_threads)."""
     global _file_task
     _file_task = task
+    _keep_freed_memory()
 
 
 def _call_file_task(path: Path):
@@ -282,14 +290,17 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     """Yield task(path) for each path, in input order, computed on
     min(jobs or CPUs, files) workers.
 
-    All set-up happens here, before any fork: this process's heap keeps
-    what it frees for the next file (see _keep_freed_memory), and forked
-    workers inherit that. One worker runs in the calling thread, so the
-    files reuse the free memory of the caller's heap (glibc gives a pool
-    thread an arena of its own). More are processes forked from it,
-    because the per-file work is many short NumPy calls that hold the GIL,
-    so threads would not overlap them; only they get CPUs // workers BLAS
-    threads (see _blas_threads). Threads stand in where there is no fork.
+    One worker runs in the calling thread, so the files reuse the free
+    memory of the caller's heap (glibc gives a pool thread an arena of its
+    own). More are processes forked from it, because the per-file work is
+    many short NumPy calls that hold the GIL, so threads would not overlap
+    them. Threads stand in where there is no fork.
+    Only a process that runs files sets its heap to keep what it frees
+    (see _keep_freed_memory): this one when it runs them itself, each
+    forked worker as it starts (_set_file_task), never a pool's parent.
+    Files in this process run on one BLAS thread, forked workers on
+    CPUs // workers, set before the fork (see _blas_threads); the
+    caller's count is back once the iteration ends.
     The fork hands task to each worker unpickled; the pool sends only
     paths, in chunks of about a quarter of a worker's share. A task that
     raises ends the iteration with its exception once the files before it
@@ -297,10 +308,7 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     """
     n_cpus = _usable_cpus()
     workers = min(jobs or n_cpus, len(paths))
-    _keep_freed_memory()
-    if workers == 1:
-        yield from map(task, paths)
-    elif hasattr(os, "fork"):
+    if workers > 1 and hasattr(os, "fork"):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -309,9 +317,14 @@ def _map_files(task, paths: list[Path], jobs: int | None):
                 initializer=_set_file_task, initargs=(task,)) as pool:
             yield from pool.map(_call_file_task, paths,
                                 chunksize=-(-len(paths) // (4 * workers)))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            yield from pool.map(task, paths)
+        return
+    _keep_freed_memory()
+    with _blas_threads(1):
+        if workers == 1:
+            yield from map(task, paths)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                yield from pool.map(task, paths)
 
 
 def _file_seed(base_seed: int, stem: str) -> int:
@@ -360,8 +373,9 @@ def run_protect(
     not yet handed back, naming each.
 
     Forked workers get CPUs // workers OpenBLAS threads, so the two pools
-    do not oversubscribe the cores, unless a BLAS thread variable is set;
-    the count is restored on return, also when this raises.
+    do not oversubscribe the cores, and files run in this process get one,
+    unless a BLAS thread variable is set; the count is restored on return,
+    also when this raises.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
@@ -482,7 +496,8 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
     enroll_ids, test_ids, is_target = parse_trials(trials)
     enroll_embeddings, test_embeddings = _load_embedding_pair(enroll, test)
     try:
-        scores = score_trials(enroll_ids, test_ids, enroll_embeddings, test_embeddings)
+        with _blas_threads(1):
+            scores = score_trials(enroll_ids, test_ids, enroll_embeddings, test_embeddings)
     except MissingKeyError as exc:  # name the archive that lacks the key
         raise TrialFormatError(f"{enroll if exc.args[0] == 'enrollment' else test}: {exc}") from None
     eer, threshold = compute_eer(scores[is_target], scores[~is_target])
@@ -509,7 +524,9 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
 def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = False) -> None:
     _refuse_overwrite([rows] if cols is None else [rows, cols], [out])
     row_embeddings, col_embeddings = _load_embedding_pair(rows, cols)
-    matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings, speaker_level)
+    with _blas_threads(1):
+        matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings,
+                                                       speaker_level)
     _write_atomically(Path(out),
                       lambda temp: write_similarity_csv(temp, matrix, row_keys, col_keys))
 

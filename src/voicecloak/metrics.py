@@ -13,10 +13,12 @@ a per-pair cosine (`-cosine_loss`), so they may differ from it (and the
 EER threshold with them) in the last few ulps.
 
 Memory contract: `parse_trials` holds each distinct key once, however
-many trials name it, and `score_trials` gathers its cells through integer
-index arrays, not lists; the EER sweep finds its distinct thresholds with a
-sort and one comparison, as `np.unique` does, without importing
-`numpy.ma`, which NumPy 2's `np.unique` loads.
+many trials name it, and its target column is one byte per trial;
+`score_trials` normalises its rows in place and forms its Gram before
+it gathers the cells through integer index arrays, not lists; the EER
+sweep finds its distinct thresholds with a sort and one comparison, as
+`np.unique` does, without importing `numpy.ma`, which NumPy 2's
+`np.unique` loads.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def parse_trials(path) -> tuple[list[str], list[str], np.ndarray]:
     """
     enroll_ids: list[str] = []
     test_ids: list[str] = []
-    is_target: list[bool] = []
+    is_target = bytearray()  # one byte per trial, viewed as the bool column
     keys: dict[str, str] = {}  # each key as first read, so repeats hold no copy
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,7 +105,7 @@ def parse_trials(path) -> tuple[list[str], list[str], np.ndarray]:
         raise TrialFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not enroll_ids:
         raise TrialFormatError(f"{path}: no trials found")
-    return enroll_ids, test_ids, np.array(is_target, dtype=bool)
+    return enroll_ids, test_ids, np.frombuffer(is_target, dtype=bool)
 
 
 def _unit_rows(embeddings: dict[str, np.ndarray], keys) -> np.ndarray:
@@ -114,7 +116,8 @@ def _unit_rows(embeddings: dict[str, np.ndarray], keys) -> np.ndarray:
     if small.size:
         i = small[0]
         raise ValueError(f"near-zero-norm embedding for key {keys[i]!r} (norm {norms[i]:.3e})")
-    return matrix / norms[:, None]
+    matrix /= norms[:, None]
+    return matrix
 
 
 def score_trials(
@@ -142,11 +145,11 @@ def score_trials(
                 raise MissingKeyError("test", test_id)
     if not enroll_index:
         return np.zeros(0)
+    gram = (_unit_rows(enroll_embeddings, list(enroll_index))
+            @ _unit_rows(test_embeddings, list(test_index)).T)
     ei = np.fromiter(map(enroll_index.__getitem__, enroll_ids), np.intp, len(enroll_ids))
     ti = np.fromiter(map(test_index.__getitem__, test_ids), np.intp, len(test_ids))
-    enroll = _unit_rows(enroll_embeddings, list(enroll_index))
-    test = _unit_rows(test_embeddings, list(test_index))
-    return (enroll @ test.T)[ei, ti]
+    return gram[ei, ti]
 
 
 def _operating_points(target_scores: np.ndarray, nontarget_scores: np.ndarray):

@@ -531,15 +531,17 @@ class TestProtectBlasThreads:
                                               str(tmp_path / "out"), "gaussian", jobs=jobs)
         assert failures == 0
         workers = min(jobs or n_cpus, 4)
-        assert seen() == [max(1, n_cpus // workers)] * 4
+        assert seen() == [1 if workers == 1 else max(1, n_cpus // workers)] * 4
         assert blas() == before
 
-    def test_one_file_keeps_every_cpu(self, corpus, weights_file, tmp_path, monkeypatch, blas):
+    def test_one_file_runs_on_one_blas_thread(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas
+    ):
         seen = self._counts_in_pool(monkeypatch, blas, tmp_path / "counts")
         before = blas()
         voicecloak.cli.run_protect(str(corpus / f"{speaker_key(0, 0)}.wav"), str(weights_file),
                                    str(tmp_path / "out"), "gaussian")
-        assert seen() == [before]
+        assert seen() == [1]
         assert blas() == before
 
     @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
@@ -628,15 +630,16 @@ class TestProtectBlasThreads:
         assert blas() == before
 
     @pytest.mark.parametrize("jobs, fork", [(1, True), (2, False)], ids=["one-worker", "no-fork"])
-    def test_in_process_workers_run_at_the_callers_count(self, monkeypatch, blas, jobs, fork):
+    def test_in_process_workers_run_on_one_blas_thread(self, monkeypatch, blas, jobs, fork):
+        """Files in the calling process gain nothing from more BLAS threads
+        and pay for them in CPU; the caller's count is back afterwards."""
         if voicecloak.cli._usable_cpus() == 1:
-            pytest.skip("on one CPU every count a batch sets is the caller's")
+            pytest.skip("on one CPU the caller's count is one already")
         if not fork:
             monkeypatch.delattr(os, "fork", raising=False)
-        _, set_ = voicecloak.cli._openblas_threads()
-        set_(1)
+        before = blas()
         assert list(voicecloak.cli._map_files(lambda path: blas(), ["a", "b"], jobs)) == [1, 1]
-        assert blas() == 1
+        assert blas() == before
 
     def test_a_forked_worker_starts_no_blas_thread(self, blas):
         """Setting the count anew inside a fresh fork would start an OpenBLAS
@@ -901,8 +904,9 @@ def _third_round_faults(path):
 
 class TestForkedWorkerHeap:
     """Every process that runs the files keeps the memory it frees for its
-    next file. The caller sets that up once, before any fork, and forked
-    workers inherit it."""
+    next file. The caller sets that up when it runs them itself, and each
+    forked worker as it starts; the parent of forked workers keeps the
+    C library's defaults."""
 
     def test_a_worker_faults_in_no_pages_it_freed(self):
         if not hasattr(os, "fork"):
@@ -935,8 +939,8 @@ class TestForkedWorkerHeap:
     @pytest.mark.parametrize("jobs, fork", [(1, True), (2, False), (2, True)],
                              ids=["one-worker", "no-fork", "forked"])
     def test_the_process_that_runs_the_files_sets_up_its_heap(self, monkeypatch, jobs, fork):
-        """Each file sees the set-up calls made in its process, a forked
-        worker those inherited from the fork: one, in the test's process."""
+        """Each file sees the set-up calls made in its process: one, made by
+        the process that runs it. The parent of forked workers makes none."""
         if not fork:
             monkeypatch.delattr(os, "fork", raising=False)
         elif not hasattr(os, "fork"):
@@ -946,10 +950,11 @@ class TestForkedWorkerHeap:
                             lambda: set_up_in.append(os.getpid()))
         results = list(voicecloak.cli._map_files(lambda path: (os.getpid(), set_up_in),
                                                  ["a", "b", "c"], jobs))
-        assert set_up_in == [os.getpid()]
-        assert [seen for _, seen in results] == [[os.getpid()]] * 3
+        in_process = jobs == 1 or not fork
+        assert set_up_in == ([os.getpid()] if in_process else [])
+        assert [seen for _, seen in results] == [[pid] for pid, _ in results]
         ran_in = {pid for pid, _ in results}
-        if jobs == 1 or not fork:
+        if in_process:
             assert ran_in == {os.getpid()}
         else:
             assert os.getpid() not in ran_in
@@ -1050,6 +1055,31 @@ class TestEmbedEvalSimmat:
         expected = "".join(f"{e} {t} {label} {s:.12g}\n"
                            for (e, t, _, label), s in zip(trials, scores))
         assert (tmp_path / "result.scores.txt").read_text(encoding="utf-8") == expected
+
+    def test_files_and_scoring_run_on_one_blas_thread(
+        self, corpus, weights_file, archive, tmp_path, monkeypatch, blas
+    ):
+        """An in-process embed and the Grams of eval and simmat each see one
+        BLAS thread; the caller's count is back after each command."""
+        seen = {}
+        for name in ("embed", "score_trials", "similarity_matrix"):
+            def recording(*args, _name=name, _run=getattr(voicecloak.cli, name), **kwargs):
+                seen.setdefault(_name, []).append(blas())
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(voicecloak.cli, name, recording)
+        trials = tmp_path / "trials.txt"
+        trials.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n"
+                          f"{speaker_key(0, 0)} {speaker_key(1, 1)} nontarget\n")
+        before = blas()
+        voicecloak.cli.run_embed((str(corpus / f"{speaker_key(0, 0)}.wav"),),
+                                 str(weights_file), str(tmp_path / "one.emb"))
+        assert blas() == before
+        voicecloak.cli.run_eval(str(trials), str(archive), str(archive), str(tmp_path / "result"))
+        assert blas() == before
+        voicecloak.cli.run_simmat(str(archive), None, str(tmp_path / "matrix.csv"))
+        assert blas() == before
+        assert seen == {"embed": [1], "score_trials": [1], "similarity_matrix": [1]}
 
     def test_a_failed_eval_leaves_the_previous_outputs(self, runner, archive, tmp_path):
         good = tmp_path / "good.txt"
