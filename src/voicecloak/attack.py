@@ -213,7 +213,7 @@ def protect_utterance(
     target_snr_db and seed; only fgsm (cfg.epsilon alone) and ifgsm read
     cfg. The report's delta_cosd is always recomputed from the re-analyzed
     protected waveform, and the output length always equals the input's.
-    `stft` rejects input at any rate but CANONICAL_RATE.
+    `stft_magnitude` rejects input at any rate but CANONICAL_RATE.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

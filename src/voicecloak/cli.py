@@ -104,7 +104,8 @@ def _recorded(command: str, manifest: str):
     """Register a `run_*` for rerun as `command`. Once a call returns, its
     arguments, defaults applied, are the params of the manifest written to
     the path `manifest` formats from them; a call that raises writes none.
-    While the call runs, `_refuse_overwrite` checks that path too."""
+    While the call runs, `_refuse_overwrite` checks that path too, and
+    OpenBLAS runs on one thread (see _one_blas_thread)."""
 
     def decorate(run):
         @functools.wraps(run)
@@ -114,7 +115,8 @@ def _recorded(command: str, manifest: str):
             path = manifest.format(**bound.arguments)
             token = _MANIFEST.set(path)
             try:
-                result = run(*args, **kwargs)
+                with _one_blas_thread():
+                    result = run(*args, **kwargs)
             finally:
                 _MANIFEST.reset(token)
             record = {"tool": "voicecloak", "version": __version__, "command": command,
@@ -196,24 +198,24 @@ def _openblas_threads():
 
 # The OpenBLAS count is process-wide, so the record of who changed it is too.
 _blas_lock = threading.Lock()
-_blas_active = 0  # blocks inside _blas_threads; guarded by _blas_lock
+_blas_active = 0  # commands inside _one_blas_thread; guarded by _blas_lock
 _blas_saved = 0  # the OpenBLAS count before the first of them
 
 
 @contextlib.contextmanager
-def _blas_threads(n: int):
-    """Give OpenBLAS n threads for the block, then restore its count.
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count.
 
-    Files run at one thread in the calling process (see _map_files), and
-    so do the Grams of eval and simmat, which are too small to gain from
-    more; a forked pool's workers get CPUs // workers. Set in the parent
-    before forking, the count reaches the workers through the fork. Set
-    anew in a fresh fork, it starts an OpenBLAS server thread that spins
-    while the worker idles (a probe child went from 1 to 2 OS threads,
-    and 1.67 to 1.90 s of user CPU per pass); restored in the parent
-    while workers run, it starts one there. So
+    Every command runs in this block (see _recorded). A file's attack,
+    analysis and embedding, and the Grams of eval and simmat, are long runs
+    of small GEMMs that gain no wall time from more threads and pay for
+    them in CPU. Set here, before any fork, the count reaches forked
+    workers through the fork. Set anew in a fresh fork, it starts an
+    OpenBLAS server thread that spins while the worker idles (a probe child
+    went from 1 to 2 OS threads, and 1.67 to 1.90 s of user CPU per pass);
+    restored in the parent while workers run, it starts one there. So
     blocks that overlap in threads of one process restore the count from
-    before the first only when the last one leaves.
+    before the first only when the last one leaves, also when one raises.
     Does nothing when no OpenBLAS is loaded or a BLAS thread variable is set.
     """
     global _blas_active, _blas_saved
@@ -225,8 +227,8 @@ def _blas_threads(n: int):
     with _blas_lock:
         if _blas_active == 0:
             _blas_saved = get()
+            set_(1)
         _blas_active += 1
-        set_(n)
     try:
         yield
     finally:
@@ -237,7 +239,7 @@ def _blas_threads(n: int):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; OpenBLAS sizes its own pool the same way."""
+    """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -275,8 +277,7 @@ def _keep_freed_memory() -> None:
 
 def _set_file_task(task) -> None:
     """Initializer of each forked worker: its per-file task, and a heap
-    that keeps what the worker frees (see _keep_freed_memory). Its BLAS
-    count came with the fork (see _blas_threads)."""
+    that keeps what the worker frees (see _keep_freed_memory)."""
     global _file_task
     _file_task = task
     _keep_freed_memory()
@@ -298,33 +299,27 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     Only a process that runs files sets its heap to keep what it frees
     (see _keep_freed_memory): this one when it runs them itself, each
     forked worker as it starts (_set_file_task), never a pool's parent.
-    Files in this process run on one BLAS thread, forked workers on
-    CPUs // workers, set before the fork (see _blas_threads); the
-    caller's count is back once the iteration ends.
     The fork hands task to each worker unpickled; the pool sends only
     paths, in chunks of about a quarter of a worker's share. A task that
     raises ends the iteration with its exception once the files before it
     are yielded; so does a worker that dies.
     """
-    n_cpus = _usable_cpus()
-    workers = min(jobs or n_cpus, len(paths))
+    workers = min(jobs or _usable_cpus(), len(paths))
     if workers > 1 and hasattr(os, "fork"):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with _blas_threads(max(1, n_cpus // workers)), ProcessPoolExecutor(
-                workers, multiprocessing.get_context("fork"),
-                initializer=_set_file_task, initargs=(task,)) as pool:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_set_file_task, initargs=(task,)) as pool:
             yield from pool.map(_call_file_task, paths,
                                 chunksize=-(-len(paths) // (4 * workers)))
         return
     _keep_freed_memory()
-    with _blas_threads(1):
-        if workers == 1:
-            yield from map(task, paths)
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                yield from pool.map(task, paths)
+    if workers == 1:
+        yield from map(task, paths)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            yield from pool.map(task, paths)
 
 
 def _file_seed(base_seed: int, stem: str) -> int:
@@ -335,14 +330,16 @@ def _file_seed(base_seed: int, stem: str) -> int:
 @_recorded("init-encoder", "{out}.manifest.json")
 def run_init_encoder(config: str, seed: int, out: str) -> None:
     _refuse_overwrite([config], [out])
-    overrides = json.loads(Path(config).read_text(encoding="utf-8"))
-    if not isinstance(overrides, dict):
-        raise ValueError(f"{config}: encoder config must be a JSON object")
-    defaults = EncoderConfig().to_dict()
-    unknown = sorted(set(overrides) - set(defaults))
-    if unknown:
-        raise ValueError(f"{config}: unknown encoder config keys {unknown}")
-    ws = init_random(EncoderConfig.from_dict({**defaults, **overrides}), seed)
+    with _naming(config):
+        overrides = json.loads(Path(config).read_text(encoding="utf-8"))
+        if not isinstance(overrides, dict):
+            raise ValueError("encoder config must be a JSON object")
+        defaults = EncoderConfig().to_dict()
+        unknown = sorted(set(overrides) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown encoder config keys {unknown}")
+        cfg = EncoderConfig.from_dict({**defaults, **overrides})
+    ws = init_random(cfg, seed)
     _write_atomically(Path(out), lambda temp: save_weights(ws, temp))
 
 
@@ -371,11 +368,6 @@ def run_protect(
     when more than one (see _map_files). Each file's error is reported on
     its own and the batch goes on. A worker that dies fails every file
     not yet handed back, naming each.
-
-    Forked workers get CPUs // workers OpenBLAS threads, so the two pools
-    do not oversubscribe the cores, and files run in this process get one,
-    unless a BLAS thread variable is set; the count is restored on return,
-    also when this raises.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
@@ -496,11 +488,11 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
     enroll_ids, test_ids, is_target = parse_trials(trials)
     enroll_embeddings, test_embeddings = _load_embedding_pair(enroll, test)
     try:
-        with _blas_threads(1):
-            scores = score_trials(enroll_ids, test_ids, enroll_embeddings, test_embeddings)
+        scores = score_trials(enroll_ids, test_ids, enroll_embeddings, test_embeddings)
     except MissingKeyError as exc:  # name the archive that lacks the key
         raise TrialFormatError(f"{enroll if exc.args[0] == 'enrollment' else test}: {exc}") from None
-    eer, threshold = compute_eer(scores[is_target], scores[~is_target])
+    with _naming(trials):
+        eer, threshold = compute_eer(scores[is_target], scores[~is_target])
     summary = {
         "eer": eer,
         "threshold": threshold,
@@ -524,9 +516,7 @@ def run_eval(trials: str, enroll: str, test: str, out: str) -> dict:
 def run_simmat(rows: str, cols: str | None, out: str, speaker_level: bool = False) -> None:
     _refuse_overwrite([rows] if cols is None else [rows, cols], [out])
     row_embeddings, col_embeddings = _load_embedding_pair(rows, cols)
-    with _blas_threads(1):
-        matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings,
-                                                       speaker_level)
+    matrix, row_keys, col_keys = similarity_matrix(row_embeddings, col_embeddings, speaker_level)
     _write_atomically(Path(out),
                       lambda temp: write_similarity_csv(temp, matrix, row_keys, col_keys))
 

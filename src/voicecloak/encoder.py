@@ -175,7 +175,10 @@ def load_weights(path) -> WeightStore:
         config = EncoderConfig.from_dict(meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise tensorfile.TensorFileError(f"{path}: bad encoder config: {exc!r}") from exc
-    return WeightStore(config, tensors)
+    try:
+        return WeightStore(config, tensors)
+    except ValueError as exc:  # tensors missing, extra or mis-shaped for the config
+        raise tensorfile.TensorFileError(f"{path}: {exc}") from exc
 
 
 # (output, input) band slices of the three frequency taps df = 0, 1, 2

@@ -54,6 +54,21 @@ def _cli_calls(path: Path) -> list[tuple[str, int, list]]:
     ]
 
 
+def test_every_cli_attribute_the_tracer_reads_exists():
+    """`Tracer.install` swaps names on `voicecloak.cli`; one that is gone
+    would break every `bench/run.py --trace 1` run."""
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(TRACING.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cli"
+    }
+    assert read
+    assert sorted(name for name in read if not hasattr(cli, name)) == []
+
+
 @pytest.mark.parametrize("name", ["workloads.py", "test_checks.py"])
 def test_the_benchmarks_cli_calls_bind_to_the_run_signatures(name):
     calls = _cli_calls(BENCH / name)

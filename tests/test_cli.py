@@ -108,23 +108,28 @@ class TestInitEncoder:
             pytest.param({"conv_chanels": [8, 8]}, "'conv_chanels'", id="misspelt-key"),
             pytest.param({"embed_dim": 32, "seed": 1}, "'seed'", id="key-beside-known-ones"),
             pytest.param([["embed_dim", 32]], "JSON object", id="list"),
-            pytest.param({"embed_dim": 16.7}, "error: embed_dim must be an integer, got 16.7",
+            pytest.param({"embed_dim": 16.7}, "embed_dim must be an integer, got 16.7",
                          id="float"),
-            pytest.param({"embed_dim": True}, "error: embed_dim must be an integer, got True",
+            pytest.param({"embed_dim": True}, "embed_dim must be an integer, got True",
                          id="bool"),
-            pytest.param({"conv_channels": [2.9, 4]}, "error: conv_channels must be a list",
+            pytest.param({"conv_channels": [2.9, 4]}, "conv_channels must be a list",
                          id="float-in-list"),
-            pytest.param({"conv_channels": 5}, "error: conv_channels must be a list",
+            pytest.param({"conv_channels": 5}, "conv_channels must be a list",
                          id="number-for-list"),
-            pytest.param({"pool_after": None}, "error: pool_after must be a list", id="null"),
+            pytest.param({"pool_after": None}, "pool_after must be a list", id="null"),
+            pytest.param({"embed_dim": 1}, "embed_dim must be >= 2, got 1", id="too-small"),
+            pytest.param(b"not json", "Expecting value: line 1 column 1 (char 0)",
+                         id="not-json"),
+            pytest.param(b"\xff{}", "'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
         ],
     )
     def test_rejects_unknown_keys_and_non_objects(self, runner, tmp_path, config, message):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
+        path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         out = tmp_path / "w.bin"
         result = runner.invoke(cli, ["init-encoder", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {path}: ")
         assert message in result.stderr
         assert list(tmp_path.iterdir()) == [path]
 
@@ -520,18 +525,19 @@ class TestProtectBlasThreads:
         log.write_text("", encoding="ascii")
         return lambda: [int(n) for n in log.read_text(encoding="ascii").split()]
 
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
     @pytest.mark.parametrize("jobs", [None, 1, 2, 3])
-    def test_a_batch_splits_the_cpus_between_workers(
-        self, corpus, weights_file, tmp_path, monkeypatch, blas, jobs
+    def test_every_batch_runs_on_one_blas_thread(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas, jobs, fork
     ):
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
         seen = self._counts_in_pool(monkeypatch, blas, tmp_path / "counts")
         before = blas()
-        n_cpus = voicecloak.cli._usable_cpus()
         failures = voicecloak.cli.run_protect(str(corpus), str(weights_file),
                                               str(tmp_path / "out"), "gaussian", jobs=jobs)
         assert failures == 0
-        workers = min(jobs or n_cpus, 4)
-        assert seen() == [1 if workers == 1 else max(1, n_cpus // workers)] * 4
+        assert seen() == [1] * 4
         assert blas() == before
 
     def test_one_file_runs_on_one_blas_thread(
@@ -594,7 +600,6 @@ class TestProtectBlasThreads:
 
         monkeypatch.setattr(voicecloak.cli, "read_wav", ordered)
         before = blas()
-        b_count = max(1, voicecloak.cli._usable_cpus() // 2)
 
         def protect(name):
             return voicecloak.cli.run_protect(str(tmp_path / name), str(weights_file),
@@ -605,57 +610,95 @@ class TestProtectBlasThreads:
             _wait_for(a_running)
             b = callers.submit(protect, "b")
             assert a.result(timeout=60) == 0
-            assert blas() == b_count
+            assert blas() == 1
             a_returned.touch()
             assert b.result(timeout=60) == 0
-        assert [int(n) for n in seen_by_b.read_text(encoding="ascii").split()] == [b_count] * 2
+        assert [int(n) for n in seen_by_b.read_text(encoding="ascii").split()] == [1] * 2
         assert blas() == before
 
-    def test_many_overlapping_blocks_leave_the_count_as_they_found_it(self, blas):
+    def test_many_overlapping_blocks_leave_the_count_as_they_found_it(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas
+    ):
+        """Commands that enter and leave in threads of one process, half of
+        them raising, each run on one thread, and the count from before the
+        first is back after the last."""
+        seen, original = [], voicecloak.cli.embed
+
+        def recording(*args):
+            seen.append(blas())
+            return original(*args)
+
+        monkeypatch.setattr(voicecloak.cli, "embed", recording)
+        good, bad = str(corpus / f"{speaker_key(0, 0)}.wav"), tmp_path / "bad.wav"
+        bad.write_bytes(b"RIFF")
+
+        def embed_many(i):
+            for k in range(20):
+                out = str(tmp_path / f"{i}-{k}.emb")
+                if i % 2:
+                    with pytest.raises(WavFormatError):
+                        voicecloak.cli.run_embed((str(bad),), str(weights_file), out)
+                else:
+                    voicecloak.cli.run_embed((good,), str(weights_file), out)
+
         before = blas()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            def enter_and_leave(n):
-                for _ in range(200):
-                    with voicecloak.cli._blas_threads(n):
-                        pass
-
             with ThreadPoolExecutor(4) as pool:
-                for future in [pool.submit(enter_and_leave, 1 + i % 2) for i in range(4)]:
+                for future in [pool.submit(embed_many, i) for i in range(4)]:
                     future.result(timeout=60)
         finally:
             sys.setswitchinterval(switch)
+        assert seen == [1] * 40
         assert voicecloak.cli._blas_active == 0
         assert blas() == before
 
-    @pytest.mark.parametrize("jobs, fork", [(1, True), (2, False)], ids=["one-worker", "no-fork"])
-    def test_in_process_workers_run_on_one_blas_thread(self, monkeypatch, blas, jobs, fork):
-        """Files in the calling process gain nothing from more BLAS threads
-        and pay for them in CPU; the caller's count is back afterwards."""
+    @pytest.mark.parametrize("one_file", [True, False], ids=["one-worker", "no-fork"])
+    def test_in_process_workers_run_on_one_blas_thread(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas, one_file
+    ):
+        """Files embedded in the calling process, by its one worker or by
+        threads where there is no fork, run on one BLAS thread; the caller's
+        count is back afterwards."""
         if voicecloak.cli._usable_cpus() == 1:
             pytest.skip("on one CPU the caller's count is one already")
-        if not fork:
+        if not one_file:
             monkeypatch.delattr(os, "fork", raising=False)
+        seen, original = [], voicecloak.cli.embed
+
+        def recording(*args):
+            seen.append((os.getpid(), blas()))
+            return original(*args)
+
+        monkeypatch.setattr(voicecloak.cli, "embed", recording)
+        inputs = corpus / f"{speaker_key(0, 0)}.wav" if one_file else corpus
         before = blas()
-        assert list(voicecloak.cli._map_files(lambda path: blas(), ["a", "b"], jobs)) == [1, 1]
+        voicecloak.cli.run_embed((str(inputs),), str(weights_file), str(tmp_path / "e.emb"))
+        assert seen == [(os.getpid(), 1)] * (1 if one_file else 4)
         assert blas() == before
 
-    def test_a_forked_worker_starts_no_blas_thread(self, blas):
+    def test_a_forked_worker_starts_no_blas_thread(
+        self, corpus, weights_file, tmp_path, monkeypatch, blas
+    ):
         """Setting the count anew inside a fresh fork would start an OpenBLAS
-        server thread there; the worker inherits the count the parent set."""
+        server thread there; the worker inherits the one thread the command set."""
         if not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"):
             pytest.skip("no forked workers or no /proc on this platform")
-        if voicecloak.cli._usable_cpus() // 2 != 1:
-            pytest.skip("two workers get one BLAS thread each only on 2 or 3 CPUs")
+        log, original = tmp_path / "threads", voicecloak.cli.protect_utterance
 
-        def gemm_then_count_threads(path):
+        def gemm_then_count_threads(*args):
             square = np.ones((300, 300))
             square @ square
-            return len(os.listdir("/proc/self/task"))
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{len(os.listdir('/proc/self/task'))}\n")
+            return original(*args)
 
-        threads = list(voicecloak.cli._map_files(gemm_then_count_threads, ["a", "b", "c", "d"], 2))
-        assert threads == [1] * 4
+        monkeypatch.setattr(voicecloak.cli, "protect_utterance", gemm_then_count_threads)
+        log.write_text("", encoding="ascii")
+        assert voicecloak.cli.run_protect(str(corpus), str(weights_file), str(tmp_path / "out"),
+                                          "gaussian", jobs=2) == 0
+        assert log.read_text(encoding="ascii").split() == ["1"] * 4
 
     def test_jobs_leave_the_bytes_alone(self, runner, blas, tmp_path):
         src = tmp_path / "in"
@@ -1079,7 +1122,12 @@ class TestEmbedEvalSimmat:
         assert blas() == before
         voicecloak.cli.run_simmat(str(archive), None, str(tmp_path / "matrix.csv"))
         assert blas() == before
-        assert seen == {"embed": [1], "score_trials": [1], "similarity_matrix": [1]}
+        trials.write_text(f"{speaker_key(0, 0)} {speaker_key(0, 1)} target\n")
+        with pytest.raises(ValueError, match="nontarget"):
+            voicecloak.cli.run_eval(str(trials), str(archive), str(archive),
+                                    str(tmp_path / "failed"))
+        assert blas() == before
+        assert seen == {"embed": [1], "score_trials": [1, 1], "similarity_matrix": [1]}
 
     def test_a_failed_eval_leaves_the_previous_outputs(self, runner, archive, tmp_path):
         good = tmp_path / "good.txt"
@@ -1094,7 +1142,8 @@ class TestEmbedEvalSimmat:
         first = {name: (tmp_path / name).read_bytes() for name in outputs}
         result = runner.invoke(cli, args + ["--trials", str(targets_only)])
         assert result.exit_code == 1
-        assert "nontarget" in result.stderr
+        assert result.stderr == (
+            f"error: {targets_only}: need at least one target and one nontarget score\n")
         assert {name: (tmp_path / name).read_bytes() for name in outputs} == first
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             outputs + ["good.txt", "targets.txt"])
@@ -1332,6 +1381,18 @@ class TestRuntimeErrors:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
         assert type(result.exception) is SystemExit
+
+    @pytest.mark.parametrize("command", ["protect", "embed"])
+    def test_a_weight_file_missing_a_tensor_is_named(self, runner, corpus, tmp_path, command):
+        ws = init_random(EncoderConfig(**SMALL_CONFIG), 0)
+        tensors = {name: t for name, t in ws.tensors.items() if name != "conv0.bias"}
+        weights = tmp_path / "w.bin"
+        tensorfile.save(weights, tensors, meta={"kind": "encoder-weights",
+                                                "config": ws.config.to_dict()})
+        result = runner.invoke(cli, [command, str(corpus / f"{speaker_key(0, 0)}.wav"),
+                                     "--weights", str(weights), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {weights}: weight store is missing tensor 'conv0.bias'\n"
 
     def test_the_traceback_shows_only_at_debug_level(self, tmp_path):
         garbage = tmp_path / "garbage.wav"

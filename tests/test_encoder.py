@@ -187,6 +187,30 @@ class TestInitRandom:
         with pytest.raises(TensorFileError, match=f"bad encoder config: .*{field}"):
             load_weights(path)
 
+    @pytest.mark.parametrize("change, message", [
+        ("missing", "weight store is missing tensor 'conv0.bias'"),
+        ("extra", "weight store has unexpected tensors ['conv9.bias']"),
+        ("misshaped", "tensor 'conv0.kernel' has shape (2, 1, 3, 2), config implies (2, 1, 3, 3)"),
+    ], ids=["missing", "extra", "misshaped"])
+    def test_load_names_a_file_whose_tensors_do_not_fit_its_config(self, tmp_path, change,
+                                                                   message):
+        from voicecloak import tensorfile
+
+        ws = init_random(EncoderConfig(), 0)
+        tensors = dict(ws.tensors)
+        if change == "missing":
+            del tensors["conv0.bias"]
+        elif change == "extra":
+            tensors["conv9.bias"] = np.zeros(2)
+        else:
+            tensors["conv0.kernel"] = tensors["conv0.kernel"][:, :, :, :2]
+        path = tmp_path / "w.bin"
+        tensorfile.save(path, tensors, meta={"kind": "encoder-weights",
+                                             "config": ws.config.to_dict()})
+        with pytest.raises(TensorFileError) as caught:
+            load_weights(path)
+        assert str(caught.value) == f"{path}: {message}"
+
     def test_load_rejects_foreign_file(self, tmp_path):
         from voicecloak import tensorfile
 
