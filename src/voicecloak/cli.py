@@ -291,11 +291,11 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     """Yield task(path) for each path, in input order, computed on
     min(jobs or CPUs, files) workers.
 
-    One worker runs in the calling thread, so the files reuse the free
+    A single worker is the calling thread, so the files reuse the free
     memory of the caller's heap (glibc gives a pool thread an arena of its
-    own). More are processes forked from it, because the per-file work is
-    many short NumPy calls that hold the GIL, so threads would not overlap
-    them. Threads stand in where there is no fork.
+    own). With more, each is a process forked from the caller, which runs
+    no file: the per-file work is many short NumPy calls that hold the GIL,
+    so threads would not overlap them. Threads stand in where there is no fork.
     Only a process that runs files sets its heap to keep what it frees
     (see _keep_freed_memory): this one when it runs them itself, each
     forked worker as it starts (_set_file_task), never a pool's parent.

@@ -7,7 +7,9 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
 
 * frames are center-aligned: the signal is reflect-padded by WIN_LENGTH/2
   at both ends, frame k starts at k*HOP_LENGTH in the padded signal, and
-  the frame count is floor(len/HOP_LENGTH) + 1;
+  the frame count is floor(len/HOP_LENGTH) + 1; only edge frames read the
+  padding, from a small reflected buffer of their end, and the others are
+  windowed straight from the samples, so no padded copy is made;
 * the analysis window is WINDOW, a periodic Hann of WIN_LENGTH samples,
   zero-padded centrally to FFT_SIZE;
 * synthesis uses the same window with overlap-add, normalized per sample
@@ -77,10 +79,13 @@ def _analysis(w: Waveform) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
     """The frame count of w's analysis, and a generator of its transforms.
 
     Requires at least one window of samples at CANONICAL_RATE, the only
-    rate accepted. The generator windows BLOCK_FRAMES frames at a time
-    into one small buffer and yields (first frame, rfft of the block), a
-    fresh [rows x N_BINS] complex array each time, so no array of all the
-    frames or of the whole spectrum is made.
+    rate accepted. Only the edge frames (two at the head, one or two at
+    the tail) read a small reflected buffer of their end, of at most 560
+    samples; the others are windowed straight from w's samples. The
+    generator windows BLOCK_FRAMES frames at a time into one small buffer
+    and yields (first frame, rfft of the block), a fresh [rows x N_BINS]
+    complex array each time, so no padded signal, array of all the frames
+    or spectrum of the whole signal is made.
     """
     if w.sample_rate != CANONICAL_RATE:
         raise ValueError(
@@ -93,16 +98,26 @@ def _analysis(w: Waveform) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
             f"signal of {len(x)} samples is shorter than one window ({WIN_LENGTH} samples)"
         )
     half = WIN_LENGTH // 2
-    padded = np.pad(x, (half, half), mode="reflect")
     n_frames = len(x) // HOP_LENGTH + 1
-    windows = np.lib.stride_tricks.sliding_window_view(padded, WIN_LENGTH)[::HOP_LENGTH]
+    lo, hi = -(-half // HOP_LENGTH), (len(x) - half) // HOP_LENGTH + 1  # frames [lo, hi) in x
+    inner = np.lib.stride_tricks.sliding_window_view(x, WIN_LENGTH)[lo * HOP_LENGTH - half :]
+    inner = inner[::HOP_LENGTH]  # frame k starts at sample k * HOP_LENGTH - half
+    reach = (n_frames - 1) * HOP_LENGTH + half - len(x)  # samples the last frame reads past x
+    head = np.concatenate((x[half:0:-1], x[: (lo - 1) * HOP_LENGTH + half]))
+    tail = np.concatenate((x[hi * HOP_LENGTH - half :], x[-2 : -2 - reach : -1]))
+    edges = [(k, head[k * HOP_LENGTH :]) for k in range(lo)]
+    edges += [(k, tail[(k - hi) * HOP_LENGTH :]) for k in range(hi, n_frames)]
 
     def blocks():
         frames = np.zeros((min(n_frames, BLOCK_FRAMES), FFT_SIZE))
         for start in range(0, n_frames, BLOCK_FRAMES):
-            block = windows[start : start + BLOCK_FRAMES]
-            np.multiply(block, WINDOW, out=frames[: len(block), _LPAD : _LPAD + WIN_LENGTH])
-            yield start, np.fft.rfft(frames[: len(block)], axis=1)
+            rows = frames[: min(BLOCK_FRAMES, n_frames - start), _LPAD : _LPAD + WIN_LENGTH]
+            block = inner[max(start - lo, 0) : start + len(rows) - lo]
+            np.multiply(block, WINDOW, out=rows[max(lo - start, 0) :][: len(block)])
+            for k, frame in edges:
+                if start <= k < start + len(rows):
+                    np.multiply(frame[:WIN_LENGTH], WINDOW, out=rows[k - start])
+            yield start, np.fft.rfft(frames[: len(rows)], axis=1)
 
     return n_frames, blocks()
 

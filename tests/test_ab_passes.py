@@ -73,3 +73,13 @@ def test_a_source_without_voicecloak_is_a_usage_error(tmp_path, capsys):
     assert ab_passes.main(["evaluate", "1", "2", str(src), str(tmp_path)]) == 2
     assert f"no voicecloak package in {tmp_path}" in capsys.readouterr().err
     assert ab_passes.main(["evaluate", "1", "2", str(tmp_path), str(src)]) == 2
+
+
+def test_sources_at_paths_of_different_lengths_are_a_usage_error(tmp_path, capsys):
+    short, longer = tmp_path / "a", tmp_path / "bb"
+    for src in (short, longer):
+        (src / "voicecloak").mkdir(parents=True)
+        (src / "voicecloak" / "__init__.py").write_text("", encoding="utf-8")
+    assert ab_passes.main(["evaluate", "1", "2", str(short), str(longer)]) == 2
+    err = capsys.readouterr().err
+    assert f"SRC_A {short} and SRC_B {longer}" in err and "different lengths" in err

@@ -3,11 +3,11 @@
 Every kernel comparison is bitwise: no I-FGSM output may move by one ulp
 when the convolution or pooling is reimplemented, when the attack step,
 the log-mel backward pass and synthesis write over their own arrays
-instead of allocating new ones, or when analysis and synthesis stream
-through frame blocks instead of holding a spectrum. Synthesis from the
-unit phasor may move float samples in the last ulps against synthesis
-through the angle, so that is compared as the PCM16 samples `write_wav`
-stores.
+instead of allocating new ones, when analysis and synthesis stream
+through frame blocks instead of holding a spectrum, or when analysis
+reads the samples with no padded copy. Synthesis from the unit phasor
+may move float samples in the last ulps against synthesis through the
+angle, so that is compared as the PCM16 samples `write_wav` stores.
 """
 
 import tracemalloc
@@ -182,9 +182,22 @@ def test_blocked_analysis_and_synthesis_match_whole_array_ffts(n):
     assert ref.bitwise_equal(istft(scaled, n).samples, ref.istft(scaled, n).samples)
 
 
-# the lengths above: 3 frames, around one block, and 1001 frames
+# the lengths above: 3 frames, around one block, and 1001 frames; and edge cases of
+# the reflected edge buffers: no frame inside the signal (up to 519 samples), one
+# or two tail frames, and head and tail buffers that overlap
 LENGTHS = [WIN_LENGTH, (BLOCK_FRAMES - 2) * HOP_LENGTH, (BLOCK_FRAMES - 1) * HOP_LENGTH,
-           BLOCK_FRAMES * HOP_LENGTH, 160_077]
+           BLOCK_FRAMES * HOP_LENGTH, 160_077, 480, 519, 520, 679, 681]
+
+
+def test_analysis_matches_the_whole_signal_reflect_pad_at_every_short_length():
+    """Every length from one window to 1120 samples: signals with no frame
+    inside them (400-519 samples), every residue mod HOP_LENGTH, and so one
+    and two tail frames, with head and tail buffers that overlap."""
+    x = np.random.default_rng(400).standard_normal(7 * HOP_LENGTH) * 0.1
+    for n in range(WIN_LENGTH, len(x) + 1):
+        w = Waveform(x[:n], CANONICAL_RATE)
+        spectrum = stft(w).spectrum.view(np.float64)
+        assert ref.bitwise_equal(spectrum, ref.stft(w).spectrum.view(np.float64)), n
 
 
 @pytest.mark.parametrize("n", [WIN_LENGTH, 160_077])
@@ -223,11 +236,9 @@ def test_resynthesize_refuses_a_magnitude_of_another_shape():
         resynthesize(w, stft_magnitude(w)[:-1])
 
 
-def test_ten_second_magnitude_analysis_holds_no_complex_spectrum():
-    """A [T x 257] complex spectrum is two magnitudes' worth; with the result held
-    too, holding one would put the traced peak at three magnitudes or more."""
+def _traced_ten_second_magnitude():
+    """10 s of speech, its stft_magnitude, and the traced peak of that call."""
     w = speaker_utterance(3, 0, seconds=10.0)
-    magnitude_bytes = 1001 * N_BINS * 8
     stft_magnitude(w)
     tracemalloc.start()
     try:
@@ -235,8 +246,24 @@ def test_ten_second_magnitude_analysis_holds_no_complex_spectrum():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return w, magnitude, peak
+
+
+def test_ten_second_magnitude_analysis_holds_no_complex_spectrum():
+    """A [T x 257] complex spectrum is two magnitudes' worth; with the result held
+    too, holding one would put the traced peak at three magnitudes or more."""
+    _, magnitude, peak = _traced_ten_second_magnitude()
+    magnitude_bytes = 1001 * N_BINS * 8
     assert magnitude.nbytes == magnitude_bytes
     assert peak < 3 * magnitude_bytes
+
+
+def test_ten_second_magnitude_analysis_makes_no_padded_copy():
+    """Beyond the result, a block's frames and transforms trace at about 1.24
+    times the signal's bytes; a reflect-padded copy of the signal on top of
+    them puts that at 2.24."""
+    w, magnitude, peak = _traced_ten_second_magnitude()
+    assert peak - magnitude.nbytes < 1.5 * w.samples.nbytes
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

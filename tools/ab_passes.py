@@ -5,8 +5,10 @@ Usage, from the root of a checkout:
   python3 tools/ab_passes.py WORKLOAD SEED PAIRS SRC_A SRC_B
 
 SRC_A and SRC_B are directories holding a `voicecloak` package, such as the
-`src/` of two checkouts. The script makes the workload's inputs from SEED
-once, in a temporary directory, with SRC_A's package (bench/workloads.py
+`src/` of two checkouts, at resolved paths of equal length: the length of
+a source's path alone moves `peak_rss_mib`, so other lengths are refused
+(exit 2). The script makes the workload's inputs from SEED once, in a
+temporary directory, with SRC_A's package (bench/workloads.py
 protects the evaluate corpus with the program itself). It then runs PAIRS
 pairs of passes, each a fresh `bench/worker.py` process of this checkout:
 A then B in even pairs, B then A in odd ones, so a host that drifts or
@@ -106,6 +108,10 @@ def main(argv=None) -> int:
         if not (src / "voicecloak" / "__init__.py").is_file():
             print(f"error: no voicecloak package in {src}", file=sys.stderr)
             return 2
+    if len(str(sources[0])) != len(str(sources[1])):
+        print(f"error: SRC_A {sources[0]} and SRC_B {sources[1]} have paths of different"
+              " lengths; copy them to paths of equal length", file=sys.stderr)
+        return 2
     if args.pairs < 2:
         print(f"error: need at least 2 pairs, got {args.pairs}", file=sys.stderr)
         return 2
