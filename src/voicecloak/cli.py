@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import sys
 import threading
 import types
@@ -245,8 +246,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_file_task = None  # a forked worker's per-file callable, set by the pool's initializer
-
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
 
 
@@ -260,9 +259,9 @@ def _keep_freed_memory() -> None:
     or the next attack step, faults the same pages in again, zero-filled.
     With these thresholds they stay on the heap from one use to the next.
     The settings are process-wide and stay in force, so only a process
-    that runs files calls this (see _map_files): a forked pool's parent,
-    which runs none, keeps glibc's defaults and hands back what it frees
-    after the pool, as eval and simmat do after embed. Best-effort: does
+    that runs files calls this (see _map_files): the parent of forked
+    workers, which runs none, keeps glibc's defaults and hands back what it
+    frees after them, as eval and simmat do after embed. Best-effort: does
     nothing where the C library has no mallopt, or where ctypes cannot
     open the running process (on Windows CDLL(None) raises TypeError).
     """
@@ -275,21 +274,111 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # twice that, glibc's own ratio
 
 
-def _set_file_task(task) -> None:
-    """Initializer of each forked worker: its per-file task, and a heap
-    that keeps what the worker frees (see _keep_freed_memory)."""
-    global _file_task
-    _file_task = task
-    _keep_freed_memory()
+def _outcome(task, path):
+    """task(path), or the Exception that ended it."""
+    try:
+        return task(path)
+    except Exception as exc:
+        logger.debug("%s failed", path, exc_info=True)
+        return exc
 
 
-def _call_file_task(path: Path):
-    return _file_task(path)
+def _send(out, outcome, path) -> None:
+    """Write outcome up a worker's pipe as one length-prefixed pickle; one
+    that cannot be pickled goes as an error naming path and its repr."""
+    try:
+        data = pickle.dumps(outcome)
+    except Exception as exc:
+        data = pickle.dumps(ChildProcessError(f"{path}: the worker could not send back"
+                                              f" {outcome!r}: {exc}"))
+    out.write(len(data).to_bytes(8, "little") + data)
+    out.flush()
+
+
+def _receive(reader) -> bytes | None:
+    """The next message on a worker's pipe, or None if the pipe ends before
+    a whole one: the worker is gone."""
+    size = int.from_bytes(reader.read(8), "little")
+    data = reader.read(size)
+    return data if 0 < size == len(data) else None
+
+
+def _run_worker(task, paths, write_end: int, inherited: list[int]) -> typing.NoReturn:
+    """A forked worker: close the pipe ends it inherited, then run each path
+    in order and send its outcome up write_end. A BaseException that is not
+    an Exception is sent too, and ends the worker. It leaves through
+    os._exit on every path, so it never returns into its parent's code."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        _keep_freed_memory()
+        with open(write_end, "wb") as out:
+            for path in paths:
+                try:
+                    outcome = _outcome(task, path)
+                except BaseException as exc:
+                    _send(out, exc, path)
+                    raise
+                _send(out, outcome, path)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(task, paths: list, workers: int):
+    """The forked branch of _map_files."""
+    running: list = [None] * workers  # per worker: (pid, reader) of its process, None once reaped
+
+    def fork(k: int, first: int) -> None:
+        read_end, write_end = os.pipe()
+        inherited = [read_end, *(reader.fileno() for _, reader in filter(None, running))]
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            _run_worker(task, paths[first::workers], write_end, inherited)
+        os.close(write_end)
+        running[k] = pid, open(read_end, "rb")
+
+    try:
+        for k in range(workers):
+            fork(k, k)
+        for i, path in enumerate(paths):
+            k = i % workers
+            pid, reader = running[k]
+            data = _receive(reader)
+            if data is not None:
+                try:
+                    outcome = pickle.loads(data)
+                except Exception as exc:
+                    outcome = ChildProcessError(f"{path}: the worker's outcome could not be"
+                                                f" read back: {exc}")
+                if not isinstance(outcome, Exception) and isinstance(outcome, BaseException):
+                    raise outcome
+                yield outcome
+                continue
+            reader.close()
+            running[k] = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+            yield ChildProcessError(f"{path}: the worker running it {how}")
+            if i + workers < len(paths):
+                fork(k, i + workers)
+    finally:
+        for _, reader in filter(None, running):
+            reader.close()
+        for pid, _ in filter(None, running):
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def _map_files(task, paths: list[Path], jobs: int | None):
-    """Yield task(path) for each path, in input order, computed on
-    min(jobs or CPUs, files) workers.
+    """Yield, for each path in input order, task(path) or the Exception that
+    ended it, computed on min(jobs or CPUs, files) workers.
 
     A single worker is the calling thread, so the files reuse the free
     memory of the caller's heap (glibc gives a pool thread an arena of its
@@ -298,28 +387,35 @@ def _map_files(task, paths: list[Path], jobs: int | None):
     so threads would not overlap them. Threads stand in where there is no fork.
     Only a process that runs files sets its heap to keep what it frees
     (see _keep_freed_memory): this one when it runs them itself, each
-    forked worker as it starts (_set_file_task), never a pool's parent.
-    The fork hands task to each worker unpickled; the pool sends only
-    paths, in chunks of about a quarter of a worker's share. A task that
-    raises ends the iteration with its exception once the files before it
-    are yielded; so does a worker that dies.
+    forked worker as it starts, never their parent.
+
+    Worker k of N gets task through the fork, unpickled, runs files k,
+    k + N, k + 2N, ... and sends each outcome up a pipe of its own as one
+    length-prefixed pickle. The parent reads file i from worker i mod N,
+    so the outcomes come in input order. The deal is fixed in advance, so
+    it cannot rebalance files of uneven length: a worker dealt the long
+    ones finishes last while the others wait. An outcome that cannot be
+    sent back comes as a ChildProcessError naming the file and the
+    outcome's repr. A worker that dies fails only the file it was running,
+    with a ChildProcessError naming the file and the worker's exit status
+    or signal, and a fresh worker is forked for the rest of its files.
+
+    A BaseException that is not an Exception, such as KeyboardInterrupt,
+    ends the iteration once the files before it are yielded. However the
+    iteration ends, also when the caller stops early, the pipes are closed
+    and every worker is waited for: one still running stops when it next
+    sends an outcome, so it finishes the file it is on.
     """
     workers = min(jobs or _usable_cpus(), len(paths))
     if workers > 1 and hasattr(os, "fork"):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 initializer=_set_file_task, initargs=(task,)) as pool:
-            yield from pool.map(_call_file_task, paths,
-                                chunksize=-(-len(paths) // (4 * workers)))
+        yield from _forked(task, paths, workers)
         return
     _keep_freed_memory()
     if workers == 1:
-        yield from map(task, paths)
+        yield from (_outcome(task, path) for path in paths)
     else:
         with ThreadPoolExecutor(workers) as pool:
-            yield from pool.map(task, paths)
+            yield from pool.map(functools.partial(_outcome, task), paths)
 
 
 def _file_seed(base_seed: int, stem: str) -> int:
@@ -366,8 +462,9 @@ def run_protect(
 
     The batch runs on min(jobs or CPUs, files) workers, forked processes
     when more than one (see _map_files). Each file's error is reported on
-    its own and the batch goes on. A worker that dies fails every file
-    not yet handed back, naming each.
+    its own and the batch goes on. A worker that dies fails only the file
+    it was running, naming the worker's exit status, and a fresh worker
+    runs the rest of its files.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
@@ -420,28 +517,14 @@ def run_protect(
         _write_atomically(report_path, lambda temp: temp.write_text(text, encoding="utf-8"))
         logger.info("protected %s: SNR %.2f dB, distance %.3f", path.name, report.snr_db, report.delta_cosd)
 
-    def protect_file(path: Path) -> str | None:
-        # each file's error comes back on its own, not as the end of its chunk,
-        # naming the file once: read_wav's errors name it already
-        try:
-            protect_one(path)
-        except Exception as exc:
-            logger.debug("protecting %s failed", path, exc_info=True)
-            return str(exc) if isinstance(exc, WavFormatError) else f"{path}: {exc}"
-        return None
-
-    def report(error: str | None) -> bool:
-        if error is not None:
-            click.echo(f"error: {error}", err=True)
-        return error is not None
-
     paths = list(files.values())
-    failures = done = 0
-    try:
-        for done, error in enumerate(_map_files(protect_file, paths, jobs), 1):
-            failures += report(error)
-    except Exception as exc:  # the pool failed (a worker died): so does every file left
-        failures += sum(report(f"{path}: {exc}") for path in paths[done:])
+    failures = 0
+    for path, outcome in zip(paths, _map_files(protect_one, paths, jobs)):
+        if isinstance(outcome, Exception):
+            # name the file once: read_wav's errors and _map_files' own name it already
+            named = isinstance(outcome, (WavFormatError, ChildProcessError))
+            click.echo(f"error: {outcome if named else f'{path}: {outcome}'}", err=True)
+            failures += 1
     return failures
 
 
@@ -452,8 +535,8 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
     The files are embedded on min(CPUs, files) workers, forked processes
     when more than one, set up as for run_protect (see _map_files); the
     CPUs are those of the process's affinity mask. The first file in
-    input order that fails raises its error, naming it, and nothing is
-    written.
+    input order that fails raises its error, naming it (a
+    ChildProcessError if its worker died), and nothing is written.
     """
     files = _by_stem([path for item in inputs for path in _collect_wavs(item)])
     _refuse_overwrite([*files.values(), weights], [out])
@@ -463,7 +546,12 @@ def run_embed(inputs: tuple[str, ...], weights: str, out: str) -> None:
         with _naming(path):
             return embed(stft_magnitude(read_wav(path)), ws)
 
-    embeddings = dict(zip(files, _map_files(embed_one, list(files.values()), None)))
+    embeddings = {}
+    with contextlib.closing(_map_files(embed_one, list(files.values()), None)) as outcomes:
+        for stem, outcome in zip(files, outcomes):
+            if isinstance(outcome, Exception):
+                raise outcome
+            embeddings[stem] = outcome
     meta = {"kind": "embeddings", "embed_dim": ws.config.embed_dim, "weights": str(weights)}
     _write_atomically(Path(out), lambda temp: tensorfile.save(temp, embeddings, meta))
 

@@ -2,16 +2,15 @@ import ctypes
 import hashlib
 import inspect
 import json
-import multiprocessing
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +477,12 @@ class _Crash(BaseException):
     """Escapes run_protect's per-file error handling, as an interrupt does."""
 
 
+def _assert_no_child_process() -> None:
+    """The test process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _wait_for(path: Path, timeout: float = 30.0) -> None:
     """Wait until a marker file exists; other processes can see it."""
     deadline = time.monotonic() + timeout
@@ -745,7 +750,7 @@ class TestProtectWorkerProcesses:
 
     def _assert_left_clean(self, corpus, out, blas, before):
         assert blas() == before
-        assert multiprocessing.active_children() == []
+        _assert_no_child_process()
         for path in out.iterdir():
             if path.name.startswith("."):
                 continue  # a temp name, which no reader takes for an output
@@ -798,9 +803,11 @@ class TestProtectWorkerProcesses:
         self._assert_left_clean(corpus, out, blas, before)
 
     @pytest.mark.parametrize("stage", ["attack", "write"])
-    def test_a_dying_worker_fails_its_unfinished_files(
+    def test_a_dying_worker_fails_only_its_own_file(
         self, corpus, weights_file, tmp_path, monkeypatch, capsys, blas, stage
     ):
+        """The doomed file is the second of four, so its worker also has the
+        fourth, which a fresh worker runs."""
         attack, write = voicecloak.cli.protect_utterance, voicecloak.cli.write_wav
 
         def dying_in_attack(*args):
@@ -819,26 +826,20 @@ class TestProtectWorkerProcesses:
         else:
             monkeypatch.setattr(voicecloak.cli, "write_wav", dying_in_write)
         before, out = blas(), tmp_path / "out"
-        failures = self._batch(corpus, weights_file, out)
-        errors = capsys.readouterr().err.splitlines()
-        inputs = sorted(corpus.iterdir())
-        failed = [p for p in inputs if any(e.startswith(f"error: {p}: ") for e in errors)]
-        assert failures == len(errors) == len(failed)
-        # The pool stops the other worker too. A file it had not finished is
-        # lost (no report, perhaps a complete .wav); one it finished but had
-        # not yet handed back is counted failed with both outputs in place.
-        lost = [p for p in inputs if not (out / f"{p.stem}.json").exists()]
-        assert corpus / f"{self.DOOMED}.wav" in lost
-        assert not (out / f"{self.DOOMED}.wav").exists()
-        assert set(lost) <= set(failed)
-        assert (out / "manifest.json").exists()
+        doomed = corpus / f"{self.DOOMED}.wav"
+        assert self._batch(corpus, weights_file, out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {doomed}: the worker running it exited with status 3"]
+        assert sorted(p.name for p in out.iterdir() if not p.name.startswith(".")) == sorted(
+            [f"{p.stem}{ext}" for p in corpus.iterdir() if p != doomed for ext in (".json", ".wav")]
+            + ["manifest.json"])
         self._assert_left_clean(corpus, out, blas, before)
-
 
     def test_a_failing_file_leaves_the_rest_of_its_chunk(
         self, weights_file, tmp_path, monkeypatch, capsys, blas
     ):
-        # 17 files on 2 workers go in chunks of 3; one bad file fails alone
+        # 17 files on 2 workers, each dealt every other file; one bad file
+        # fails alone, and its worker goes on with the rest of its share
         src, out = tmp_path / "in", tmp_path / "out"
         src.mkdir()
         for utt in range(17):
@@ -876,7 +877,7 @@ class TestEmbedWorkers:
         try:
             voicecloak.cli.run_embed((str(src),), str(weights_file), str(out))
         finally:
-            assert multiprocessing.active_children() == []
+            _assert_no_child_process()
 
     def test_the_archive_bytes_do_not_depend_on_the_workers(
         self, many, weights_file, tmp_path, monkeypatch
@@ -929,9 +930,116 @@ class TestEmbedWorkers:
 
         monkeypatch.setattr(voicecloak.cli, "embed", dying)
         out = tmp_path / "e.emb"
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ChildProcessError) as caught:
             self._embed(monkeypatch, 2, many, weights_file, out)
+        first = many / f"{speaker_key(0, 0)}.wav"
+        assert str(caught.value) == f"{first}: the worker running it exited with status 3"
         assert list(tmp_path.glob("e.emb*")) == [] and list(tmp_path.glob(".e.emb*")) == []
+
+
+def _upper_unless_b(path):
+    if path == "b":
+        raise ValueError("b is bad")
+    return path.upper()
+
+
+def _pid_unless_b_kills_itself(path, test_pid=os.getpid()):
+    if path == "b":
+        if os.getpid() == test_pid:  # never kill the test process itself
+            raise _Crash("b ran in the test process, not in a worker")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return path, os.getpid()
+
+
+class _TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: pickle calls it with its one args entry."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def _raise_unpicklable(path):
+    raise ValueError(threading.Lock())
+
+
+def _raise_unloadable(path):
+    raise _TwoArgumentError(path, "more")
+
+
+class TestMapFiles:
+    """_map_files yields, in input order, each file's result or the Exception
+    that ended it, on every branch; in forked workers an exception that
+    cannot be pickled and a worker's death fail only their own file."""
+
+    @pytest.mark.parametrize("jobs, fork", [(1, True), (2, False), (2, True)],
+                             ids=["one-worker", "no-fork", "forked"])
+    def test_a_raising_file_comes_back_as_its_exception(self, monkeypatch, jobs, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        elif not hasattr(os, "fork"):
+            pytest.skip("no forked workers on this platform")
+        outcomes = list(voicecloak.cli._map_files(_upper_unless_b, list("abcde"), jobs))
+        assert outcomes[:1] + outcomes[2:] == list("ACDE")
+        assert type(outcomes[1]) is ValueError and str(outcomes[1]) == "b is bad"
+        _assert_no_child_process()
+
+    def test_a_killed_worker_fails_only_its_file_and_a_fresh_one_runs_the_rest(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no forked workers on this platform")
+        outcomes = list(voicecloak.cli._map_files(_pid_unless_b_kills_itself, list("abcde"), 2))
+        _assert_no_child_process()
+        died = outcomes.pop(1)
+        assert type(died) is ChildProcessError
+        assert str(died) == f"b: the worker running it was killed by signal {signal.SIGKILL.value}"
+        assert [path for path, _ in outcomes] == list("acde")
+        pids = {path: pid for path, pid in outcomes}
+        assert pids["a"] == pids["c"] == pids["e"] != pids["d"]
+        assert os.getpid() not in pids.values()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_exception_that_cannot_be_pickled_comes_back_naming_its_file(self, jobs):
+        outcomes = list(voicecloak.cli._map_files(_raise_unpicklable, ["a", "b"], jobs))
+        _assert_no_child_process()
+        for path, outcome in zip("ab", outcomes):
+            assert isinstance(outcome, Exception)
+            if jobs == 2:
+                assert str(outcome).startswith(f"{path}: ")
+                assert "ValueError(<unlocked _thread.lock object" in str(outcome)
+
+    def test_an_exception_that_cannot_be_unpickled_comes_back_naming_its_file(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no forked workers on this platform")
+        outcomes = list(voicecloak.cli._map_files(_raise_unloadable, ["a", "b", "c"], 2))
+        _assert_no_child_process()
+        assert [type(outcome) for outcome in outcomes] == [ChildProcessError] * 3
+        for path, outcome in zip("abc", outcomes):
+            assert str(outcome).startswith(f"{path}: the worker's outcome could not be read back: ")
+
+    def test_a_caller_that_stops_early_leaves_no_worker(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no forked workers on this platform")
+        outcomes = voicecloak.cli._map_files(_upper_unless_b, list("abcdefgh"), 2)
+        assert next(outcomes) == "A"
+        outcomes.close()
+        _assert_no_child_process()
+
+    def test_two_forked_workers_import_no_process_pool(self):
+        """In a fresh interpreter: forking the workers directly loads neither
+        multiprocessing nor concurrent.futures' process pool."""
+        if not hasattr(os, "fork"):
+            pytest.skip("no forked workers on this platform")
+        code = "\n".join([
+            "import json, sys",
+            "import voicecloak.cli",
+            "outcomes = list(voicecloak.cli._map_files(str.upper, ['a', 'b'], 2))",
+            "pools = ('multiprocessing', 'concurrent.futures.process')",
+            "print(json.dumps([outcomes, [m for m in pools if m in sys.modules]]))",
+        ])
+        src = str(Path(voicecloak.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert json.loads(done.stdout) == [["A", "B"], []]
 
 
 def _third_round_faults(path):
@@ -957,7 +1065,7 @@ class TestForkedWorkerHeap:
         if not hasattr(ctypes.CDLL(None), "mallopt"):
             pytest.skip("the C library has no mallopt")
         faults = list(voicecloak.cli._map_files(_third_round_faults, ["a", "b"], 2))
-        assert multiprocessing.active_children() == []
+        _assert_no_child_process()
         assert len(faults) == 2 and max(faults) < 512 // 8
 
     def test_one_worker_faults_in_no_pages_it_freed(self):
