@@ -11,11 +11,11 @@ fixed) and the embedding of the current iterate.
 
 `protect_utterance` wires the whole pipeline: analyze, perturb the
 magnitude, resynthesize it times the clean unit phasor (the original
-phase), and report the realized SNR and the embedding distance recomputed
-from the re-analyzed protected audio. That re-analysis matters: perturbed
-magnitude with reused phase is not a consistent STFT, so the distance that
-counts downstream is the one measured on the actual output waveform. `AttackConfig`'s defaults are the
-one statement of the paper's schedule, and `METHODS` the one method list.
+phase), and report the realized SNR and the embedding distance of the
+re-analyzed protected audio: perturbed magnitude with reused phase is not
+a consistent STFT, so the distance that counts is the output waveform's.
+`AttackConfig`'s defaults are the one statement of the paper's schedule,
+and `METHODS` the one method list.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .audio_io import Waveform, add_gaussian_noise
 from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backward
 from .metrics import snr_db
 from .spectral import (
-    BLOCK_FRAMES, log_energies, log_mel, log_mel_backward, mel_energies, mel_matrix, resynthesize,
-    stft_magnitude,
+    log_energies, log_energies_backward, log_mel, log_mel_backward, mel_energies, mel_matrix,
+    resynthesize, row_blocks, stft_magnitude,
 )
 
 
@@ -72,10 +72,9 @@ class AttackConfig:
 class AttackResult:
     """Outcome of a magnitude-domain attack.
 
-    loss_trajectory holds the loss at every iterate x0..xI (I+1 values,
-    the last one evaluated after the final update), so its endpoint is the
-    embedding distance measured at the magnitude level; `protect_utterance`
-    reports the distance recomputed from re-analyzed audio instead.
+    loss_trajectory holds the loss at every iterate x0..xI (I+1 values), so
+    its endpoint is the embedding distance at the magnitude level;
+    `protect_utterance` reports the one of re-analyzed audio instead.
     """
 
     adv_magnitude: np.ndarray
@@ -91,43 +90,29 @@ class ProtectionReport:
     loss_trajectory: list[float]
 
 
-def sign_matrix(g: np.ndarray) -> np.ndarray:
-    """Entrywise sign with sign(0) = 0, written over g, which is returned.
-
-    NumPy's sign runs several times slower when its output is its input,
-    so each block of BLOCK_FRAMES rows takes its sign in one small buffer.
-    """
+def sign_matrix(g: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Entrywise sign with sign(0) = 0, into out (a new array if None), which
+    should not be g: NumPy's sign into its own input runs several times slower."""
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
-    buffer = np.empty_like(g[:BLOCK_FRAMES])
-    for start in range(0, len(g), BLOCK_FRAMES):
-        rows = g[start : start + BLOCK_FRAMES]
-        rows[...] = np.sign(rows, out=buffer[: len(rows)])
-    return g
+    return np.sign(g, out=out)
 
 
 def clip_linf(x_tilde: np.ndarray, x: np.ndarray, epsilon: float) -> np.ndarray:
     """Project onto the epsilon-band around x, then onto [0, inf).
 
     The projection is written over x_tilde, which is returned; x is only
-    read. It goes BLOCK_FRAMES rows at a time, so the band bounds are never
-    arrays of x's size.
+    read. `ifgsm` calls it a block of rows at a time, so its bounds are small.
     """
     if x_tilde.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_tilde.shape} vs {x.shape}")
-    for start in range(0, len(x), BLOCK_FRAMES):
-        rows = slice(start, start + BLOCK_FRAMES)
-        np.clip(x_tilde[rows], x[rows] - epsilon, x[rows] + epsilon, out=x_tilde[rows])
-        np.maximum(x_tilde[rows], 0.0, out=x_tilde[rows])
-    return x_tilde
+    np.clip(x_tilde, x - epsilon, x + epsilon, out=x_tilde)
+    return np.maximum(x_tilde, 0.0, out=x_tilde)
 
 
 def embed(mag: np.ndarray, ws: WeightStore) -> np.ndarray:
-    """Speaker embedding of a [frames x bins] magnitude matrix.
-
-    The filterbank follows from the bin count and ws.config.n_mels; the
-    log-mel features go through the encoder once, with no cache kept.
-    """
+    """Speaker embedding of a [frames x bins] magnitude matrix, through the
+    filterbank of its bin count and ws.config.n_mels; no cache is kept."""
     mel = mel_matrix((mag.shape[1] - 1) * 2, ws.config.n_mels)
     embedding, _ = forward(log_mel(mag, mel), ws)
     return embedding
@@ -136,21 +121,20 @@ def embed(mag: np.ndarray, ws: WeightStore) -> np.ndarray:
 def loss_and_grad(
     x_tilde: np.ndarray, mel: np.ndarray, ws: WeightStore, e_ref: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Loss and its exact gradient with respect to the magnitude matrix.
+    """Loss and its exact gradient with respect to the filterbank energies
+    mel_energies(x_tilde, mel); `log_mel_backward` takes it on to x_tilde.
 
     Composes log-mel -> encoder -> cosine loss forward, then reverses the
     chain. e_ref must be precomputed from the original magnitude and held
-    fixed across iterations. The filterbank energies are computed once and
-    shared by the forward features and the log-mel backward pass, which
-    writes its energy gradient over them; the encoder's cache is dropped
-    before that pass makes the gradient.
+    fixed across iterations. The energies are computed once, and their
+    gradient written over them once the encoder's cache is dropped.
     """
     energies = mel_energies(x_tilde, mel)
     embedding, cache = forward(log_energies(energies), ws)
     loss = cosine_loss(e_ref, embedding)
     grad_feat = backward(cache, cosine_loss_grad(e_ref, embedding))
     del cache
-    return loss, log_mel_backward(grad_feat, x_tilde, mel, energies)
+    return loss, log_energies_backward(grad_feat, energies)
 
 
 def ifgsm(
@@ -163,52 +147,59 @@ def ifgsm(
     exactly zero matrix; a sign step of all ones is substituted in that
     case so the iteration can leave the plateau deterministically.
 
-    x is never written. Each step is formed in the gradient array that
-    `loss_and_grad` returned: its sign, times alpha, plus the iterate, and
-    `clip_linf` projects it in place, so a step holds three arrays of x's
-    size at most.
+    x is never written, and the iterate is the only other array of its
+    size: each step goes a block of `row_blocks` at a time (`_sign_step`),
+    and a zero gradient leaves the iterate as it was for a second pass.
     """
     mel = mel_matrix((x.shape[1] - 1) * 2, ws.config.n_mels)
     x_tilde = x.copy()
+    blocks = row_blocks(len(x), x.shape[1])
     trajectory: list[float] = []
     for _ in range(cfg.iterations):
-        loss, step = loss_and_grad(x_tilde, mel, ws, e_ref)
+        loss, grad_energy = loss_and_grad(x_tilde, mel, ws, e_ref)
         trajectory.append(loss)
-        step = sign_matrix(step)
-        if not step.any():
-            step.fill(1.0)
-        step *= cfg.alpha
-        step += x_tilde
-        x_tilde = clip_linf(step, x, cfg.epsilon)
+        if not _sign_step(x_tilde, x, grad_energy, mel, blocks, cfg):
+            for rows in blocks:
+                x_tilde[rows] += cfg.alpha
+                clip_linf(x_tilde[rows], x[rows], cfg.epsilon)
+        del grad_energy  # not held through the next step's forward pass
     trajectory.append(cosine_loss(e_ref, embed(x_tilde, ws)))
     return AttackResult(adv_magnitude=x_tilde, loss_trajectory=trajectory)
 
 
-def fgsm(x: np.ndarray, ws: WeightStore, e_ref: np.ndarray, epsilon: float) -> AttackResult:
-    """Single-step attack: one full-budget sign step.
+def _sign_step(x_tilde, x, grad_energy, mel, blocks, cfg) -> bool:
+    """Add alpha times the sign of each block's gradient to x_tilde's rows and
+    project them; False if every sign was 0. The block buffers of gradient
+    and sign are made here, so the encoder's passes can reuse their memory."""
+    grad, sign = np.empty((2, max(b.stop - b.start for b in blocks), x.shape[1]))
+    moved = False
+    for rows in blocks:
+        n = rows.stop - rows.start
+        step = sign_matrix(log_mel_backward(grad_energy[rows], x_tilde[rows], mel, grad[:n]),
+                           sign[:n])
+        moved = moved or step.any()
+        step *= cfg.alpha
+        x_tilde[rows] += step
+        clip_linf(x_tilde[rows], x[rows], cfg.epsilon)
+    return moved
 
-    Implemented as the one-iteration schedule with alpha = epsilon, which
-    it equals bit for bit.
-    """
+
+def fgsm(x: np.ndarray, ws: WeightStore, e_ref: np.ndarray, epsilon: float) -> AttackResult:
+    """Single-step attack: one full-budget sign step, the one-iteration
+    schedule with alpha = epsilon."""
     return ifgsm(x, ws, e_ref, AttackConfig(epsilon=epsilon, alpha=epsilon, iterations=1))
 
 
 def protect_utterance(
-    w: Waveform,
-    ws: WeightStore,
-    cfg: AttackConfig,
-    method: str,
-    target_snr_db: float,
-    seed: int,
+    w: Waveform, ws: WeightStore, cfg: AttackConfig, method: str, target_snr_db: float, seed: int
 ) -> tuple[Waveform, ProtectionReport]:
     """Protect one utterance end to end.
 
-    fgsm/ifgsm: analyze the magnitude only, attack it, and resynthesize it
-    times the clean phasor. The clean magnitude and the `AttackResult` are
-    dropped first; `resynthesize` then analyzes the clean signal again one
-    block of BLOCK_FRAMES frames at a time, for each block's phasor, and
-    overlap-adds each product as it goes, so no complex spectrum of the
-    whole file is ever held. gaussian: bypass the gradient path and add white noise at
+    fgsm/ifgsm: analyze the magnitude only, attack it, drop the clean
+    magnitude and the `AttackResult`, and resynthesize the attacked one
+    times the clean phasor, which `resynthesize` takes block by block from
+    a second analysis, so no complex spectrum of the file is held.
+    gaussian: bypass the gradient path and add white noise at
     target_snr_db in the time domain (the baseline). Only gaussian reads
     target_snr_db and seed; only fgsm (cfg.epsilon alone) and ifgsm read
     cfg. The report's delta_cosd is always recomputed from the re-analyzed

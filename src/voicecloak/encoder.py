@@ -16,11 +16,15 @@ length-normalized here, the cosine loss normalizes.
 
 Summation order is fixed, so results are reproducible bit for bit:
 
-* a convolution is one BLAS GEMM (`np.matmul`) per block of whole frames
-  (BLOCK_FRAMES of them, the last block shorter) of the kernels, flattened
-  to [C_out, C_in*9], against explicit im2col rows ordered (c_in, dt, df).
+* a convolution is one BLAS GEMM (`np.matmul`) per block of output frames
+  (`row_blocks`, from even frames) of the kernels, flattened to
+  [C_out, C_in*9], against explicit im2col rows ordered (c_in, dt, df).
   Each output column is the same `kernels @ column` dot product whichever
-  block holds it, so the blocks change no bit of the result;
+  block holds it, so the blocks change no bit of the result. A block reads
+  one halo frame a side, from the map's other end where time wraps. No
+  conv output or ReLU-input gradient of a whole map is made: `forward`
+  pools each block as it comes, `backward` builds each block's gradient
+  at the ReLU input (pooling backward times mask) from the pooled one;
 * 2x2 pooling adds the top pair and the bottom pair first,
   ((a + b) + (c + d)) / 4, where a, b are the upper row; when the pooled
   map has a single band it adds left to right, (((a + b) + c) + d) / 4.
@@ -31,12 +35,12 @@ Summation order is fixed, so results are reproducible bit for bit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensorfile
-from .spectral import BLOCK_FRAMES
+from .spectral import row_blocks
 
 NORM_EPS = 1e-12
 
@@ -98,13 +102,7 @@ class EncoderConfig:
         return 2 * self.conv_channels[-1] * self._pooled(self.n_mels)
 
     def to_dict(self) -> dict:
-        return {
-            "conv_channels": list(self.conv_channels),
-            "pool_after": list(self.pool_after),
-            "embed_dim": self.embed_dim,
-            "n_mels": self.n_mels,
-            "min_frames": self.min_frames,
-        }
+        return asdict(self)  # its tuples go to JSON as lists
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
@@ -186,78 +184,65 @@ _BAND_SHIFTS = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),
                 (slice(None, -1), slice(1, None)))
 
 
-def _conv_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """3x3 stride-1 convolution, circular along time, zero-padded along freq.
-
-    x is [C_in, T, F], kernels [C_out, C_in, 3, 3]; output [C_out, T, F].
-    One GEMM of the flattened kernels against explicit im2col rows per
-    block of BLOCK_FRAMES whole frames, each writing its own output
-    columns; a map of at most one block is one GEMM. The im2col buffer
-    holds one block and is refilled for the next, so its size does not
-    grow with T.
-    """
-    c_in, t, f = x.shape
-    c_out = kernels.shape[0]
-    block = min(t, BLOCK_FRAMES)
-    # cols[c, dt, df, i, j] = x[c, (start + i + dt - 1) mod T, j + df - 1], and 0
-    # where j + df - 1 leaves the band; filled straight from x, with no padded copy
-    cols = np.empty((c_in * 9, block * f))
-    edges = cols.reshape(c_in, 3, 3, block, f)
-    edges[:, :, 0, :, 0] = 0.0  # the band edges, which no fill below writes
-    edges[:, :, 2, :, -1] = 0.0
+def _conv(t: int, f: int, kernels: np.ndarray, rows, out):
+    """3x3 stride-1 convolution of a [C_in, t, f] map, circular along time and
+    zero-padded along freq: yields (s, e, output [C_out, e - s, f]) for each
+    block [s, e) of `row_blocks(t, f)`, written into out[:, s * f : e * f]
+    of out [C_out, t * f], or if out is None into a block buffer.
+    rows(lo, hi) gives the map's frames [lo, hi); a block reads s - 1 to e."""
+    c_out, c_in = kernels.shape[:2]
     weights = kernels.reshape(c_out, c_in * 9)
-    out = np.empty((c_out, t * f))
-    for start in range(0, t, block):
-        n = min(block, t - start)
-        part = cols[:, : n * f]  # a short last block uses the first n frames of each row
-        taps = part.reshape(c_in, 3, 3, n, f)
-        for dt in range(3):
-            first = start + dt - 1  # the input frame of the block's frame 0
-            i0, i1 = max(0, -first), min(n, t - first)  # frames inside the map
-            for df, (f_out, f_in) in enumerate(_BAND_SHIFTS):
-                tap = taps[:, dt, df]
-                tap[:, i0:i1, f_out] = x[:, first + i0 : first + i1, f_in]
-                if i0 > 0:  # the frames that wrap around in time
-                    tap[:, 0, f_out] = x[:, t - 1, f_in]
-                if i1 < n:
-                    tap[:, n - 1, f_out] = x[:, 0, f_in]
-        np.matmul(weights, part, out=out[:, start * f : (start + n) * f])
-    return out.reshape(c_out, t, f)
+    blocks = row_blocks(t, f)
+    longest = max(b.stop - b.start for b in blocks)
+    # cols[c, dt, df, i, j] = frame s + i + dt - 1, band j + df - 1, and 0 outside the bands;
+    # a shorter block uses the first n frames of each row
+    cols = np.empty((c_in * 9, longest * f))
+    view = cols.reshape(c_in, 3, 3, longest, f)
+    view[:, :, 0, :, 0] = view[:, :, 2, :, -1] = 0.0  # no fill below writes these
+    taps = [(view[:, dt, df, :, f_out], dt, f_in)
+            for dt in range(3) for df, (f_out, f_in) in enumerate(_BAND_SHIFTS)]
+    buffer = np.empty((c_out, longest * f)) if out is None else None
+    for s, e in ((b.start, b.stop) for b in blocks):
+        src = rows(max(s - 1, 0), min(e + 1, t))
+        if s == 0 or e == t:  # time wraps around at the ends of the map
+            head = (src[:, -1:] if e == t else rows(t - 1, t)) if s == 0 else src[:, :0]
+            tail = (src[:, :1] if s == 0 else rows(0, 1)) if e == t else src[:, :0]
+            src = np.concatenate((head, src, tail), 1)
+        n = e - s
+        for tap, dt, f_in in taps:
+            tap[:, :n] = src[:, dt : dt + n, f_in]
+        dest = buffer[:, : n * f] if out is None else out[:, s * f : e * f]
+        np.matmul(weights, cols[:, : n * f], out=dest)
+        yield s, e, dest.reshape(c_out, n, f)
 
 
-def _conv_same_input_grad(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    # transposed conv = conv with channel-swapped, spatially flipped kernels;
-    # valid because the padding geometry is symmetric under the flip
-    flipped = np.flip(kernels, axis=(2, 3)).transpose(1, 0, 2, 3)
-    return _conv_same(grad_out, np.ascontiguousarray(flipped))
-
-
-def _avgpool2(x: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 mean pooling; trailing odd rows/cols are dropped."""
-    _, t, f = x.shape
-    t2, f2 = t // 2, f // 2
-    if t2 < 1 or f2 < 1:
-        raise ValueError(f"feature map {t}x{f} too small for 2x2 pooling")
-    top = x[:, 0 : 2 * t2 : 2, : 2 * f2]
-    bot = x[:, 1 : 2 * t2 : 2, : 2 * f2]
-    s = top[:, :, 0::2] + top[:, :, 1::2]
+def _avgpool2(z: np.ndarray, out: np.ndarray) -> None:
+    """Non-overlapping 2x2 mean pooling of z into out; trailing odd rows/cols are dropped."""
+    t2, f2 = out.shape[1:]
     if f2 > 1:  # the add orders of NumPy's mean; see the module docstring
-        s += bot[:, :, 0::2] + bot[:, :, 1::2]
+        pairs = z[:, : 2 * t2, 0 : 2 * f2 : 2] + z[:, : 2 * t2, 1 : 2 * f2 : 2]
+        np.add(pairs[:, 0::2], pairs[:, 1::2], out=out)
     else:
-        s += bot[:, :, 0::2]
-        s += bot[:, :, 1::2]
-    s /= 4.0
-    return s
+        np.add(z[:, 0 : 2 * t2 : 2, :1], z[:, 0 : 2 * t2 : 2, 1:2], out=out)
+        out += z[:, 1 : 2 * t2 : 2, :1]
+        out += z[:, 1 : 2 * t2 : 2, 1:2]
+    out /= 4.0
 
 
-def _avgpool2_backward(grad: np.ndarray, unpooled_shape: tuple[int, ...]) -> np.ndarray:
-    t2, f2 = grad.shape[1], grad.shape[2]
-    out = np.zeros(unpooled_shape)
-    quarter = grad / 4.0
-    for dt in range(2):
-        for df in range(2):
-            out[:, dt : 2 * t2 : 2, df : 2 * f2 : 2] = quarter
-    return out
+def _avgpool2_backward(quarter: np.ndarray, live: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Frames [lo, hi) of the gradient at the input of ReLU (mask live) and 2x2
+    pooling, from quarter, the pooled gradient / 4: quarter times the mask
+    in each of the four places, 0 in a trailing odd row or col."""
+    (c, t, f), (t2, f2) = live.shape, quarter.shape[1:]
+    a0, a1 = lo - lo % 2, min(hi + hi % 2, t)
+    n2 = max(min(a1 // 2, t2) - a0 // 2, 0)
+    out = np.empty((c, a1 - a0, f))
+    out[:, 2 * n2 :] = out[:, :, 2 * f2 :] = 0.0
+    top = out[:, 0 : 2 * n2 : 2]
+    top[:, :, 0 : 2 * f2 : 2] = top[:, :, 1 : 2 * f2 : 2] = quarter[:, a0 // 2 : a0 // 2 + n2]
+    out[:, 1 : 2 * n2 : 2] = top
+    out *= live[:, a0:a1]
+    return out[:, lo - a0 : hi - a0]
 
 
 @dataclass
@@ -265,8 +250,7 @@ class ForwardCache:
     """Single-use record of everything `backward` needs.
 
     pre_acts holds each conv layer's ReLU mask, z > 0 for its
-    pre-activation z, as a boolean [C, T, F] array: the ReLU itself is
-    applied in z's own array, so no float pre-activation map is kept.
+    pre-activation z, as a boolean [C, T, F] array, and no float map of z.
     """
 
     store: WeightStore
@@ -293,12 +277,20 @@ def forward(feat: np.ndarray, ws: WeightStore) -> tuple[np.ndarray, ForwardCache
 
     pre_acts = []
     a = feat[None, :, :]
-    for i in range(len(cfg.conv_channels)):
-        z = _conv_same(a, ws.tensors[f"conv{i}.kernel"])
-        z += ws.tensors[f"conv{i}.bias"][:, None, None]
-        pre_acts.append(z > 0.0)
-        np.maximum(z, 0.0, out=z)  # the ReLU, in the conv's own array
-        a = _avgpool2(z) if i in cfg.pool_after else z
+    for i, c_out in enumerate(cfg.conv_channels):
+        (t, f), pool = a.shape[1:], i in cfg.pool_after
+        kernels, bias = ws.tensors[f"conv{i}.kernel"], ws.tensors[f"conv{i}.bias"][:, None, None]
+        live = np.empty((c_out, t, f), dtype=bool)
+        nxt = np.empty((c_out, t // 2, f // 2) if pool else (c_out, t, f))
+        out = None if pool else nxt.reshape(c_out, -1)
+        for s, e, block in _conv(t, f, kernels, lambda lo, hi: a[:, lo:hi], out):
+            block += bias
+            np.greater(block, 0.0, out=live[:, s:e])
+            np.maximum(block, 0.0, out=block)  # the ReLU, in the conv's own output
+            if pool:  # s is even, so no pooled pair straddles two blocks
+                _avgpool2(block, nxt[:, s // 2 : e // 2])
+        pre_acts.append(live)
+        a = nxt
 
     mu = a.mean(axis=1)  # [C, F]
     centered = a - mu[:, None, :]
@@ -314,16 +306,14 @@ def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
     The std-pooling branch takes subgradient zero wherever the temporal
     variance is exactly zero (constant activations).
     """
-    ws = cache.store
-    cfg = ws.config
+    ws, cfg = cache.store, cache.store.config
     if grad_embedding.shape != (cfg.embed_dim,):
         raise ValueError(
             f"grad_embedding shape {grad_embedding.shape} does not match ({cfg.embed_dim},)"
         )
     d_stats = ws.tensors["embed.weight"].T @ grad_embedding
     c, t_pooled, f = cache.centered.shape
-    d_mu = d_stats[: c * f].reshape(c, f)
-    d_sigma = d_stats[c * f :].reshape(c, f)
+    d_mu, d_sigma = d_stats[: c * f].reshape(c, f), d_stats[c * f :].reshape(c, f)
 
     # d sigma / d a_t = centered_t / (T * sigma); zero where sigma == 0
     sig_term = np.zeros_like(d_sigma)
@@ -332,10 +322,20 @@ def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
     d_a = d_mu[:, None, :] / t_pooled + sig_term[:, None, :] * cache.centered
 
     for i in reversed(range(len(cfg.conv_channels))):
-        live = cache.pre_acts[i]
-        d_z = _avgpool2_backward(d_a, live.shape) if i in cfg.pool_after else d_a
-        d_z *= live  # in place: d_a is a fresh array no one else holds
-        d_a = _conv_same_input_grad(d_z, ws.tensors[f"conv{i}.kernel"])
+        live, kernels, pool = cache.pre_acts[i], ws.tensors[f"conv{i}.kernel"], i in cfg.pool_after
+        (_, t, f), d_out = live.shape, d_a
+        if pool:
+            d_out /= 4.0  # in place: d_a is a fresh array no one else holds
+
+        def d_z(lo, hi):  # frames [lo, hi) of the gradient at the ReLU's input
+            return (_avgpool2_backward(d_out, live, lo, hi) if pool
+                    else d_out[:, lo:hi] * live[:, lo:hi])
+
+        # transposed conv: channel-swapped, flipped kernels (the padding is symmetric under a flip)
+        flipped = np.ascontiguousarray(kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        d_a = np.empty((kernels.shape[1], t, f))
+        for _ in _conv(t, f, flipped, d_z, d_a.reshape(len(d_a), -1)):
+            pass
     return d_a[0]
 
 

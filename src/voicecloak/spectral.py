@@ -23,7 +23,12 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
   share one overlap-add over hop-sized slots that adds, per sample, the
   frames in the order a frame-by-frame loop would;
 * the filterbank consumes the power spectrum (squared magnitude) and the
-  output is log-compressed with floor LOG_FLOOR.
+  output is log-compressed with floor LOG_FLOOR;
+* the filterbank product, its backward GEMM and the encoder's convolutions
+  go a block of `row_blocks` at a time: an even number of rows, at least
+  BLOCK_FRAMES and MIN_BLOCK_OUTPUTS outputs, a tail under half a block
+  joined to the one before, so that no GEMM is small enough (about 1200
+  outputs) to take OpenBLAS's path with other bits.
 
 All numerics are float64 so gradient checks against finite differences
 stay tight.
@@ -53,6 +58,7 @@ _CHUNKS = -(-WIN_LENGTH // HOP_LENGTH)  # hop-sized slots one window spans
 # frames per block of a pass that would otherwise make a full-size temporary:
 # the encoder's im2col (1.1 MiB at C_in 2 and 64 bands), the FFTs, the step
 BLOCK_FRAMES = 128
+MIN_BLOCK_OUTPUTS = 4096  # output entries of a blocked product's smallest GEMM
 
 
 @dataclass
@@ -80,12 +86,10 @@ def _analysis(w: Waveform) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
 
     Requires at least one window of samples at CANONICAL_RATE, the only
     rate accepted. Only the edge frames (two at the head, one or two at
-    the tail) read a small reflected buffer of their end, of at most 560
-    samples; the others are windowed straight from w's samples. The
-    generator windows BLOCK_FRAMES frames at a time into one small buffer
-    and yields (first frame, rfft of the block), a fresh [rows x N_BINS]
-    complex array each time, so no padded signal, array of all the frames
-    or spectrum of the whole signal is made.
+    the tail) read a reflected buffer of their end, of at most 560 samples.
+    The generator windows BLOCK_FRAMES frames at a time into one buffer and
+    yields (first frame, rfft of the block), a fresh complex array each
+    time, so no padded signal or spectrum of the whole signal is made.
     """
     if w.sample_rate != CANONICAL_RATE:
         raise ValueError(
@@ -148,12 +152,9 @@ def stft_magnitude(w: Waveform) -> np.ndarray:
 
 
 def resynthesize(w: Waveform, magnitude: np.ndarray) -> Waveform:
-    """istft(magnitude * stft(w).phasor, len(w)), with no spectrum held.
-
-    Each block of w's analysis is written over with its rows of magnitude
-    times its own `Spectrogram.phasor` and goes straight to overlap-add.
-    magnitude is only read.
-    """
+    """istft(magnitude * stft(w).phasor, len(w)), with no spectrum held: each
+    block of w's analysis is written over with its rows of magnitude (only
+    read) times its own `Spectrogram.phasor` and goes to overlap-add."""
     n_frames, blocks = _analysis(w)
     if magnitude.shape != (n_frames, N_BINS):
         raise ValueError(f"magnitude shape {magnitude.shape} does not match the analysis"
@@ -170,11 +171,9 @@ def resynthesize(w: Waveform, magnitude: np.ndarray) -> Waveform:
 def istft(spectrum: np.ndarray, length: int) -> Waveform:
     """Weighted overlap-add synthesis from a complex [frames x bins] spectrum.
 
-    The synthesis window equals the analysis window; each output sample is
-    normalized by the accumulated squared window, which makes
-    istft(stft(w).spectrum) an identity away from the signal edges. Output
-    is trimmed to `length` samples at CANONICAL_RATE. The spectrum is only
-    read, and goes back to time BLOCK_FRAMES frames at a time.
+    With the analysis window, normalized per sample by the summed squared
+    window, so istft(stft(w).spectrum) is an identity away from the edges;
+    trimmed to `length` samples. The spectrum is only read, a block at a time.
     """
     n_frames = spectrum.shape[0]
     if spectrum.shape[1] != N_BINS:
@@ -228,9 +227,8 @@ def mel_to_hz(m):
 def mel_matrix(fft_size: int = FFT_SIZE, n_mels: int = 64) -> np.ndarray:
     """Triangular mel filterbank, [n_mels x bins], spanning 0 to Nyquist at CANONICAL_RATE.
 
-    Built once per parameter set and shared, so the array is read-only.
-    Raises on degenerate parameterizations where some filter covers no
-    FFT bin at all.
+    Built once per parameter set, in one broadcast, and shared read-only.
+    Raises where some filter covers no FFT bin at all, naming the first.
     """
     return _mel_matrix(fft_size, n_mels)
 
@@ -242,29 +240,44 @@ def _mel_matrix(fft_size: int, n_mels: int) -> np.ndarray:
     if not 1 <= n_mels < n_bins:
         raise ValueError(f"n_mels must be in [1, {n_bins}), got {n_mels}")
     mel_points = np.linspace(0.0, hz_to_mel(CANONICAL_RATE / 2.0), n_mels + 2)
-    hz_points = mel_to_hz(mel_points)
+    hz_points = mel_to_hz(mel_points)[:, None]  # filter m: up from point m to m + 1, down to m + 2
+    lo, center, hi = hz_points[:-2], hz_points[1:-1], hz_points[2:]
     bin_freqs = np.arange(n_bins) * (CANONICAL_RATE / fft_size)
-
-    weights = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        lo, center, hi = hz_points[m], hz_points[m + 1], hz_points[m + 2]
-        rising = (bin_freqs - lo) / (center - lo)
-        falling = (hi - bin_freqs) / (hi - center)
-        weights[m] = np.maximum(0.0, np.minimum(rising, falling))
-        if not np.any(weights[m] > 0.0):
-            raise ValueError(
-                f"mel filter {m} ({lo:.1f}-{hi:.1f} Hz) covers no FFT bin;"
-                " reduce n_mels or increase fft_size"
-            )
+    rising = (bin_freqs - lo) / (center - lo)
+    falling = (hi - bin_freqs) / (hi - center)
+    weights = np.maximum(0.0, np.minimum(rising, falling))
+    empty = np.flatnonzero(~np.any(weights > 0.0, axis=1))
+    if len(empty):
+        m = empty[0]
+        raise ValueError(
+            f"mel filter {m} ({lo[m, 0]:.1f}-{hi[m, 0]:.1f} Hz) covers no FFT bin;"
+            " reduce n_mels or increase fft_size"
+        )
     weights.flags.writeable = False
     return weights
 
 
+@lru_cache(maxsize=64)
+def row_blocks(n_rows: int, width: int) -> tuple[slice, ...]:
+    """The row blocks of a product with `width` output columns (see the module docstring)."""
+    size = max(BLOCK_FRAMES, 2 * -(-MIN_BLOCK_OUTPUTS // (2 * width)))  # even
+    starts = list(range(0, n_rows, size))
+    if len(starts) > 1 and n_rows - starts[-1] < size / 2:
+        del starts[-1]
+    return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows]))
+
+
 def mel_energies(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
-    """Filterbank energies mag^2 . mel^T, [frames x n_mels]."""
+    """Filterbank energies mag^2 . mel^T, [frames x n_mels], squared into one
+    buffer a block of `row_blocks` at a time, so no mag^2 of mag's size is made."""
     if mag.shape[1] != mel.shape[1]:
         raise ValueError(f"bins mismatch: magnitude {mag.shape[1]} vs filterbank {mel.shape[1]}")
-    return (mag**2) @ mel.T
+    energies, blocks = np.empty((len(mag), len(mel))), row_blocks(len(mag), len(mel))
+    squares = np.empty((max((b.stop - b.start for b in blocks), default=0), mag.shape[1]))
+    for rows in blocks:
+        block = np.square(mag[rows], out=squares[: rows.stop - rows.start])
+        np.matmul(block, mel.T, out=energies[rows])
+    return energies
 
 
 def log_energies(energies: np.ndarray) -> np.ndarray:
@@ -278,30 +291,26 @@ def log_mel(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
     return log_energies(mel_energies(mag, mel))
 
 
-def log_mel_backward(
-    grad_out: np.ndarray, mag: np.ndarray, mel: np.ndarray, energies: np.ndarray
-) -> np.ndarray:
-    """Gradient of log_mel with respect to the magnitude matrix.
-
-    Exact reverse-mode differentiation; channels sitting on the log floor
-    contribute zero. `energies` are `mel_energies(mag, mel)` from the
-    forward pass, shared rather than recomputed, and are written over with
-    the energy gradient, grad_out / energies above the floor and 0 on it,
-    so that gradient takes no array of its own. The GEMM's output is
-    scaled by 2 * mag in place, a block of frames at a time, and returned,
-    so no other array of mag's size is made; grad_out and mag are only read.
-    """
+def log_energies_backward(grad_out: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Gradient of `log_energies` for grad_out at its output, written over
+    energies and returned: grad_out / energies above the floor, 0 on it."""
     if grad_out.shape != energies.shape:
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match features {energies.shape}"
-        )
+        raise ValueError(f"grad_out {grad_out.shape} does not match features {energies.shape}")
     live = energies > LOG_FLOOR
     grad_energy = np.divide(grad_out, energies, out=energies, where=live)
     grad_energy[~live] = 0.0
-    grad_mag = grad_energy @ mel
-    for start in range(0, len(grad_mag), BLOCK_FRAMES):
-        rows = slice(start, start + BLOCK_FRAMES)
-        grad_mag[rows] *= 2.0 * mag[rows]
+    return grad_energy
+
+
+def log_mel_backward(
+    grad_energy: np.ndarray, mag: np.ndarray, mel: np.ndarray, out: np.ndarray | None
+) -> np.ndarray:
+    """Gradient of log_mel with respect to rows of mag, from the gradient with
+    respect to their energies (`log_energies_backward`): grad_energy . mel,
+    into out (a new array if None), scaled there by 2 * mag and returned.
+    On the blocks of `row_blocks(*mag.shape)` it has the whole call's bits."""
+    grad_mag = np.matmul(grad_energy, mel, out=out)
+    grad_mag *= 2.0 * mag
     return grad_mag
 
 

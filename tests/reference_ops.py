@@ -1,7 +1,10 @@
-"""The encoder's convolution and pooling as first written, kept as an oracle.
+"""The program's numerics as first written, kept as an oracle that shares
+no code with the program's own versions.
 
 These are the `sliding_window_view` + `tensordot` convolution, the
-reshape-mean pooling and the `np.repeat` pooling backward, plus the
+reshape-mean pooling and the `np.repeat` pooling backward, an encoder
+`forward` and `backward` built from them on whole maps, the mel filterbank
+built one filter at a time, the whole-matrix filterbank product, and the
 gradient step that computed the filterbank energies once for the features
 and again for the log-mel backward pass. The faster versions in
 `voicecloak` must reproduce them bit for bit.
@@ -26,12 +29,35 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from voicecloak.attack import AttackConfig, AttackResult, ProtectionReport
 from voicecloak.audio_io import CANONICAL_RATE, Waveform
-from voicecloak.encoder import backward, cosine_loss, cosine_loss_grad, forward
+from voicecloak.encoder import cosine_loss, cosine_loss_grad
 from voicecloak.metrics import snr_db
 from voicecloak.spectral import (
-    FFT_SIZE, HOP_LENGTH, LOG_FLOOR, WIN_LENGTH, WINDOW, WINDOW_SUM_EPS, Spectrogram,
-    mel_energies, mel_matrix,
+    FFT_SIZE, HOP_LENGTH, LOG_FLOOR, WIN_LENGTH, WINDOW, WINDOW_SUM_EPS, Spectrogram, hz_to_mel,
+    mel_to_hz,
 )
+
+
+def mel_matrix(fft_size: int, n_mels: int) -> np.ndarray:
+    n_bins = fft_size // 2 + 1
+    mel_points = np.linspace(0.0, hz_to_mel(CANONICAL_RATE / 2.0), n_mels + 2)
+    hz_points = mel_to_hz(mel_points)
+    bin_freqs = np.arange(n_bins) * (CANONICAL_RATE / fft_size)
+    weights = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
+        lo, center, hi = hz_points[m], hz_points[m + 1], hz_points[m + 2]
+        rising = (bin_freqs - lo) / (center - lo)
+        falling = (hi - bin_freqs) / (hi - center)
+        weights[m] = np.maximum(0.0, np.minimum(rising, falling))
+        if not np.any(weights[m] > 0.0):
+            raise ValueError(
+                f"mel filter {m} ({lo:.1f}-{hi:.1f} Hz) covers no FFT bin;"
+                " reduce n_mels or increase fft_size"
+            )
+    return weights
+
+
+def mel_energies(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
+    return (mag**2) @ mel.T
 
 
 def conv_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -56,6 +82,39 @@ def avgpool2_backward(grad: np.ndarray, unpooled_shape: tuple[int, ...]) -> np.n
     return out
 
 
+def forward(feat, ws):
+    """The embedding, and the cache (ReLU masks, centered map, sigma) of `backward`."""
+    cfg = ws.config
+    masks, a = [], feat[None, :, :]
+    for i in range(len(cfg.conv_channels)):
+        z = conv_same(a, ws.tensors[f"conv{i}.kernel"]) + ws.tensors[f"conv{i}.bias"][:, None, None]
+        masks.append(z > 0.0)
+        a = np.maximum(z, 0.0)
+        if i in cfg.pool_after:
+            a = avgpool2(a)
+    mu = a.mean(axis=1)
+    centered = a - mu[:, None, :]
+    sigma = np.sqrt((centered**2).mean(axis=1))
+    stats = np.concatenate([mu.ravel(), sigma.ravel()])
+    return ws.tensors["embed.weight"] @ stats + ws.tensors["embed.bias"], (masks, centered, sigma)
+
+
+def backward(ws, cache, grad_embedding):
+    masks, centered, sigma = cache
+    d_stats = ws.tensors["embed.weight"].T @ grad_embedding
+    c, t, f = centered.shape
+    d_mu, d_sigma = d_stats[: c * f].reshape(c, f), d_stats[c * f :].reshape(c, f)
+    sig_term = np.zeros_like(d_sigma)
+    np.divide(d_sigma, sigma * t, out=sig_term, where=sigma * t > 0.0)
+    d_a = d_mu[:, None, :] / t + sig_term[:, None, :] * centered
+    for i in reversed(range(len(ws.config.conv_channels))):
+        if i in ws.config.pool_after:
+            d_a = avgpool2_backward(d_a, masks[i].shape)
+        flipped = np.flip(ws.tensors[f"conv{i}.kernel"], axis=(2, 3)).transpose(1, 0, 2, 3)
+        d_a = conv_same(d_a * masks[i], np.ascontiguousarray(flipped))
+    return d_a[0]
+
+
 def log_mel(mag, mel):
     return np.log(np.maximum(mel_energies(mag, mel), LOG_FLOOR))
 
@@ -72,7 +131,7 @@ def log_mel_backward(grad_out, mag, mel, energies):
 def loss_and_grad(x_tilde, mel, ws, e_ref):
     embedding, cache = forward(log_mel(x_tilde, mel), ws)
     loss = cosine_loss(e_ref, embedding)
-    grad_feat = backward(cache, cosine_loss_grad(e_ref, embedding))
+    grad_feat = backward(ws, cache, cosine_loss_grad(e_ref, embedding))
     return loss, log_mel_backward(grad_feat, x_tilde, mel, mel_energies(x_tilde, mel))
 
 

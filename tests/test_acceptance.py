@@ -25,7 +25,7 @@ from voicecloak.audio_io import Waveform, add_gaussian_noise, write_wav
 from voicecloak.cli import cli
 from voicecloak.encoder import EncoderConfig, cosine_loss, forward, init_random
 from voicecloak.metrics import compute_eer
-from voicecloak.spectral import LOG_FLOOR, WIN_LENGTH, istft, log_mel, stft
+from voicecloak.spectral import LOG_FLOOR, WIN_LENGTH, istft, log_mel, log_mel_backward, stft
 
 
 def _check(number, name, ok, detail):
@@ -56,7 +56,8 @@ def test_criterion_01_gradient_matches_finite_differences(mel64):
                 ws, e_ref = candidate, e_candidate
                 break
         assert ws is not None, f"no live encoder draw for instance {i}"
-        _, grad = loss_and_grad(x, mel64, ws, e_ref)
+        _, grad_energy = loss_and_grad(x, mel64, ws, e_ref)
+        grad = log_mel_backward(grad_energy, x, mel64, None)
 
         def evaluate(mag, ws=ws, e_ref=e_ref):
             """Loss plus the piecewise-linearity pattern at this point."""

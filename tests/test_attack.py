@@ -17,7 +17,7 @@ from voicecloak.attack import (
 )
 from voicecloak.audio_io import Waveform
 from voicecloak.encoder import EncoderConfig, cosine_loss, forward, init_random
-from voicecloak.spectral import Spectrogram, log_mel, mel_matrix, stft
+from voicecloak.spectral import Spectrogram, log_mel, log_mel_backward, mel_matrix, stft
 
 SMALL_CFG = EncoderConfig(conv_channels=(2, 2), pool_after=(0,), embed_dim=8, n_mels=16)
 
@@ -94,12 +94,12 @@ class TestClipAndSign:
 
     def test_sign_of_zero_is_zero(self):
         np.testing.assert_array_equal(
-            sign_matrix(np.array([-2.0, 0.0, 3.0])), np.array([-1.0, 0.0, 1.0])
+            sign_matrix(np.array([-2.0, 0.0, 3.0]), None), np.array([-1.0, 0.0, 1.0])
         )
 
     def test_sign_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            sign_matrix(np.array([np.nan]))
+            sign_matrix(np.array([np.nan]), np.empty(1))
 
 
 class TestIfgsm:
@@ -156,8 +156,9 @@ class TestIfgsm:
         tiny = np.full((8, 257), 1e-7)
         mel = mel_matrix(512, 64)
         e_ref, _ = forward(log_mel(tiny, mel), ws)
-        _, grad = loss_and_grad(tiny, mel, ws, e_ref)
-        np.testing.assert_array_equal(grad, np.zeros_like(tiny))
+        _, grad_energy = loss_and_grad(tiny, mel, ws, e_ref)
+        np.testing.assert_array_equal(grad_energy, np.zeros((8, 64)))
+        np.testing.assert_array_equal(log_mel_backward(grad_energy, tiny, mel, None), 0.0)
         result = ifgsm(tiny, ws, e_ref, AttackConfig(epsilon=0.001, alpha=0.0005, iterations=1))
         assert np.array_equal(result.adv_magnitude, tiny + 0.0005)
 
@@ -181,8 +182,10 @@ class TestGradient:
     def test_loss_and_grad_agree_with_compute_loss(self):
         x, ws, e_ref = small_instance(21)
         mel = mel_matrix(256, SMALL_CFG.n_mels)
-        loss, grad = loss_and_grad(x, mel, ws, e_ref)
+        loss, grad_energy = loss_and_grad(x, mel, ws, e_ref)
         assert loss == cosine_loss(e_ref, embed(x, ws))
+        assert grad_energy.shape == (len(x), SMALL_CFG.n_mels)
+        grad = log_mel_backward(grad_energy, x, mel, None)
         assert grad.shape == x.shape
         assert np.all(np.isfinite(grad))
 
@@ -251,8 +254,9 @@ class TestProtectUtterance:
     def test_ifgsm_on_ten_seconds_holds_under_six_magnitudes(self, weights):
         """Every stage of a protected file, the attack step and synthesis among
         them, holds few arrays of the [1001 x 257] magnitude's size at once:
-        the traced peak is 3.9 of them (4.5 with a whole complex spectrum at
-        analysis and synthesis and float ReLU maps), where a step that
+        the traced peak is 3.6 of them (3.9 with whole-map encoder maps and
+        magnitude gradient, 4.5 with a whole complex spectrum at analysis and
+        synthesis and float ReLU maps as well), where a step that
         allocated its sign, sum, bounds and projection, and synthesis from a
         whole phasor, reached 8.6. Every step peaks alike, so three
         iterations stand for fifty."""

@@ -4,8 +4,10 @@ Every kernel comparison is bitwise: no I-FGSM output may move by one ulp
 when the convolution or pooling is reimplemented, when the attack step,
 the log-mel backward pass and synthesis write over their own arrays
 instead of allocating new ones, when analysis and synthesis stream
-through frame blocks instead of holding a spectrum, or when analysis
-reads the samples with no padded copy. Synthesis from the unit phasor
+through frame blocks instead of holding a spectrum, when analysis
+reads the samples with no padded copy, or when the filterbank products,
+the encoder's layers and the attack step go a block of frames at a time.
+`reference_ops` shares no code with those. Synthesis from the unit phasor
 may move float samples in the last ulps against synthesis through the
 angle, so that is compared as the PCM16 samples `write_wav` stores.
 """
@@ -22,11 +24,12 @@ from voicecloak.attack import AttackConfig, fgsm, ifgsm, protect_utterance
 from voicecloak.audio_io import CANONICAL_RATE, Waveform, write_wav
 from voicecloak.encoder import EncoderConfig, forward, init_random
 from voicecloak.spectral import (
-    BLOCK_FRAMES, HOP_LENGTH, LOG_FLOOR, N_BINS, WIN_LENGTH, Spectrogram, istft, log_mel,
-    log_mel_backward, mel_energies, mel_matrix, resynthesize, stft, stft_magnitude,
+    BLOCK_FRAMES, HOP_LENGTH, LOG_FLOOR, N_BINS, WIN_LENGTH, Spectrogram, istft,
+    log_energies_backward, log_mel, log_mel_backward, mel_energies, mel_matrix, resynthesize,
+    row_blocks, stft, stft_magnitude,
 )
 
-BLOCK = encoder.BLOCK_FRAMES
+BLOCK = BLOCK_FRAMES
 
 # (C_in, C_out, T, F): odd and tiny maps; the four convolutions of the
 # default encoder (two forward, two input gradients) on 3 s and on 10 s of
@@ -42,14 +45,17 @@ CONV_SHAPES = [
 ]
 
 
-def _reference_encoder(monkeypatch):
-    monkeypatch.setattr(encoder, "_conv_same", ref.conv_same)
-    monkeypatch.setattr(encoder, "_avgpool2", ref.avgpool2)
-    monkeypatch.setattr(encoder, "_avgpool2_backward", ref.avgpool2_backward)
-
-
 def _scaled(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+def _conv(x, kernels):
+    """The encoder's block convolution over a whole map, its frames read straight from x."""
+    c_in, t, f = x.shape
+    out = np.empty((len(kernels), t * f))
+    for _ in encoder._conv(t, f, kernels, lambda lo, hi: x[:, lo:hi], out):
+        pass
+    return out.reshape(len(kernels), t, f)
 
 
 @pytest.mark.parametrize("c_in,c_out,t,f", CONV_SHAPES)
@@ -57,34 +63,61 @@ def test_conv_matches_tensordot_reference(c_in, c_out, t, f):
     rng = np.random.default_rng(c_in * 1000 + c_out * 100 + t + f)
     x = _scaled(rng, (c_in, t, f))
     kernels = rng.standard_normal((c_out, c_in, 3, 3))
-    assert ref.bitwise_equal(encoder._conv_same(x, kernels), ref.conv_same(x, kernels))
+    assert ref.bitwise_equal(_conv(x, kernels), ref.conv_same(x, kernels))
 
 
 @pytest.mark.parametrize("c", [1, 2, 4])
 @pytest.mark.parametrize("t", [2, 3, 8, 51, 301])
 @pytest.mark.parametrize("f", [2, 3, 4, 5, 7, 32, 64])
 def test_pooling_matches_reshape_mean_reference(c, t, f):
-    """Includes the one-band maps (f of 2 or 3), where the add order differs."""
+    """Includes the one-band maps (f of 2 or 3), where the add order differs.
+    The backward pass, which takes the ReLU mask too, also from an odd frame
+    to one before the end."""
     rng = np.random.default_rng(c * 10000 + t * 100 + f)
     x = _scaled(rng, (c, t, f))
-    pooled = encoder._avgpool2(x)
+    pooled = np.empty((c, t // 2, f // 2))
+    encoder._avgpool2(x, pooled)
     assert ref.bitwise_equal(pooled, ref.avgpool2(x))
     grad = _scaled(rng, pooled.shape)
-    assert ref.bitwise_equal(
-        encoder._avgpool2_backward(grad, x.shape), ref.avgpool2_backward(grad, x.shape)
-    )
+    expected = ref.avgpool2_backward(grad, x.shape)
+    live = np.ones(x.shape, dtype=bool)
+    assert ref.bitwise_equal(encoder._avgpool2_backward(grad / 4.0, live, 0, t), expected)
+    live = rng.uniform(size=x.shape) < 0.5
+    assert ref.bitwise_equal(encoder._avgpool2_backward(grad / 4.0, live, 1, t - 1),
+                             (expected * live)[:, 1:-1])
 
 
-def test_pooling_rejects_maps_below_two_by_two():
-    with pytest.raises(ValueError, match="too small"):
-        encoder._avgpool2(np.ones((1, 1, 4)))
+# (conv_channels, pool_after, n_mels, min_frames): the default; one band
+# after pooling; no pooling; pooling after the first layer only; three layers
+ENCODERS = [((2, 4), (0, 1), 64, 4), ((3, 2, 2), (0, 1, 2), 8, 8), ((2, 3), (), 16, 1),
+            ((2, 2), (0,), 16, 2), ((2, 3, 2), (1,), 32, 4)]
+
+
+@pytest.mark.parametrize("channels,pool_after,n_mels,min_frames", ENCODERS)
+def test_streamed_encoder_matches_whole_map_reference(channels, pool_after, n_mels, min_frames):
+    """Forward and backward at frame counts from the shortest the config takes
+    to several blocks, odd and even, and across each block edge."""
+    cfg = EncoderConfig(conv_channels=channels, pool_after=pool_after, n_mels=n_mels,
+                        min_frames=min_frames)
+    ws = init_random(cfg, sum(channels))
+    rng = np.random.default_rng(n_mels)
+    for t in sorted({min_frames, 8, 9, 33, 101, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2,
+                     2 * BLOCK + 37, 641, 1001}):
+        feat = rng.standard_normal((t, n_mels))
+        grad_embedding = rng.standard_normal(cfg.embed_dim)
+        embedding, cache = forward(feat, ws)
+        expected, ref_cache = ref.forward(feat, ws)
+        assert ref.bitwise_equal(embedding, expected), t
+        assert all(np.array_equal(a, b) for a, b in zip(cache.pre_acts, ref_cache[0])), t
+        got = encoder.backward(cache, grad_embedding)
+        assert ref.bitwise_equal(got, ref.backward(ws, ref_cache, grad_embedding)), t
 
 
 @pytest.mark.parametrize("cfg", [
     EncoderConfig(),
     EncoderConfig(conv_channels=(3, 2, 2), pool_after=(0, 1, 2), n_mels=8, min_frames=8),
 ], ids=["default", "one-band"])
-def test_whole_ifgsm_run_matches_reference_ops(monkeypatch, cfg):
+def test_whole_ifgsm_run_matches_reference_ops(cfg):
     """50 steps on 3 s of speech; the one-band config pools 8 mels down to 1.
 
     The reference runs every step allocating, and the caller's x is never written."""
@@ -95,7 +128,6 @@ def test_whole_ifgsm_run_matches_reference_ops(monkeypatch, cfg):
     e_ref, _ = forward(log_mel(x, mel_matrix(512, cfg.n_mels)), ws)
     fast = ifgsm(x, ws, e_ref, AttackConfig())
     assert ref.bitwise_equal(x, clean)
-    _reference_encoder(monkeypatch)
     slow = ref.ifgsm(x, ws, e_ref, AttackConfig())
     assert not np.array_equal(fast.adv_magnitude, x)
     assert ref.bitwise_equal(fast.adv_magnitude, slow.adv_magnitude)
@@ -112,7 +144,6 @@ def test_ten_second_fgsm_matches_reference_ops(monkeypatch):
     e_ref, _ = forward(log_mel(x, mel_matrix(512, 64)), ws)
     fast = fgsm(x, ws, e_ref, AttackConfig.epsilon)
     assert ref.bitwise_equal(x, clean)
-    _reference_encoder(monkeypatch)
     monkeypatch.setattr(attack, "ifgsm", ref.ifgsm)
     slow = fgsm(x, ws, e_ref, AttackConfig.epsilon)
     assert not np.array_equal(fast.adv_magnitude, x)
@@ -120,7 +151,7 @@ def test_ten_second_fgsm_matches_reference_ops(monkeypatch):
     assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)
 
 
-def test_zero_gradient_fallback_and_zero_clamp_match_reference_ops(monkeypatch):
+def test_zero_gradient_fallback_and_zero_clamp_match_reference_ops():
     """Magnitudes under the log floor: with e_ref = embed(x) the first gradient
     is exactly zero, so the first step is the all-ones fallback, and later
     steps push entries below zero, onto the clamp."""
@@ -133,7 +164,6 @@ def test_zero_gradient_fallback_and_zero_clamp_match_reference_ops(monkeypatch):
     fast = ifgsm(x, ws, e_ref, cfg)
     assert np.all(x == 1e-7)
     assert np.count_nonzero(fast.adv_magnitude == 0.0) > 100
-    _reference_encoder(monkeypatch)
     slow = ref.ifgsm(x, ws, e_ref, cfg)
     assert ref.bitwise_equal(fast.adv_magnitude, slow.adv_magnitude)
     assert ref.bitwise_equal(fast.loss_trajectory, slow.loss_trajectory)
@@ -151,11 +181,38 @@ def test_log_mel_backward_writes_its_energy_gradient_over_the_energies():
     energies = mel_energies(mag, mel)
     clean_energies, clean_grad_out, clean_mag = energies.copy(), grad_out.copy(), mag.copy()
     expected = ref.log_mel_backward(grad_out, mag, mel, clean_energies)
-    assert ref.bitwise_equal(log_mel_backward(grad_out, mag, mel, energies), expected)
+    grad_energy = log_energies_backward(grad_out, energies)
+    assert grad_energy is energies
+    assert ref.bitwise_equal(log_mel_backward(grad_energy, mag, mel, None), expected)
     assert ref.bitwise_equal(grad_out, clean_grad_out) and ref.bitwise_equal(mag, clean_mag)
     live = clean_energies > LOG_FLOOR
     assert 0 < live.sum() < live.size
     assert ref.bitwise_equal(energies, np.where(live, grad_out / clean_energies, 0.0))
+
+
+def test_blocked_products_match_the_whole_matrix_products():
+    """`mel_energies` and the gradient product of `log_mel_backward` over
+    `row_blocks`, against the whole-matrix products, at every frame count to
+    700 and at 1001 and 3001. On OpenBLAS a GEMM of fewer than about 1200
+    outputs takes another path with other bits: 128-row blocks at 8 and 16
+    mels, or a short tail block of the 257-bin gradient, would not match.
+    A map of one block is the whole product, so only maps of more are run."""
+    rng = np.random.default_rng(29)
+    mag = rng.uniform(0.0, 0.2, (3001, N_BINS))
+    twice, blocked = 2.0 * mag, np.empty_like(mag)
+    for n_mels in (8, 16, 64):
+        mel = mel_matrix(512, n_mels)
+        grad_energy = _scaled(rng, (len(mag), n_mels))
+        for t in [*range(1, 701), 1001, 3001]:
+            if len(row_blocks(t, n_mels)) > 1:
+                expected = ref.mel_energies(mag[:t], mel)
+                assert ref.bitwise_equal(mel_energies(mag[:t], mel), expected), (n_mels, t)
+            if len(row_blocks(t, N_BINS)) > 1:
+                for rows in row_blocks(t, N_BINS):
+                    log_mel_backward(grad_energy[rows], mag[rows], mel, blocked[rows])
+                whole = grad_energy[:t] @ mel
+                whole *= twice[:t]
+                assert ref.bitwise_equal(blocked[:t], whole), (n_mels, t)
 
 
 def _pcm16(w: Waveform, path) -> bytes:
@@ -266,6 +323,26 @@ def test_ten_second_magnitude_analysis_makes_no_padded_copy():
     assert peak - magnitude.nbytes < 1.5 * w.samples.nbytes
 
 
+def test_ten_second_ifgsm_holds_no_other_array_of_the_magnitudes_size():
+    """Beyond x and the iterate, two steps on 10 s trace a peak of about 1.59
+    magnitudes' bytes: the energies, the encoder's masks and pooled maps, a
+    layer's input gradient and one im2col block. With the squared magnitude,
+    the full-resolution conv outputs and pooling gradients, and the whole
+    magnitude gradient, each made in turn, it was 1.85."""
+    ws = init_random(EncoderConfig(), 3)
+    x = stft_magnitude(speaker_utterance(3, 0, seconds=10.0))
+    e_ref = attack.embed(stft_magnitude(speaker_utterance(4, 0, seconds=10.0)), ws)
+    cfg = AttackConfig(iterations=2)
+    ifgsm(x, ws, e_ref, cfg)  # the filterbank is cached
+    tracemalloc.start()
+    try:
+        ifgsm(x, ws, e_ref, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - x.nbytes < 1.72 * x.nbytes  # x itself was made before tracing
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_phasor_synthesis_matches_angle_synthesis(tmp_path, seed):
     rng = np.random.default_rng(seed)
@@ -319,7 +396,7 @@ def test_protect_utterance_matches_angle_synthesis(tmp_path, monkeypatch, method
         through_angles, tmp_path / "angle.wav")
 
 
-def test_protect_utterance_matches_reference_ops(tmp_path, monkeypatch):
+def test_protect_utterance_matches_reference_ops(tmp_path):
     """Default ifgsm on 2 s with silent frames: the same samples, WAV bytes and
     report as the allocating attack and whole-array analysis and synthesis,
     and the caller's waveform unchanged."""
@@ -328,7 +405,6 @@ def test_protect_utterance_matches_reference_ops(tmp_path, monkeypatch):
     clean = w.samples.copy()
     fast, fast_report = protect_utterance(w, ws, AttackConfig(), "ifgsm", 32.0, 0)
     assert ref.bitwise_equal(w.samples, clean)
-    _reference_encoder(monkeypatch)
     slow, slow_report = ref.protect_utterance(w, ws, AttackConfig())
     assert ref.bitwise_equal(fast.samples, slow.samples)
     assert _pcm16(fast, tmp_path / "fast.wav") == _pcm16(slow, tmp_path / "slow.wav")

@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from voicecloak.audio_io import CANONICAL_RATE, Waveform
 from voicecloak.spectral import (
     FFT_SIZE,
@@ -14,6 +16,7 @@ from voicecloak.spectral import (
     WINDOW,
     hz_to_mel,
     istft,
+    log_energies_backward,
     log_mel,
     log_mel_backward,
     mel_energies,
@@ -145,6 +148,25 @@ class TestMelFilterbank:
             )
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("fft_size", [256, 512, 1024])
+    def test_broadcast_build_matches_the_filter_by_filter_loop(self, fft_size):
+        """Bitwise, at every n_mels for 256 points and a spread of them for 512
+        and 1024; where some filter covers no bin, the same error names the
+        same first such filter."""
+        n_bins = fft_size // 2 + 1
+        counts = range(1, n_bins) if fft_size == 256 else [*range(1, n_bins, 17), n_bins - 1]
+        refused = 0
+        for n_mels in counts:
+            try:
+                expected = ref.mel_matrix(fft_size, n_mels)
+            except ValueError as exc:
+                refused += 1
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    mel_matrix(fft_size, n_mels)
+            else:
+                assert ref.bitwise_equal(mel_matrix(fft_size, n_mels), expected), n_mels
+        assert 0 < refused < len(counts)
+
     def test_every_filter_peaks_at_one(self):
         mel = mel_matrix(512, 64)
         assert mel.shape == (64, 257)
@@ -196,7 +218,8 @@ class TestLogMel:
         mel = mel_matrix(256, 16)
         mag = rng.uniform(0.01, 0.2, (5, 129))
         grad_out = rng.standard_normal((5, 16))
-        grad = log_mel_backward(grad_out, mag, mel, mel_energies(mag, mel))
+        grad_energy = log_energies_backward(grad_out, mel_energies(mag, mel))
+        grad = log_mel_backward(grad_energy, mag, mel, None)
         h = 1e-6
         for i, j in [(0, 3), (1, 40), (2, 64), (3, 100), (4, 128)]:
             up, down = mag.copy(), mag.copy()
@@ -211,13 +234,15 @@ class TestLogMel:
     def test_backward_is_zero_under_the_floor(self):
         mel = mel_matrix(256, 16)
         mag = np.full((4, 129), 1e-8)  # energies ~1e-16, below the floor
-        grad = log_mel_backward(np.ones((4, 16)), mag, mel, mel_energies(mag, mel))
+        grad_energy = log_energies_backward(np.ones((4, 16)), mel_energies(mag, mel))
+        np.testing.assert_array_equal(grad_energy, np.zeros((4, 16)))
+        grad = log_mel_backward(grad_energy, mag, mel, None)
         np.testing.assert_array_equal(grad, np.zeros_like(mag))
 
     def test_backward_shape_validation(self, mel64):
         with pytest.raises(ValueError, match="grad_out"):
             mag = np.zeros((3, 257))
-            log_mel_backward(np.zeros((3, 10)), mag, mel64, mel_energies(mag, mel64))
+            log_energies_backward(np.zeros((3, 10)), mel_energies(mag, mel64))
 
 
 class TestCsvDump:
