@@ -26,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import Waveform, add_gaussian_noise
-from .encoder import WeightStore, cosine_loss, cosine_loss_grad, forward, backward
+from .encoder import (
+    LogEnergies, WeightStore, cosine_loss, cosine_loss_grad, forward, backward,
+)
 from .metrics import snr_db
 from .spectral import (
-    log_energies, log_energies_backward, log_mel, log_mel_backward, mel_energies, mel_matrix,
-    resynthesize, row_blocks, stft_magnitude,
+    log_mel, log_mel_backward, mel_energies, mel_matrix, resynthesize, row_blocks, stft_magnitude,
 )
 
 
@@ -126,15 +127,14 @@ def loss_and_grad(
 
     Composes log-mel -> encoder -> cosine loss forward, then reverses the
     chain. e_ref must be precomputed from the original magnitude and held
-    fixed across iterations. The energies are computed once, and their
-    gradient written over them once the encoder's cache is dropped.
+    fixed across iterations. The energies are computed once: the encoder's
+    first layer logs them a block at a time (`LogEnergies`), and its
+    backward pass writes their gradient over them a block at a time.
     """
     energies = mel_energies(x_tilde, mel)
-    embedding, cache = forward(log_energies(energies), ws)
+    embedding, cache = forward(LogEnergies(energies), ws)
     loss = cosine_loss(e_ref, embedding)
-    grad_feat = backward(cache, cosine_loss_grad(e_ref, embedding))
-    del cache
-    return loss, log_energies_backward(grad_feat, energies)
+    return loss, backward(cache, cosine_loss_grad(e_ref, embedding))
 
 
 def ifgsm(
@@ -153,7 +153,7 @@ def ifgsm(
     """
     mel = mel_matrix((x.shape[1] - 1) * 2, ws.config.n_mels)
     x_tilde = x.copy()
-    blocks = row_blocks(len(x), x.shape[1])
+    blocks = row_blocks(len(x), x.shape[1], 0)
     trajectory: list[float] = []
     for _ in range(cfg.iterations):
         loss, grad_energy = loss_and_grad(x_tilde, mel, ws, e_ref)

@@ -21,10 +21,15 @@ Summation order is fixed, so results are reproducible bit for bit:
   [C_out, C_in*9], against explicit im2col rows ordered (c_in, dt, df).
   Each output column is the same `kernels @ column` dot product whichever
   block holds it, so the blocks change no bit of the result. A block reads
-  one halo frame a side, from the map's other end where time wraps. No
-  conv output or ReLU-input gradient of a whole map is made: `forward`
-  pools each block as it comes, `backward` builds each block's gradient
-  at the ReLU input (pooling backward times mask) from the pooled one;
+  its frames and one halo frame a side in one call, the halo from the
+  map's other end where time wraps. No conv output or ReLU-input gradient
+  of a whole map is made: `forward` pools each block as it comes,
+  `backward` builds each block's gradient at the ReLU input (pooling
+  backward times mask) from the pooled one. Going back, a block's im2col
+  rows are capped at 0.56 MiB, 64 frames at the default config. Given
+  `LogEnergies`, the first layer logs each block of energies as it reads
+  it and the last transposed convolution divides each output block into
+  the energies' rows, so no features or feature gradient are made either;
 * 2x2 pooling adds the top pair and the bottom pair first,
   ((a + b) + (c + d)) / 4, where a, b are the upper row; when the pooled
   map has a single band it adds left to right, (((a + b) + c) + d) / 4.
@@ -40,7 +45,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensorfile
-from .spectral import row_blocks
+from .spectral import log_energies, log_energies_backward, row_blocks
 
 NORM_EPS = 1e-12
 
@@ -187,12 +192,13 @@ _BAND_SHIFTS = ((slice(1, None), slice(None, -1)), (slice(None), slice(None)),
 def _conv(t: int, f: int, kernels: np.ndarray, rows, out):
     """3x3 stride-1 convolution of a [C_in, t, f] map, circular along time and
     zero-padded along freq: yields (s, e, output [C_out, e - s, f]) for each
-    block [s, e) of `row_blocks(t, f)`, written into out[:, s * f : e * f]
-    of out [C_out, t * f], or if out is None into a block buffer.
-    rows(lo, hi) gives the map's frames [lo, hi); a block reads s - 1 to e."""
+    block [s, e) of `row_blocks`, written into out[:, s * f : e * f] of out
+    [C_out, t * f], or if out is None into a block buffer. rows(lo, hi)
+    gives the map's frames [lo, hi) taken mod t, as `_frames` takes them; a
+    block reads s - 1 to e + 1, its halo included, in one call."""
     c_out, c_in = kernels.shape[:2]
     weights = kernels.reshape(c_out, c_in * 9)
-    blocks = row_blocks(t, f)
+    blocks = row_blocks(t, c_out * f, c_in * 9 * f)
     longest = max(b.stop - b.start for b in blocks)
     # cols[c, dt, df, i, j] = frame s + i + dt - 1, band j + df - 1, and 0 outside the bands;
     # a shorter block uses the first n frames of each row
@@ -203,17 +209,22 @@ def _conv(t: int, f: int, kernels: np.ndarray, rows, out):
             for dt in range(3) for df, (f_out, f_in) in enumerate(_BAND_SHIFTS)]
     buffer = np.empty((c_out, longest * f)) if out is None else None
     for s, e in ((b.start, b.stop) for b in blocks):
-        src = rows(max(s - 1, 0), min(e + 1, t))
-        if s == 0 or e == t:  # time wraps around at the ends of the map
-            head = (src[:, -1:] if e == t else rows(t - 1, t)) if s == 0 else src[:, :0]
-            tail = (src[:, :1] if s == 0 else rows(0, 1)) if e == t else src[:, :0]
-            src = np.concatenate((head, src, tail), 1)
-        n = e - s
+        src, n = rows(s - 1, e + 1), e - s
         for tap, dt, f_in in taps:
             tap[:, :n] = src[:, dt : dt + n, f_in]
         dest = buffer[:, : n * f] if out is None else out[:, s * f : e * f]
         np.matmul(weights, cols[:, : n * f], out=dest)
         yield s, e, dest.reshape(c_out, n, f)
+
+
+def _frames(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Frames [lo, hi) of a [C, t, f] map, taken mod t (lo >= -1, hi <= t + 1):
+    a view unless they wrap around."""
+    t = a.shape[1]
+    if lo >= 0 and hi <= t:
+        return a[:, lo:hi]
+    head, tail = a[:, t - 1 if lo < 0 else t :], a[:, : 1 if hi > t else 0]
+    return np.concatenate((head, a[:, max(lo, 0) : min(hi, t)], tail), 1)
 
 
 def _avgpool2(z: np.ndarray, out: np.ndarray) -> None:
@@ -232,17 +243,42 @@ def _avgpool2(z: np.ndarray, out: np.ndarray) -> None:
 def _avgpool2_backward(quarter: np.ndarray, live: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Frames [lo, hi) of the gradient at the input of ReLU (mask live) and 2x2
     pooling, from quarter, the pooled gradient / 4: quarter times the mask
-    in each of the four places, 0 in a trailing odd row or col."""
+    in each of the four places, 0 in a trailing odd row or col. Frames are
+    taken mod t, as `_frames` takes them, so lo may be -1 and hi t + 1."""
     (c, t, f), (t2, f2) = live.shape, quarter.shape[1:]
+    head, tail = lo < 0, hi > t  # a wrapped frame before frame 0, or after frame t - 1
+    lo, hi = max(lo, 0), min(hi, t)
     a0, a1 = lo - lo % 2, min(hi + hi % 2, t)
     n2 = max(min(a1 // 2, t2) - a0 // 2, 0)
-    out = np.empty((c, a1 - a0, f))
-    out[:, 2 * n2 :] = out[:, :, 2 * f2 :] = 0.0
-    top = out[:, 0 : 2 * n2 : 2]
+    out = np.empty((c, head + a1 - a0 + tail, f))
+    core = out[:, head : head + a1 - a0]
+    if 2 * n2 < a1 - a0:  # a trailing odd row
+        core[:, 2 * n2 :] = 0.0
+    if 2 * f2 < f:  # a trailing odd col
+        out[:, :, 2 * f2 :] = 0.0
+    top = core[:, 0 : 2 * n2 : 2]
     top[:, :, 0 : 2 * f2 : 2] = top[:, :, 1 : 2 * f2 : 2] = quarter[:, a0 // 2 : a0 // 2 + n2]
-    out[:, 1 : 2 * n2 : 2] = top
-    out *= live[:, a0:a1]
-    return out[:, lo - a0 : hi - a0]
+    core[:, 1 : 2 * n2 : 2] = top
+    core *= live[:, a0:a1]
+    for row, j in ((0, t - 1),) * head + ((-1, 0),) * tail:
+        if a0 <= j < a1:  # a map of one block
+            out[:, row] = core[:, j - a0]
+        elif j < 2 * t2:
+            out[:, row, 0 : 2 * f2 : 2] = out[:, row, 1 : 2 * f2 : 2] = quarter[:, j // 2]
+            out[:, row] *= live[:, j]
+        else:
+            out[:, row] = 0.0
+    return out[:, lo - a0 : head + hi - a0 + tail]
+
+
+@dataclass
+class LogEnergies:
+    """Features given as log_energies(energies) of [frames x n_mels] filterbank
+    energies: `forward` logs them a block of frames at a time as its first
+    layer reads them, and `backward` writes the gradient with respect to the
+    energies over them, so no feature array or feature gradient is made."""
+
+    energies: np.ndarray
 
 
 @dataclass
@@ -251,39 +287,50 @@ class ForwardCache:
 
     pre_acts holds each conv layer's ReLU mask, z > 0 for its
     pre-activation z, as a boolean [C, T, F] array, and no float map of z.
+    energies is the `LogEnergies` input's array, or None for a feature array.
     """
 
     store: WeightStore
     pre_acts: list[np.ndarray]
     centered: np.ndarray
     sigma: np.ndarray
+    energies: np.ndarray | None
 
 
-def forward(feat: np.ndarray, ws: WeightStore) -> tuple[np.ndarray, ForwardCache]:
+def forward(feat: np.ndarray | LogEnergies, ws: WeightStore) -> tuple[np.ndarray, ForwardCache]:
     """Map [frames x n_mels] features to an embedding; the cache enables exact backprop.
 
-    Conv stack -> per-(channel, band) temporal mean and standard deviation,
-    concatenated -> linear map. Raises if the input is not 2-D or has fewer
-    frames than the configured minimum.
+    feat is a feature array or `LogEnergies`. Conv stack -> per-(channel,
+    band) temporal mean and standard deviation, concatenated -> linear map.
+    Raises if the input is not 2-D or has fewer frames than the configured
+    minimum.
     """
     cfg = ws.config
-    if feat.ndim != 2:
-        raise ValueError(f"features must be [frames x n_mels], got shape {feat.shape}")
-    n_frames, n_mels = feat.shape
+    energies = feat.energies if isinstance(feat, LogEnergies) else None
+    x = feat if energies is None else energies
+    if x.ndim != 2:
+        raise ValueError(f"features must be [frames x n_mels], got shape {x.shape}")
+    n_frames, n_mels = x.shape
     if n_mels != cfg.n_mels:
         raise ValueError(f"features have {n_mels} mel bands, encoder expects {cfg.n_mels}")
     if n_frames < cfg.min_frames:
         raise ValueError(f"too few frames: {n_frames} < required {cfg.min_frames}")
 
     pre_acts = []
-    a = feat[None, :, :]
+    a = x[None, :, :]
     for i, c_out in enumerate(cfg.conv_channels):
         (t, f), pool = a.shape[1:], i in cfg.pool_after
         kernels, bias = ws.tensors[f"conv{i}.kernel"], ws.tensors[f"conv{i}.bias"][:, None, None]
         live = np.empty((c_out, t, f), dtype=bool)
         nxt = np.empty((c_out, t // 2, f // 2) if pool else (c_out, t, f))
         out = None if pool else nxt.reshape(c_out, -1)
-        for s, e, block in _conv(t, f, kernels, lambda lo, hi: a[:, lo:hi], out):
+        log = i == 0 and energies is not None  # the first layer logs LogEnergies as it reads
+
+        def rows(lo, hi):
+            frames = _frames(a, lo, hi)
+            return log_energies(frames) if log else frames
+
+        for s, e, block in _conv(t, f, kernels, rows, out):
             block += bias
             np.greater(block, 0.0, out=live[:, s:e])
             np.maximum(block, 0.0, out=block)  # the ReLU, in the conv's own output
@@ -297,11 +344,12 @@ def forward(feat: np.ndarray, ws: WeightStore) -> tuple[np.ndarray, ForwardCache
     sigma = np.sqrt((centered**2).mean(axis=1))
     stats = np.concatenate([mu.ravel(), sigma.ravel()])
     embedding = ws.tensors["embed.weight"] @ stats + ws.tensors["embed.bias"]
-    return embedding, ForwardCache(ws, pre_acts, centered, sigma)
+    return embedding, ForwardCache(ws, pre_acts, centered, sigma, energies)
 
 
 def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
-    """Exact gradient of `forward` with respect to the input features.
+    """Exact gradient of `forward` with respect to the input features, or for
+    `LogEnergies` with respect to the energies, written over them and returned.
 
     The std-pooling branch takes subgradient zero wherever the temporal
     variance is exactly zero (constant activations).
@@ -327,12 +375,16 @@ def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
         if pool:
             d_out /= 4.0  # in place: d_a is a fresh array no one else holds
 
-        def d_z(lo, hi):  # frames [lo, hi) of the gradient at the ReLU's input
+        def d_z(lo, hi):  # frames [lo, hi), taken mod t, of the gradient at the ReLU's input
             return (_avgpool2_backward(d_out, live, lo, hi) if pool
-                    else d_out[:, lo:hi] * live[:, lo:hi])
+                    else _frames(d_out, lo, hi) * _frames(live, lo, hi))
 
         # transposed conv: channel-swapped, flipped kernels (the padding is symmetric under a flip)
         flipped = np.ascontiguousarray(kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        if i == 0 and cache.energies is not None:  # each block goes through the log's backward
+            for s, e, block in _conv(t, f, flipped, d_z, None):
+                log_energies_backward(block[0], cache.energies[s:e])
+            return cache.energies
         d_a = np.empty((kernels.shape[1], t, f))
         for _ in _conv(t, f, flipped, d_z, d_a.reshape(len(d_a), -1)):
             pass

@@ -14,7 +14,8 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
   zero-padded centrally to FFT_SIZE;
 * synthesis uses the same window with overlap-add, normalized per sample
   by the summed squared window (samples where that sum is below 1e-9 are
-  set to zero);
+  set to zero); that sum's slots between the first two and the last two
+  are all alike, so five rows of a NORM_FRAMES-frame map's sum serve;
 * analysis keeps the complex spectrum; the attack surface is its linear
   magnitude, resynthesized times the clean unit phasor S/|S|;
 * every pass goes BLOCK_FRAMES frames at a time: `stft_magnitude` and
@@ -28,7 +29,12 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
   go a block of `row_blocks` at a time: an even number of rows, at least
   BLOCK_FRAMES and MIN_BLOCK_OUTPUTS outputs, a tail under half a block
   joined to the one before, so that no GEMM is small enough (about 1200
-  outputs) to take OpenBLAS's path with other bits.
+  outputs) to take OpenBLAS's path with other bits. A convolution's blocks
+  are also capped at IM2COL_VALUES values of im2col rows (the default
+  encoder's first forward block, 0.56 MiB), down to MIN_BLOCK_OUTPUTS
+  outputs over all its output channels: the default encoder's backward
+  convolutions go 64 rows at a time, its forward ones 128. A map that is
+  one block without the cap stays one product.
 
 All numerics are float64 so gradient checks against finite differences
 stay tight.
@@ -56,9 +62,11 @@ WINDOW.flags.writeable = False
 _LPAD = (FFT_SIZE - WIN_LENGTH) // 2  # window offset inside each FFT frame
 _CHUNKS = -(-WIN_LENGTH // HOP_LENGTH)  # hop-sized slots one window spans
 # frames per block of a pass that would otherwise make a full-size temporary:
-# the encoder's im2col (1.1 MiB at C_in 2 and 64 bands), the FFTs, the step
+# the encoder's convolutions, the FFTs, the step
 BLOCK_FRAMES = 128
 MIN_BLOCK_OUTPUTS = 4096  # output entries of a blocked product's smallest GEMM
+IM2COL_VALUES = 9 * BLOCK_FRAMES * 64  # a convolution block's im2col cap: 0.56 MiB
+NORM_FRAMES = 6  # frames of the map whose squared-window sum normalizes synthesis
 
 
 @dataclass
@@ -153,8 +161,9 @@ def stft_magnitude(w: Waveform) -> np.ndarray:
 
 def resynthesize(w: Waveform, magnitude: np.ndarray) -> Waveform:
     """istft(magnitude * stft(w).phasor, len(w)), with no spectrum held: each
-    block of w's analysis is written over with its rows of magnitude (only
-    read) times its own `Spectrogram.phasor` and goes to overlap-add."""
+    block of w's analysis is turned into its phasor in place, as
+    `Spectrogram.phasor` forms it, times its rows of magnitude (only read),
+    and goes to overlap-add before the next block is made."""
     n_frames, blocks = _analysis(w)
     if magnitude.shape != (n_frames, N_BINS):
         raise ValueError(f"magnitude shape {magnitude.shape} does not match the analysis"
@@ -162,8 +171,14 @@ def resynthesize(w: Waveform, magnitude: np.ndarray) -> Waveform:
 
     def spectra():
         for start, part in blocks:
-            rows = magnitude[start : start + len(part)]
-            yield start, np.multiply(rows, Spectrogram(part).phasor, out=part)
+            mag = np.abs(part)
+            live = mag > 0
+            np.divide(part, mag, out=part, where=live)  # the phasor, in place
+            np.copyto(part, 1.0, where=np.logical_not(live, out=live))
+            del mag, live
+            part *= magnitude[start : start + len(part)]
+            yield start, part
+            del part  # the next block is made without this one
 
     return _overlap_add(spectra(), n_frames, len(w))
 
@@ -190,8 +205,12 @@ def _overlap_add(blocks, n_frames: int, length: int) -> Waveform:
     The output is viewed as HOP_LENGTH-sample slots: frame k's chunks 0, 1
     and 2 land in slots k, k+1 and k+2. Each block adds its frames' chunk 2,
     then chunk 1, then chunk 0, so every sample sums frame k-2, then k-1,
-    then k, the order of adding frame by frame. The squared-window sum is
-    built the same way, once.
+    then k, the order of adding frame by frame; the block and its transform
+    are dropped before the next block is made. The squared-window sum is
+    added the same way, for a map of NORM_FRAMES frames: its two head and
+    two tail slots are those of any longer map, and every slot between
+    holds its third slot's values, so those five rows normalize the whole
+    output. A map of at most NORM_FRAMES frames takes its own whole sum.
     """
     n_slots = n_frames + _CHUNKS - 1
     half = WIN_LENGTH // 2
@@ -201,11 +220,20 @@ def _overlap_add(blocks, n_frames: int, length: int) -> Waveform:
         frames = np.fft.irfft(block, n=FFT_SIZE, axis=1)[:, _LPAD : _LPAD + WIN_LENGTH]
         frames *= WINDOW
         _add_chunks(slots, frames, first)
-    wsum = np.zeros_like(slots)
-    _add_chunks(wsum, np.broadcast_to(WINDOW**2, (n_frames, WIN_LENGTH)), 0)
-    nonzero = wsum >= WINDOW_SUM_EPS
-    np.divide(slots, wsum, out=slots, where=nonzero)
-    slots[~nonzero] = 0.0
+        del block, frames  # the next block is made without these
+    n = min(n_frames, NORM_FRAMES)
+    wsum = np.zeros((n + _CHUNKS - 1, HOP_LENGTH))
+    _add_chunks(wsum, np.broadcast_to(WINDOW**2, (n, WIN_LENGTH)), 0)
+    edge = _CHUNKS - 1  # head and tail slots that fewer than _CHUNKS frames reach
+    if n_frames > NORM_FRAMES:
+        parts = ((slots[:edge], wsum[:edge]), (slots[edge:-edge], wsum[edge]),
+                 (slots[-edge:], wsum[-edge:]))
+    else:
+        parts = ((slots, wsum),)
+    for part, norm in parts:
+        nonzero = norm >= WINDOW_SUM_EPS
+        np.divide(part, norm, out=part, where=nonzero)
+        np.copyto(part, 0.0, where=~nonzero)
     return Waveform(out[half : half + length], CANONICAL_RATE)
 
 
@@ -258,9 +286,13 @@ def _mel_matrix(fft_size: int, n_mels: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def row_blocks(n_rows: int, width: int) -> tuple[slice, ...]:
-    """The row blocks of a product with `width` output columns (see the module docstring)."""
-    size = max(BLOCK_FRAMES, 2 * -(-MIN_BLOCK_OUTPUTS // (2 * width)))  # even
+def row_blocks(n_rows: int, width: int, reads: int) -> tuple[slice, ...]:
+    """The row blocks of a product with `width` outputs per row, whose rows
+    each read `reads` values of im2col rows, or 0 (see the module docstring)."""
+    least = 2 * -(-MIN_BLOCK_OUTPUTS // (2 * width))  # even
+    size = max(BLOCK_FRAMES, least)
+    if reads and 2 * n_rows >= 3 * size:  # a map of one block stays one product
+        size = max(min(size, IM2COL_VALUES // reads // 2 * 2), least)
     starts = list(range(0, n_rows, size))
     if len(starts) > 1 and n_rows - starts[-1] < size / 2:
         del starts[-1]
@@ -272,7 +304,7 @@ def mel_energies(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
     buffer a block of `row_blocks` at a time, so no mag^2 of mag's size is made."""
     if mag.shape[1] != mel.shape[1]:
         raise ValueError(f"bins mismatch: magnitude {mag.shape[1]} vs filterbank {mel.shape[1]}")
-    energies, blocks = np.empty((len(mag), len(mel))), row_blocks(len(mag), len(mel))
+    energies, blocks = np.empty((len(mag), len(mel))), row_blocks(len(mag), len(mel), 0)
     squares = np.empty((max((b.stop - b.start for b in blocks), default=0), mag.shape[1]))
     for rows in blocks:
         block = np.square(mag[rows], out=squares[: rows.stop - rows.start])
@@ -298,7 +330,7 @@ def log_energies_backward(grad_out: np.ndarray, energies: np.ndarray) -> np.ndar
         raise ValueError(f"grad_out {grad_out.shape} does not match features {energies.shape}")
     live = energies > LOG_FLOOR
     grad_energy = np.divide(grad_out, energies, out=energies, where=live)
-    grad_energy[~live] = 0.0
+    np.copyto(grad_energy, 0.0, where=np.logical_not(live, out=live))
     return grad_energy
 
 

@@ -6,7 +6,8 @@ reshape-mean pooling and the `np.repeat` pooling backward, an encoder
 `forward` and `backward` built from them on whole maps, the mel filterbank
 built one filter at a time, the whole-matrix filterbank product, and the
 gradient step that computed the filterbank energies once for the features
-and again for the log-mel backward pass. The faster versions in
+and again for the log-mel backward pass (`loss_and_energy_grad` stops at
+the energies' gradient). The faster versions in
 `voicecloak` must reproduce them bit for bit.
 
 `ifgsm` is the attack loop with every step allocating: the log
@@ -123,9 +124,12 @@ def embed(mag, ws):
     return forward(log_mel(mag, mel_matrix((mag.shape[1] - 1) * 2, ws.config.n_mels)), ws)[0]
 
 
+def log_backward(grad_out, energies):
+    return np.where(energies > LOG_FLOOR, grad_out / np.maximum(energies, LOG_FLOOR), 0.0)
+
+
 def log_mel_backward(grad_out, mag, mel, energies):
-    grad_energy = np.where(energies > LOG_FLOOR, grad_out / np.maximum(energies, LOG_FLOOR), 0.0)
-    return (grad_energy @ mel) * (2.0 * mag)
+    return (log_backward(grad_out, energies) @ mel) * (2.0 * mag)
 
 
 def loss_and_grad(x_tilde, mel, ws, e_ref):
@@ -133,6 +137,14 @@ def loss_and_grad(x_tilde, mel, ws, e_ref):
     loss = cosine_loss(e_ref, embedding)
     grad_feat = backward(ws, cache, cosine_loss_grad(e_ref, embedding))
     return loss, log_mel_backward(grad_feat, x_tilde, mel, mel_energies(x_tilde, mel))
+
+
+def loss_and_energy_grad(x_tilde, mel, ws, e_ref):
+    """The loss, and its gradient with respect to the filterbank energies."""
+    energies = mel_energies(x_tilde, mel)
+    embedding, cache = forward(np.log(np.maximum(energies, LOG_FLOOR)), ws)
+    grad_feat = backward(ws, cache, cosine_loss_grad(e_ref, embedding))
+    return cosine_loss(e_ref, embedding), log_backward(grad_feat, energies)
 
 
 def sign_matrix(g):

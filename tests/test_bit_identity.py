@@ -5,8 +5,10 @@ when the convolution or pooling is reimplemented, when the attack step,
 the log-mel backward pass and synthesis write over their own arrays
 instead of allocating new ones, when analysis and synthesis stream
 through frame blocks instead of holding a spectrum, when analysis
-reads the samples with no padded copy, or when the filterbank products,
-the encoder's layers and the attack step go a block of frames at a time.
+reads the samples with no padded copy, when the filterbank products,
+the encoder's layers and the attack step go a block of frames at a time,
+when the encoder logs the energies and writes their gradient a block at a
+time, or when synthesis normalizes by five rows of the window sum.
 `reference_ops` shares no code with those. Synthesis from the unit phasor
 may move float samples in the last ulps against synthesis through the
 angle, so that is compared as the PCM16 samples `write_wav` stores.
@@ -53,7 +55,7 @@ def _conv(x, kernels):
     """The encoder's block convolution over a whole map, its frames read straight from x."""
     c_in, t, f = x.shape
     out = np.empty((len(kernels), t * f))
-    for _ in encoder._conv(t, f, kernels, lambda lo, hi: x[:, lo:hi], out):
+    for _ in encoder._conv(t, f, kernels, lambda lo, hi: encoder._frames(x, lo, hi), out):
         pass
     return out.reshape(len(kernels), t, f)
 
@@ -111,6 +113,44 @@ def test_streamed_encoder_matches_whole_map_reference(channels, pool_after, n_me
         assert all(np.array_equal(a, b) for a, b in zip(cache.pre_acts, ref_cache[0])), t
         got = encoder.backward(cache, grad_embedding)
         assert ref.bitwise_equal(got, ref.backward(ws, ref_cache, grad_embedding)), t
+
+
+def _step_inputs(rng):
+    """3001 frames of magnitudes, every seventh frame's energies on the log floor."""
+    mag = rng.uniform(0.0, 0.2, (3001, N_BINS))
+    mag[::7] = 1e-8
+    return mag
+
+
+def test_loss_and_grad_matches_whole_maps_at_every_frame_count():
+    """The first layer logging the energies a block at a time, the last one
+    dividing its blocks into them, and backward convolutions of 64-row blocks:
+    the loss and energy gradient of whole maps at every frame count to 400,
+    around 512, and at several blocks."""
+    ws = init_random(EncoderConfig(), 5)
+    rng = np.random.default_rng(30)
+    mag, mel, e_ref = _step_inputs(rng), mel_matrix(512, 64), rng.standard_normal(128)
+    for t in [*range(4, 401), 511, 512, 513, 1001, 3001]:
+        loss, grad_energy = attack.loss_and_grad(mag[:t], mel, ws, e_ref)
+        expected_loss, expected = ref.loss_and_energy_grad(mag[:t], mel, ws, e_ref)
+        assert ref.bitwise_equal([loss], [expected_loss]), t
+        assert ref.bitwise_equal(grad_energy, expected), t
+
+
+@pytest.mark.parametrize("channels,pool_after,n_mels,min_frames", ENCODERS)
+def test_loss_and_grad_matches_whole_maps_for_each_encoder(channels, pool_after, n_mels,
+                                                           min_frames):
+    """The configurations above, at frame counts across their block edges."""
+    cfg = EncoderConfig(conv_channels=channels, pool_after=pool_after, n_mels=n_mels,
+                        min_frames=min_frames)
+    ws = init_random(cfg, 7)
+    rng = np.random.default_rng(n_mels + 1)
+    mag, mel, e_ref = _step_inputs(rng), mel_matrix(512, n_mels), rng.standard_normal(128)
+    for t in sorted({min_frames, *range(9, 400, 23), 511, 512, 513, 1001}):
+        loss, grad_energy = attack.loss_and_grad(mag[:t], mel, ws, e_ref)
+        expected_loss, expected = ref.loss_and_energy_grad(mag[:t], mel, ws, e_ref)
+        assert ref.bitwise_equal([loss], [expected_loss]), t
+        assert ref.bitwise_equal(grad_energy, expected), t
 
 
 @pytest.mark.parametrize("cfg", [
@@ -204,11 +244,11 @@ def test_blocked_products_match_the_whole_matrix_products():
         mel = mel_matrix(512, n_mels)
         grad_energy = _scaled(rng, (len(mag), n_mels))
         for t in [*range(1, 701), 1001, 3001]:
-            if len(row_blocks(t, n_mels)) > 1:
+            if len(row_blocks(t, n_mels, 0)) > 1:
                 expected = ref.mel_energies(mag[:t], mel)
                 assert ref.bitwise_equal(mel_energies(mag[:t], mel), expected), (n_mels, t)
-            if len(row_blocks(t, N_BINS)) > 1:
-                for rows in row_blocks(t, N_BINS):
+            if len(row_blocks(t, N_BINS, 0)) > 1:
+                for rows in row_blocks(t, N_BINS, 0):
                     log_mel_backward(grad_energy[rows], mag[rows], mel, blocked[rows])
                 whole = grad_energy[:t] @ mel
                 whole *= twice[:t]
@@ -287,22 +327,48 @@ def test_resynthesize_matches_istft_of_magnitude_times_phasor(n):
     assert ref.bitwise_equal(fused.samples, ref.istft(mag * spec.phasor, n).samples)
 
 
+def test_synthesis_matches_a_full_window_sum_at_every_short_length():
+    """Every sample count of 3 to 9 frames, 1 s and 10 s through `resynthesize`,
+    and 1 to 9 frames through `istft`: normalizing by a 6-frame map's head,
+    interior and tail rows gives the bits of the whole squared-window sum."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(160_000) * 0.1
+    scale = rng.uniform(0.5, 1.5, (1001, N_BINS))
+    for n in [*range(WIN_LENGTH, 9 * HOP_LENGTH), 16_000, 160_000]:
+        w = Waveform(x[:n], CANONICAL_RATE)
+        spec = ref.stft(w)
+        mag = spec.magnitude * scale[: len(spec.spectrum)]
+        assert ref.bitwise_equal(resynthesize(w, mag).samples,
+                                 ref.istft(mag * spec.phasor, n).samples), n
+    spectrum = stft(Waveform(x[: 8 * HOP_LENGTH], CANONICAL_RATE)).spectrum
+    for frames in range(1, 10):
+        n = (frames - 1) * HOP_LENGTH
+        assert ref.bitwise_equal(istft(spectrum[:frames], n).samples,
+                                 ref.istft(spectrum[:frames], n).samples), frames
+
+
 def test_resynthesize_refuses_a_magnitude_of_another_shape():
     w = speaker_utterance(0, 0, seconds=0.5)
     with pytest.raises(ValueError, match="does not match"):
         resynthesize(w, stft_magnitude(w)[:-1])
 
 
+def _traced_peak(call):
+    """The result of call() and the traced peak of making it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def _traced_ten_second_magnitude():
     """10 s of speech, its stft_magnitude, and the traced peak of that call."""
     w = speaker_utterance(3, 0, seconds=10.0)
     stft_magnitude(w)
-    tracemalloc.start()
-    try:
-        magnitude = stft_magnitude(w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    magnitude, peak = _traced_peak(lambda: stft_magnitude(w))
     return w, magnitude, peak
 
 
@@ -324,23 +390,44 @@ def test_ten_second_magnitude_analysis_makes_no_padded_copy():
 
 
 def test_ten_second_ifgsm_holds_no_other_array_of_the_magnitudes_size():
-    """Beyond x and the iterate, two steps on 10 s trace a peak of about 1.59
+    """Beyond x and the iterate, two steps on 10 s trace a peak of about 1.03
     magnitudes' bytes: the energies, the encoder's masks and pooled maps, a
-    layer's input gradient and one im2col block. With the squared magnitude,
-    the full-resolution conv outputs and pooling gradients, and the whole
-    magnitude gradient, each made in turn, it was 1.85."""
+    layer's input gradient and one im2col block of at most 0.56 MiB. With
+    the log features and their gradient as whole arrays and 1.1 MiB im2col
+    blocks going back, it was 1.59; with the squared magnitude, the
+    full-resolution conv outputs and pooling gradients, and the whole
+    magnitude gradient as well, each made in turn, 1.85."""
     ws = init_random(EncoderConfig(), 3)
     x = stft_magnitude(speaker_utterance(3, 0, seconds=10.0))
     e_ref = attack.embed(stft_magnitude(speaker_utterance(4, 0, seconds=10.0)), ws)
     cfg = AttackConfig(iterations=2)
     ifgsm(x, ws, e_ref, cfg)  # the filterbank is cached
-    tracemalloc.start()
-    try:
-        ifgsm(x, ws, e_ref, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - x.nbytes < 1.72 * x.nbytes  # x itself was made before tracing
+    _, peak = _traced_peak(lambda: ifgsm(x, ws, e_ref, cfg))
+    assert peak - x.nbytes < 1.3 * x.nbytes  # x itself was made before tracing
+
+
+def test_ten_second_resynthesis_holds_no_phasor_or_irfft_copy():
+    """Beyond the magnitude (made before tracing) and the output, `resynthesize`
+    on 10 s traces about 1.4 times the samples' bytes, all in one block of
+    frames: its windowed frames, its transform turned into the phasor in
+    place, and the transform's irfft. With a phasor array made from a
+    magnitude array for each block it was 2.4."""
+    w = speaker_utterance(3, 0, seconds=10.0)
+    magnitude = stft_magnitude(w)
+    resynthesize(w, magnitude)
+    out, peak = _traced_peak(lambda: resynthesize(w, magnitude))
+    assert peak - out.samples.nbytes < 2.0 * w.samples.nbytes
+
+
+def test_ten_second_synthesis_holds_no_window_sum_of_the_signals_size():
+    """`istft` only reads its spectrum, so beyond the output it traces about
+    0.57 of the output's bytes, mostly one block's irfft. Normalizing by
+    a squared-window sum of the whole output, with its masks, puts that at
+    1.67. `resynthesize` normalizes alike, but its block loop peaks higher."""
+    spectrum = stft(speaker_utterance(3, 0, seconds=10.0)).spectrum
+    istft(spectrum, 160_000)
+    out, peak = _traced_peak(lambda: istft(spectrum, 160_000))
+    assert peak - out.samples.nbytes < 0.8 * out.samples.nbytes
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
