@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import Waveform, add_gaussian_noise
+from .audio_io import Waveform, add_gaussian_noise, from_pcm16, to_pcm16
 from .encoder import (
     LogEnergies, WeightStore, cosine_loss, cosine_loss_grad, forward, backward,
 )
@@ -199,6 +199,13 @@ def protect_utterance(
     magnitude and the `AttackResult`, and resynthesize the attacked one
     times the clean phasor, which `resynthesize` takes block by block from
     a second analysis, so no complex spectrum of the file is held.
+    From the clean embedding to synthesis the input is held as
+    `to_pcm16(w.samples)`, a quarter of its float size, when `from_pcm16`
+    gives back w.samples bit for bit from it, as it does for every PCM16
+    file `read_wav` reads; float samples (a float32 WAV, or a caller's
+    array) are held as they are. Held int16 samples are made float again
+    for synthesis and `snr_db` only; the input goes before the re-analysis.
+    The saving needs a caller that keeps no reference to w, as `protect` does.
     gaussian: bypass the gradient path and add white noise at
     target_snr_db in the time domain (the baseline). Only gaussian reads
     target_snr_db and seed; only fgsm (cfg.epsilon alone) and ifgsm read
@@ -215,20 +222,36 @@ def protect_utterance(
     trajectory: list[float] = []
     if method == "gaussian":
         protected = add_gaussian_noise(w, target_snr_db, seed)
+        clean = w
     else:
+        rate, held = w.sample_rate, _held_samples(w.samples)
+        del w  # from here the input is `held`
         if method == "fgsm":
             result = fgsm(magnitude, ws, e_ref, cfg.epsilon)
         else:
             result = ifgsm(magnitude, ws, e_ref, cfg)
         trajectory, adv = result.loss_trajectory, result.adv_magnitude
         del magnitude, result  # only the attacked magnitude is held into synthesis
-        protected = resynthesize(w, adv)
+        clean = Waveform(from_pcm16(held) if held.dtype.kind == "i" else held, rate)
+        del held
+        protected = resynthesize(clean, adv)
         del adv
 
+    snr = snr_db(clean, protected)
+    del clean  # the re-analysis holds the output only
     e_protected = embed(stft_magnitude(protected), ws)
     report = ProtectionReport(
-        snr_db=snr_db(w, protected),
+        snr_db=snr,
         delta_cosd=cosine_loss(e_ref, e_protected),
         loss_trajectory=trajectory,
     )
     return protected, report
+
+
+def _held_samples(samples: np.ndarray) -> np.ndarray:
+    """to_pcm16(samples) if `from_pcm16` gives samples back from it bit for
+    bit, else samples themselves."""
+    pcm = to_pcm16(samples)
+    if np.array_equal(from_pcm16(pcm).view(np.uint64), samples.view(np.uint64)):
+        return pcm
+    return samples

@@ -1,7 +1,11 @@
 """Mono waveform I/O: RIFF/WAVE reading and writing, noise injection.
 
 Audio is 16 kHz (CANONICAL_RATE) throughout; `read_wav` refuses a file at
-any other rate, naming it, rather than resample it.
+any other rate, naming it, rather than resample it. `to_pcm16` is the one
+quantizer (clamp to [-1, 1 - 1/32768], scale by 32768, round half to
+even), which `write_wav` writes, and `from_pcm16` the one dequantizer
+(k * (1/32768)), which `read_wav` reads; neither makes a float array of the
+signal's size beyond its result.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import numpy as np
 
 INT16_FULL_SCALE = 32768
 CANONICAL_RATE = 16000
+PCM16_BLOCK = 8192  # samples per block of to_pcm16's float buffer
+_PCM16_MAX = (INT16_FULL_SCALE - 1) / INT16_FULL_SCALE
 
 
 class WavFormatError(ValueError):
@@ -46,18 +52,18 @@ class Waveform:
         return len(self.samples)
 
 
-def _read_chunks(data: bytes, path: str) -> dict[str, bytes]:
-    """Collect RIFF sub-chunks, keyed by chunk id."""
+def _read_chunks(data: memoryview, path: str) -> dict[str, memoryview]:
+    """Collect RIFF sub-chunks, keyed by chunk id, as views of data (no copies)."""
     if len(data) < 12:
         raise WavFormatError(f"{path}: truncated file, only {len(data)} bytes")
     if data[0:4] != b"RIFF":
-        raise WavFormatError(f"{path}: bad container id {data[0:4]!r}, expected b'RIFF'")
+        raise WavFormatError(f"{path}: bad container id {bytes(data[0:4])!r}, expected b'RIFF'")
     if data[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: bad format id {data[8:12]!r}, expected b'WAVE'")
-    chunks: dict[str, bytes] = {}
+        raise WavFormatError(f"{path}: bad format id {bytes(data[8:12])!r}, expected b'WAVE'")
+    chunks: dict[str, memoryview] = {}
     pos = 12
     while pos + 8 <= len(data):
-        cid = data[pos : pos + 4].decode("latin-1")
+        cid = str(data[pos : pos + 4], "latin-1")
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + size]
         if len(body) < size:
@@ -74,12 +80,13 @@ def _read_chunks(data: bytes, path: str) -> dict[str, bytes]:
 def read_wav(path) -> Waveform:
     """Read a mono RIFF/WAVE file (PCM 16-bit or IEEE float 32-bit).
 
-    16-bit samples are scaled to [-1, 1) by dividing by 32768. Anything else
+    16-bit samples are scaled to [-1, 1) by `from_pcm16`. Anything else
     (other encodings, multichannel audio, a rate other than CANONICAL_RATE)
     raises WavFormatError naming the path and the offending header field.
+    The chunks are read through views of the file's bytes, and the samples
+    are made once, as the float64 array returned.
     """
-    raw = Path(path).read_bytes()
-    chunks = _read_chunks(raw, str(path))
+    chunks = _read_chunks(memoryview(Path(path).read_bytes()), str(path))
     if "fmt " not in chunks:
         raise WavFormatError(f"{path}: missing 'fmt ' chunk")
     if "data" not in chunks:
@@ -95,9 +102,9 @@ def read_wav(path) -> Waveform:
     if rate != CANONICAL_RATE:
         raise WavFormatError(f"{path}: sample_rate {rate} Hz not supported, need {CANONICAL_RATE}")
     if (format_code, bits) == (1, 16):
-        dtype, scale = np.dtype("<i2"), 1.0 / INT16_FULL_SCALE
+        dtype = np.dtype("<i2")
     elif (format_code, bits) == (3, 32):
-        dtype, scale = np.dtype("<f4"), 1.0
+        dtype = np.dtype("<f4")
     else:
         raise WavFormatError(
             f"{path}: unsupported encoding (format code {format_code}, "
@@ -109,26 +116,50 @@ def read_wav(path) -> Waveform:
             f"{path}: data chunk size {len(body)} is not a multiple of the "
             f"{dtype.itemsize}-byte sample size (truncated file)"
         )
-    samples = np.frombuffer(body, dtype=dtype).astype(np.float64) * scale
+    stored = np.frombuffer(body, dtype=dtype)
+    samples = from_pcm16(stored) if dtype.kind == "i" else stored.astype(np.float64)
     try:
         return Waveform(samples, rate)
     except ValueError as exc:  # NaN/inf float samples
         raise WavFormatError(f"{path}: {exc}") from exc
 
 
+def to_pcm16(samples: np.ndarray) -> np.ndarray:
+    """The PCM16 samples `write_wav` writes, as a little-endian int16 array:
+    rint(clip(samples, -1, 1 - 1/32768) * 32768), rounding half to even.
+
+    The float work goes through one buffer of at most PCM16_BLOCK samples,
+    so only the result is of the signal's size.
+    """
+    pcm = np.empty(len(samples), dtype="<i2")
+    buffer = np.empty(min(len(samples), PCM16_BLOCK))
+    for start in range(0, len(samples), PCM16_BLOCK):
+        part = buffer[: len(samples) - start]
+        np.clip(samples[start : start + len(part)], -1.0, _PCM16_MAX, out=part)
+        part *= INT16_FULL_SCALE
+        pcm[start : start + len(part)] = np.rint(part, out=part)
+    return pcm
+
+
+def from_pcm16(pcm: np.ndarray) -> np.ndarray:
+    """Float64 samples k * (1/32768) of PCM16 samples k, made as one array."""
+    samples = pcm.astype(np.float64)
+    samples *= 1.0 / INT16_FULL_SCALE
+    return samples
+
+
 def write_wav(path, w: Waveform) -> None:
-    """Write PCM 16-bit mono.
+    """Write PCM 16-bit mono: the header, then `to_pcm16(w.samples)`'s own
+    buffer, with no bytes copy of it.
 
     Samples are clamped to [-1, 1 - 1/32768] before quantization, so the
     read-back error is at most 1/32768 per sample.
     """
-    clipped = np.clip(w.samples, -1.0, (INT16_FULL_SCALE - 1) / INT16_FULL_SCALE)
-    quantized = np.rint(clipped * INT16_FULL_SCALE).astype("<i2")
-    body = quantized.tobytes()
+    pcm = to_pcm16(w.samples)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(body),
+        36 + pcm.nbytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -139,9 +170,11 @@ def write_wav(path, w: Waveform) -> None:
         2,
         16,
         b"data",
-        len(body),
+        pcm.nbytes,
     )
-    Path(path).write_bytes(header + body)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pcm)
 
 
 def add_gaussian_noise(w: Waveform, target_snr_db: float, seed: int) -> Waveform:

@@ -487,9 +487,10 @@ def run_protect(
     out_path.mkdir(parents=True, exist_ok=True)
 
     def protect_one(path: Path) -> None:
-        w = read_wav(path)
         file_seed = _file_seed(seed, path.stem)
-        protected, report = protect_utterance(w, ws, cfg, method, target_snr, file_seed)
+        # no reference to the read waveform here: protect_utterance holds it as PCM16
+        protected, report = protect_utterance(read_wav(path), ws, cfg, method, target_snr,
+                                              file_seed)
         for name in ("snr_db", "delta_cosd"):
             if not math.isfinite(getattr(report, name)):
                 raise ValueError(f"{name} is {getattr(report, name)}, not a finite number")
@@ -716,7 +717,8 @@ _DEFAULTS = {name: p.default for name, p in inspect.signature(run_protect).param
               help="SNR in dB for the gaussian method.")
 @click.option("--seed", default=_DEFAULTS["seed"], type=int)
 @click.option("--jobs", default=_DEFAULTS["jobs"], type=click.IntRange(min=1),
-              help="Parallel workers, forked processes when more than one; default = CPU count.")
+              help="Parallel workers, forked processes when more than one; default = CPU count."
+                   " With a BLAS thread variable set, each worker runs that many BLAS threads.")
 def cmd_protect(**options):
     """Perturb a WAV file or a directory of WAV files.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from synth import speaker_utterance
+from voicecloak import attack
 from voicecloak.attack import (
     AttackConfig,
     AttackConfigError,
@@ -15,9 +16,9 @@ from voicecloak.attack import (
     protect_utterance,
     sign_matrix,
 )
-from voicecloak.audio_io import Waveform
+from voicecloak.audio_io import CANONICAL_RATE, Waveform, from_pcm16, to_pcm16
 from voicecloak.encoder import EncoderConfig, cosine_loss, forward, init_random
-from voicecloak.spectral import Spectrogram, log_mel, log_mel_backward, mel_matrix, stft
+from voicecloak.spectral import log_mel, log_mel_backward, mel_matrix, stft
 
 SMALL_CFG = EncoderConfig(conv_channels=(2, 2), pool_after=(0,), embed_dim=8, n_mels=16)
 
@@ -226,10 +227,10 @@ class TestProtectUtterance:
         assert report.loss_trajectory == []
 
     def test_gaussian_does_not_compute_the_phase(self, utterance, weights, monkeypatch):
-        def no_phase(spec):
-            raise AssertionError("gaussian read the clean phasor")
+        def no_phase(*args):
+            raise AssertionError("gaussian resynthesized through the clean phasor")
 
-        monkeypatch.setattr(Spectrogram, "phasor", property(no_phase))
+        monkeypatch.setattr(attack, "resynthesize", no_phase)
         protected, report = protect_utterance(utterance, weights, AttackConfig(), "gaussian",
                                               32.0, 0)
         assert len(protected) == len(utterance)
@@ -272,3 +273,48 @@ class TestProtectUtterance:
         finally:
             tracemalloc.stop()
         assert peak < 6 * magnitude_bytes
+
+    def test_ten_second_pcm16_input_is_held_as_int16_through_the_attack(self, weights):
+        """A waveform of PCM16 samples made inside the trace and passed on with
+        no reference kept, as `protect` passes `read_wav`'s: the traced peak is
+        at least 0.6x the float samples' bytes under that of a call whose
+        caller keeps the float input (1.0x: the float samples less their
+        int16 copy, a quarter, which the kept call holds as well). A call that
+        held the float input to the end peaked alike either way."""
+        k = to_pcm16(speaker_utterance(3, 0, seconds=10.0).samples)
+        cfg = AttackConfig(iterations=3)
+        protect_utterance(Waveform(from_pcm16(k), CANONICAL_RATE), weights, cfg, "ifgsm",
+                          32.0, 0)  # the filterbank is cached
+
+        def peak(keep: bool) -> int:
+            tracemalloc.start()
+            try:
+                if keep:
+                    w = Waveform(from_pcm16(k), CANONICAL_RATE)
+                    protect_utterance(w, weights, cfg, "ifgsm", 32.0, 0)
+                else:
+                    protect_utterance(Waveform(from_pcm16(k), CANONICAL_RATE), weights, cfg,
+                                      "ifgsm", 32.0, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(keep=True) - peak(keep=False) >= 0.6 * len(k) * 8
+
+
+class TestHeldSamples:
+    def test_pcm16_samples_are_held_as_their_int16(self):
+        k = np.array([-32768, -1, 0, 1, 12345, 32767], dtype="<i2")
+        held = attack._held_samples(from_pcm16(k))
+        assert held.dtype == np.dtype("<i2")
+        np.testing.assert_array_equal(held, k)
+
+    @pytest.mark.parametrize("values", [
+        [0.1, -0.2],  # between PCM16 steps
+        [0.5, -0.0],  # a negative zero: its int16 gives +0.0 back
+        [1.0, 0.0],  # beyond the clamp
+        np.float32([0.1, 0.3, -0.7]).astype(np.float64),  # a float32 WAV's samples
+    ], ids=["between-steps", "negative-zero", "clamped", "float32"])
+    def test_other_samples_are_held_as_they_are(self, values):
+        samples = Waveform(values, CANONICAL_RATE).samples
+        assert attack._held_samples(samples) is samples

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voicecloak.audio_io import (
+    PCM16_BLOCK,
     Waveform,
     WavFormatError,
     add_gaussian_noise,
+    from_pcm16,
     read_wav,
+    to_pcm16,
     write_wav,
 )
 
@@ -169,6 +173,84 @@ class TestReadWrite:
         except WavFormatError:
             return
         assert isinstance(w, Waveform)
+
+def _pcm16_formula(x):
+    """The quantizer written out whole: clamp, scale, round half to even."""
+    return np.rint(np.clip(x, -1.0, 32767 / 32768) * 32768).astype("<i2")
+
+
+def _edge_signal(n):
+    """n random samples up to 1.5 in size, with the quantizer's edge values
+    spread through them: -1, 32767/32768, values beyond the clamp on both
+    sides, and exact half-LSB ties of even and odd, positive and negative k."""
+    x = np.random.default_rng(n).uniform(-1.5, 1.5, n)
+    edges = np.array([-1.0, 32767 / 32768, 1.0, -1.0 - 2**-20, 2.0, -7.0, 0.0,
+                      *((k + 0.5) / 32768 for k in (0, 1, 2, 3, -1, -2, -3, 32766, -32768))])
+    m = min(n, len(edges))
+    x[np.linspace(0, n - 1, m).astype(int)] = edges[:m]
+    return x
+
+
+class TestPcm16:
+    LENGTHS = [1, PCM16_BLOCK - 1, PCM16_BLOCK, PCM16_BLOCK + 1, 160_000]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_to_pcm16_equals_the_whole_array_formula(self, n):
+        x = _edge_signal(n)
+        pcm = to_pcm16(x)
+        assert pcm.dtype == np.dtype("<i2")
+        np.testing.assert_array_equal(pcm, _pcm16_formula(x))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_write_wav_writes_the_formula_after_the_header(self, tmp_path, n):
+        x = _edge_signal(n)
+        path = tmp_path / "a.wav"
+        write_wav(path, Waveform(x, 16000))
+        assert path.read_bytes() == _wav_bytes(_pcm16_formula(x).tobytes())
+
+    def test_ties_round_half_to_even_and_the_ends_clamp(self):
+        x = np.array([0.5, 1.5, 2.5, -0.5, -1.5, 32766.5, -32767.5, 32767.5, -32768.5]) / 32768
+        np.testing.assert_array_equal(to_pcm16(x), [0, 2, 2, 0, -2, 32766, -32768, 32767, -32768])
+
+    def test_from_pcm16_is_k_over_32768_and_read_wav_uses_it(self, tmp_path):
+        k = np.arange(-32768, 32768, dtype="<i2")
+        samples = from_pcm16(k)
+        assert samples.dtype == np.float64
+        np.testing.assert_array_equal(samples, k / 32768)
+        path = tmp_path / "all.wav"
+        path.write_bytes(_wav_bytes(k.tobytes()))
+        np.testing.assert_array_equal(read_wav(path).samples.view(np.int64),
+                                      samples.view(np.int64))
+        np.testing.assert_array_equal(to_pcm16(samples), k)
+
+    def test_write_wav_holds_no_float_array_of_the_signals_size(self, tmp_path):
+        """10 s: the traced peak is the int16 samples (a quarter of the float
+        bytes) and one float block; clamping, scaling and rounding whole, then
+        copying the bytes and the header plus the body, took about 3x."""
+        w = Waveform(_edge_signal(160_000), 16000)
+        path = tmp_path / "ten.wav"
+        tracemalloc.start()
+        try:
+            write_wav(path, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.samples.nbytes / 2
+
+    def test_read_wav_makes_the_samples_once_and_copies_no_chunk(self, tmp_path):
+        """10 s: the traced peak is the file's bytes, the float samples and
+        the finite check's mask, 1.38x the samples' bytes; a bytes copy of
+        the data chunk took it to 1.63x."""
+        path = tmp_path / "ten.wav"
+        write_wav(path, Waveform(_edge_signal(160_000), 16000))
+        tracemalloc.start()
+        try:
+            w = read_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w.samples.nbytes
+
 
 class TestAddGaussianNoise:
     @pytest.mark.parametrize("target", [0.0, 12.5, 32.0, 60.0])

@@ -8,7 +8,8 @@ through frame blocks instead of holding a spectrum, when analysis
 reads the samples with no padded copy, when the filterbank products,
 the encoder's layers and the attack step go a block of frames at a time,
 when the encoder logs the energies and writes their gradient a block at a
-time, or when synthesis normalizes by five rows of the window sum.
+time, when synthesis normalizes by five rows of the window sum, or when
+`protect_utterance` holds a PCM16 input as its int16 samples.
 `reference_ops` shares no code with those. Synthesis from the unit phasor
 may move float samples in the last ulps against synthesis through the
 angle, so that is compared as the PCM16 samples `write_wav` stores.
@@ -23,7 +24,7 @@ import reference_ops as ref
 from synth import speaker_utterance
 from voicecloak import attack, encoder
 from voicecloak.attack import AttackConfig, fgsm, ifgsm, protect_utterance
-from voicecloak.audio_io import CANONICAL_RATE, Waveform, write_wav
+from voicecloak.audio_io import CANONICAL_RATE, Waveform, read_wav, write_wav
 from voicecloak.encoder import EncoderConfig, forward, init_random
 from voicecloak.spectral import (
     BLOCK_FRAMES, HOP_LENGTH, LOG_FLOOR, N_BINS, WIN_LENGTH, Spectrogram, istft,
@@ -484,17 +485,38 @@ def test_protect_utterance_matches_angle_synthesis(tmp_path, monkeypatch, method
 
 
 def test_protect_utterance_matches_reference_ops(tmp_path):
-    """Default ifgsm on 2 s with silent frames: the same samples, WAV bytes and
-    report as the allocating attack and whole-array analysis and synthesis,
-    and the caller's waveform unchanged."""
+    """Default ifgsm on 2 s with silent frames, float samples that no PCM16
+    file holds, so they are held as they are: the same samples, WAV bytes
+    and report as the allocating attack and whole-array analysis and
+    synthesis, and the caller's waveform unchanged."""
     ws = init_random(EncoderConfig(), 0)
     w = _silent_stretch()
+    assert attack._held_samples(w.samples) is w.samples
     clean = w.samples.copy()
     fast, fast_report = protect_utterance(w, ws, AttackConfig(), "ifgsm", 32.0, 0)
     assert ref.bitwise_equal(w.samples, clean)
     slow, slow_report = ref.protect_utterance(w, ws, AttackConfig())
     assert ref.bitwise_equal(fast.samples, slow.samples)
     assert _pcm16(fast, tmp_path / "fast.wav") == _pcm16(slow, tmp_path / "slow.wav")
+    assert ref.bitwise_equal(
+        [fast_report.snr_db, fast_report.delta_cosd, *fast_report.loss_trajectory],
+        [slow_report.snr_db, slow_report.delta_cosd, *slow_report.loss_trajectory])
+
+
+
+def test_protect_utterance_rebuilds_a_pcm16_input_bit_for_bit(tmp_path):
+    """Three ifgsm steps on the 2 s stretch read back from its PCM16 file,
+    held as int16 through the attack and made float again for synthesis and
+    the SNR: the samples and report of `reference_ops`, which keeps the
+    float input throughout."""
+    write_wav(tmp_path / "in.wav", _silent_stretch())
+    w = read_wav(tmp_path / "in.wav")
+    assert attack._held_samples(w.samples).dtype == np.int16
+    ws = init_random(EncoderConfig(), 0)
+    cfg = AttackConfig(iterations=3)
+    fast, fast_report = protect_utterance(w, ws, cfg, "ifgsm", 32.0, 0)
+    slow, slow_report = ref.protect_utterance(w, ws, cfg)
+    assert ref.bitwise_equal(fast.samples, slow.samples)
     assert ref.bitwise_equal(
         [fast_report.snr_db, fast_report.delta_cosd, *fast_report.loss_trajectory],
         [slow_report.snr_db, slow_report.delta_cosd, *slow_report.loss_trajectory])
