@@ -14,7 +14,7 @@ from .encoder import (
     save_weights,
 )
 from .metrics import compute_eer, parse_trials, score_trials, similarity_matrix, snr_db
-from .spectral import Spectrogram, istft, log_mel, mel_matrix, stft
+from .spectral import log_mel, mel_matrix
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "AttackResult",
     "EncoderConfig",
     "ProtectionReport",
-    "Spectrogram",
     "Waveform",
     "WeightStore",
     "add_gaussian_noise",
@@ -34,7 +33,6 @@ __all__ = [
     "forward",
     "ifgsm",
     "init_random",
-    "istft",
     "load_weights",
     "log_mel",
     "mel_matrix",
@@ -45,6 +43,5 @@ __all__ = [
     "score_trials",
     "similarity_matrix",
     "snr_db",
-    "stft",
     "write_wav",
 ]

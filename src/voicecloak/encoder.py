@@ -9,7 +9,10 @@ returns the exact input gradient that the perturbation loop consumes.
 Convolutions pad circularly along time and with zeros along frequency.
 Circular time padding makes the embedding exactly invariant to tiling a
 signal an integer number of times (when pooling is disabled), matching
-what statistics pooling is meant to provide.
+what statistics pooling is meant to provide. The wrap is coded once, in
+the convolution: it asks its caller only for frames inside the map, and
+takes the halo frame before frame 0 and after the last frame from the
+map's other end.
 
 Embeddings are plain 1-D float64 arrays; they are deliberately NOT
 length-normalized here, the cosine loss normalizes.
@@ -21,8 +24,8 @@ Summation order is fixed, so results are reproducible bit for bit:
   [C_out, C_in*9], against explicit im2col rows ordered (c_in, dt, df).
   Each output column is the same `kernels @ column` dot product whichever
   block holds it, so the blocks change no bit of the result. A block reads
-  its frames and one halo frame a side in one call, the halo from the
-  map's other end where time wraps. No conv output or ReLU-input gradient
+  its frames and one halo frame a side in one call, and one more call for
+  each halo frame that wraps. No conv output or ReLU-input gradient
   of a whole map is made: `forward` pools each block as it comes,
   `backward` builds each block's gradient at the ReLU input (pooling
   backward times mask) from the pooled one. Going back, a block's im2col
@@ -193,9 +196,9 @@ def _conv(t: int, f: int, kernels: np.ndarray, rows, out):
     """3x3 stride-1 convolution of a [C_in, t, f] map, circular along time and
     zero-padded along freq: yields (s, e, output [C_out, e - s, f]) for each
     block [s, e) of `row_blocks`, written into out[:, s * f : e * f] of out
-    [C_out, t * f], or if out is None into a block buffer. rows(lo, hi)
-    gives the map's frames [lo, hi) taken mod t, as `_frames` takes them; a
-    block reads s - 1 to e + 1, its halo included, in one call."""
+    [C_out, t * f], or if out is None into a block buffer. rows(lo, hi) gives
+    the map's frames [lo, hi), 0 <= lo < hi <= t. A block reads s - 1 to
+    e + 1 in one call, and each halo frame that wraps from the other end."""
     c_out, c_in = kernels.shape[:2]
     weights = kernels.reshape(c_out, c_in * 9)
     blocks = row_blocks(t, c_out * f, c_in * 9 * f)
@@ -209,22 +212,14 @@ def _conv(t: int, f: int, kernels: np.ndarray, rows, out):
             for dt in range(3) for df, (f_out, f_in) in enumerate(_BAND_SHIFTS)]
     buffer = np.empty((c_out, longest * f)) if out is None else None
     for s, e in ((b.start, b.stop) for b in blocks):
-        src, n = rows(s - 1, e + 1), e - s
+        src, n = rows(max(s - 1, 0), min(e + 1, t)), e - s
+        if s == 0 or e == t:  # the wrap: the halo frame from the map's other end
+            src = np.concatenate([rows(t - 1, t)] * (s == 0) + [src] + [rows(0, 1)] * (e == t), 1)
         for tap, dt, f_in in taps:
             tap[:, :n] = src[:, dt : dt + n, f_in]
         dest = buffer[:, : n * f] if out is None else out[:, s * f : e * f]
         np.matmul(weights, cols[:, : n * f], out=dest)
         yield s, e, dest.reshape(c_out, n, f)
-
-
-def _frames(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Frames [lo, hi) of a [C, t, f] map, taken mod t (lo >= -1, hi <= t + 1):
-    a view unless they wrap around."""
-    t = a.shape[1]
-    if lo >= 0 and hi <= t:
-        return a[:, lo:hi]
-    head, tail = a[:, t - 1 if lo < 0 else t :], a[:, : 1 if hi > t else 0]
-    return np.concatenate((head, a[:, max(lo, 0) : min(hi, t)], tail), 1)
 
 
 def _avgpool2(z: np.ndarray, out: np.ndarray) -> None:
@@ -243,32 +238,20 @@ def _avgpool2(z: np.ndarray, out: np.ndarray) -> None:
 def _avgpool2_backward(quarter: np.ndarray, live: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Frames [lo, hi) of the gradient at the input of ReLU (mask live) and 2x2
     pooling, from quarter, the pooled gradient / 4: quarter times the mask
-    in each of the four places, 0 in a trailing odd row or col. Frames are
-    taken mod t, as `_frames` takes them, so lo may be -1 and hi t + 1."""
+    in each of the four places, 0 in a trailing odd row or col."""
     (c, t, f), (t2, f2) = live.shape, quarter.shape[1:]
-    head, tail = lo < 0, hi > t  # a wrapped frame before frame 0, or after frame t - 1
-    lo, hi = max(lo, 0), min(hi, t)
     a0, a1 = lo - lo % 2, min(hi + hi % 2, t)
     n2 = max(min(a1 // 2, t2) - a0 // 2, 0)
-    out = np.empty((c, head + a1 - a0 + tail, f))
-    core = out[:, head : head + a1 - a0]
+    out = np.empty((c, a1 - a0, f))
     if 2 * n2 < a1 - a0:  # a trailing odd row
-        core[:, 2 * n2 :] = 0.0
+        out[:, 2 * n2 :] = 0.0
     if 2 * f2 < f:  # a trailing odd col
         out[:, :, 2 * f2 :] = 0.0
-    top = core[:, 0 : 2 * n2 : 2]
+    top = out[:, 0 : 2 * n2 : 2]
     top[:, :, 0 : 2 * f2 : 2] = top[:, :, 1 : 2 * f2 : 2] = quarter[:, a0 // 2 : a0 // 2 + n2]
-    core[:, 1 : 2 * n2 : 2] = top
-    core *= live[:, a0:a1]
-    for row, j in ((0, t - 1),) * head + ((-1, 0),) * tail:
-        if a0 <= j < a1:  # a map of one block
-            out[:, row] = core[:, j - a0]
-        elif j < 2 * t2:
-            out[:, row, 0 : 2 * f2 : 2] = out[:, row, 1 : 2 * f2 : 2] = quarter[:, j // 2]
-            out[:, row] *= live[:, j]
-        else:
-            out[:, row] = 0.0
-    return out[:, lo - a0 : head + hi - a0 + tail]
+    out[:, 1 : 2 * n2 : 2] = top
+    out *= live[:, a0:a1]
+    return out[:, lo - a0 : hi - a0]
 
 
 @dataclass
@@ -327,8 +310,7 @@ def forward(feat: np.ndarray | LogEnergies, ws: WeightStore) -> tuple[np.ndarray
         log = i == 0 and energies is not None  # the first layer logs LogEnergies as it reads
 
         def rows(lo, hi):
-            frames = _frames(a, lo, hi)
-            return log_energies(frames) if log else frames
+            return log_energies(a[:, lo:hi]) if log else a[:, lo:hi]
 
         for s, e, block in _conv(t, f, kernels, rows, out):
             block += bias
@@ -375,9 +357,9 @@ def backward(cache: ForwardCache, grad_embedding: np.ndarray) -> np.ndarray:
         if pool:
             d_out /= 4.0  # in place: d_a is a fresh array no one else holds
 
-        def d_z(lo, hi):  # frames [lo, hi), taken mod t, of the gradient at the ReLU's input
+        def d_z(lo, hi):  # frames [lo, hi) of the gradient at the ReLU's input
             return (_avgpool2_backward(d_out, live, lo, hi) if pool
-                    else _frames(d_out, lo, hi) * _frames(live, lo, hi))
+                    else d_out[:, lo:hi] * live[:, lo:hi])
 
         # transposed conv: channel-swapped, flipped kernels (the padding is symmetric under a flip)
         flipped = np.ascontiguousarray(kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))

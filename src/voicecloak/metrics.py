@@ -61,7 +61,8 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
     signal_energy = float(np.sum(r**2))
     if signal_energy == 0.0:
         raise ValueError("zero-energy reference signal")
-    error_energy = float(np.sum((r - test.samples[:n]) ** 2))
+    d = r - test.samples[:n]
+    error_energy = float(np.sum(np.square(d, out=d)))
     if error_energy < SNR_DENOM_FLOOR:
         return float("inf")
     return 10.0 * np.log10(signal_energy / error_energy)

@@ -1,4 +1,4 @@
-"""STFT analysis, synthesis from a complex spectrum, and the log-mel front-end.
+"""STFT analysis, synthesis with the clean phase, and the log-mel front-end.
 
 The front end is fixed: FFT_SIZE (512) points, a WIN_LENGTH (400-sample,
 25 ms) window and a HOP_LENGTH (160-sample, 10 ms) hop at
@@ -16,13 +16,12 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
   by the summed squared window (samples where that sum is below 1e-9 are
   set to zero); that sum's slots between the first two and the last two
   are all alike, so five rows of a NORM_FRAMES-frame map's sum serve;
-* analysis keeps the complex spectrum; the attack surface is its linear
-  magnitude, resynthesized times the clean unit phasor S/|S|;
+* the attack surface is the linear magnitude (`stft_magnitude`); only
+  `resynthesize` forms the clean unit phasor S/|S|, 1 where |S| is 0;
 * every pass goes BLOCK_FRAMES frames at a time: `stft_magnitude` and
-  `resynthesize` (magnitude times the clean phasor, synthesized) never
-  hold a spectrum of the whole signal, and `istft` and `resynthesize`
-  share one overlap-add over hop-sized slots that adds, per sample, the
-  frames in the order a frame-by-frame loop would;
+  `resynthesize` never hold a spectrum of the whole signal, and `istft`
+  and `resynthesize` share one overlap-add over hop-sized slots that adds,
+  per sample, the frames in the order a frame-by-frame loop would;
 * the filterbank consumes the power spectrum (squared magnitude) and the
   output is log-compressed with floor LOG_FLOOR;
 * the filterbank product, its backward GEMM and the encoder's convolutions
@@ -71,22 +70,14 @@ NORM_FRAMES = 6  # frames of the map whose squared-window sum normalizes synthes
 
 @dataclass
 class Spectrogram:
-    """Complex [frames x bins] spectrum from a single analysis pass.
-
-    magnitude and phasor are computed on each read; the phasor S/|S| has
-    unit modulus, and is 1 (angle 0) where the magnitude is 0.
-    """
+    """Complex [frames x bins] spectrum from a single analysis pass; its
+    magnitude is computed on each read."""
 
     spectrum: np.ndarray
 
     @property
     def magnitude(self) -> np.ndarray:
         return np.abs(self.spectrum)
-
-    @property
-    def phasor(self) -> np.ndarray:
-        mag = self.magnitude
-        return np.divide(self.spectrum, mag, out=np.ones_like(self.spectrum), where=mag > 0)
 
 
 def _analysis(w: Waveform) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
@@ -137,12 +128,11 @@ def _analysis(w: Waveform) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
 def stft(w: Waveform) -> Spectrogram:
     """Analyze a waveform into its complex spectrum.
 
-    Only CANONICAL_RATE input of at least one window is accepted. A signal
-    of at most one block is one transform, with no copy.
+    Only CANONICAL_RATE input of at least one window is accepted. No command
+    reads a complex spectrum: this and `istft` stay only because the bench
+    and the tests read them.
     """
     n_frames, blocks = _analysis(w)
-    if n_frames <= BLOCK_FRAMES:
-        return Spectrogram(next(blocks)[1])
     spectrum = np.empty((n_frames, N_BINS), dtype=complex)
     for start, part in blocks:
         spectrum[start : start + len(part)] = part
@@ -160,10 +150,11 @@ def stft_magnitude(w: Waveform) -> np.ndarray:
 
 
 def resynthesize(w: Waveform, magnitude: np.ndarray) -> Waveform:
-    """istft(magnitude * stft(w).phasor, len(w)), with no spectrum held: each
-    block of w's analysis is turned into its phasor in place, as
-    `Spectrogram.phasor` forms it, times its rows of magnitude (only read),
-    and goes to overlap-add before the next block is made."""
+    """Samples of magnitude times w's clean unit phasor S/|S| (1 where |S| is
+    0), overlap-added to len(w): the only place the phasor is formed. Each
+    block of w's analysis is turned into its phasor in place, times its rows
+    of magnitude (only read), and goes to overlap-add before the next block
+    is made, so no spectrum is held."""
     n_frames, blocks = _analysis(w)
     if magnitude.shape != (n_frames, N_BINS):
         raise ValueError(f"magnitude shape {magnitude.shape} does not match the analysis"

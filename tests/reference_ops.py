@@ -15,8 +15,8 @@ compression, the log-mel backward's quotient and product, the sign, the
 stepped iterate and its projection are each a new array. `stft` and
 `istft` transform all frames in one FFT call and `istft` adds frame by
 frame; `protect_utterance` (ifgsm) analyzes the whole clean spectrum and
-synthesizes from its whole phasor. The in-place, blocked and streaming
-versions must give the same bits.
+synthesizes from its whole `phasor`, S/|S| and 1 where |S| is 0. The
+in-place, blocked and streaming versions must give the same bits.
 
 `angle_phasor` is the clean phase as synthesis first took it, through the
 angle: `istft(magnitude * angle_phasor(spec), n)` is that synthesis. The
@@ -205,10 +205,15 @@ def protect_utterance(w: Waveform, ws, cfg: AttackConfig):
     magnitude = stft(w).magnitude
     e_ref = embed(magnitude, ws)
     result = ifgsm(magnitude, ws, e_ref, cfg)
-    protected = istft(result.adv_magnitude * stft(w).phasor, len(w))
+    protected = istft(result.adv_magnitude * phasor(stft(w)), len(w))
     e_protected = embed(stft(protected).magnitude, ws)
     return protected, ProtectionReport(
         snr_db(w, protected), cosine_loss(e_ref, e_protected), result.loss_trajectory)
+
+
+def phasor(spec: Spectrogram) -> np.ndarray:
+    mag = spec.magnitude
+    return np.divide(spec.spectrum, mag, out=np.ones_like(spec.spectrum), where=mag > 0)
 
 
 def angle_phasor(spec: Spectrogram) -> np.ndarray:

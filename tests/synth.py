@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from voicecloak.audio_io import Waveform
-from voicecloak.spectral import stft
+from voicecloak.spectral import stft_magnitude
 
 RATE = 16000
 
@@ -62,5 +62,5 @@ def speaker_utterance(
     t = np.arange(n) / RATE
     gate = 0.5 * (1.0 + np.cos(2.0 * np.pi * gate_rate * t + utt_rng.uniform(0.0, 2.0 * np.pi)))
     x = x * (0.10 + 0.90 * gate)
-    x = x * (median_magnitude / np.median(stft(Waveform(x, RATE)).magnitude))
+    x = x * (median_magnitude / np.median(stft_magnitude(Waveform(x, RATE))))
     return Waveform(x, RATE)

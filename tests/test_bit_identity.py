@@ -27,7 +27,7 @@ from voicecloak.attack import AttackConfig, fgsm, ifgsm, protect_utterance
 from voicecloak.audio_io import CANONICAL_RATE, Waveform, read_wav, write_wav
 from voicecloak.encoder import EncoderConfig, forward, init_random
 from voicecloak.spectral import (
-    BLOCK_FRAMES, HOP_LENGTH, LOG_FLOOR, N_BINS, WIN_LENGTH, Spectrogram, istft,
+    BLOCK_FRAMES, HOP_LENGTH, LOG_FLOOR, N_BINS, WIN_LENGTH, istft,
     log_energies_backward, log_mel, log_mel_backward, mel_energies, mel_matrix, resynthesize,
     row_blocks, stft, stft_magnitude,
 )
@@ -56,7 +56,7 @@ def _conv(x, kernels):
     """The encoder's block convolution over a whole map, its frames read straight from x."""
     c_in, t, f = x.shape
     out = np.empty((len(kernels), t * f))
-    for _ in encoder._conv(t, f, kernels, lambda lo, hi: encoder._frames(x, lo, hi), out):
+    for _ in encoder._conv(t, f, kernels, lambda lo, hi: x[:, lo:hi], out):
         pass
     return out.reshape(len(kernels), t, f)
 
@@ -325,7 +325,7 @@ def test_resynthesize_matches_istft_of_magnitude_times_phasor(n):
     held = mag.copy()
     fused = resynthesize(w, mag)
     assert ref.bitwise_equal(mag, held)
-    assert ref.bitwise_equal(fused.samples, ref.istft(mag * spec.phasor, n).samples)
+    assert ref.bitwise_equal(fused.samples, ref.istft(mag * ref.phasor(spec), n).samples)
 
 
 def test_synthesis_matches_a_full_window_sum_at_every_short_length():
@@ -340,7 +340,7 @@ def test_synthesis_matches_a_full_window_sum_at_every_short_length():
         spec = ref.stft(w)
         mag = spec.magnitude * scale[: len(spec.spectrum)]
         assert ref.bitwise_equal(resynthesize(w, mag).samples,
-                                 ref.istft(mag * spec.phasor, n).samples), n
+                                 ref.istft(mag * ref.phasor(spec), n).samples), n
     spectrum = stft(Waveform(x[: 8 * HOP_LENGTH], CANONICAL_RATE)).spectrum
     for frames in range(1, 10):
         n = (frames - 1) * HOP_LENGTH
@@ -431,15 +431,20 @@ def test_ten_second_synthesis_holds_no_window_sum_of_the_signals_size():
     assert peak - out.samples.nbytes < 0.8 * out.samples.nbytes
 
 
+def _angle_synthesis(w: Waveform, magnitude: np.ndarray) -> Waveform:
+    """magnitude through w's clean angle, whole arrays from `reference_ops`."""
+    return ref.istft(magnitude * ref.angle_phasor(ref.stft(w)), len(w))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_phasor_synthesis_matches_angle_synthesis(tmp_path, seed):
     rng = np.random.default_rng(seed)
     w = Waveform(rng.standard_normal(int(rng.integers(16000, 48001))) * 0.1, CANONICAL_RATE)
-    spec = stft(w)
-    steps = AttackConfig.epsilon * np.sign(rng.standard_normal(spec.spectrum.shape))
-    adv = np.maximum(spec.magnitude + steps, 0.0)
-    assert _pcm16(istft(adv * spec.phasor, len(w)), tmp_path / "phasor.wav") == _pcm16(
-        istft(adv * ref.angle_phasor(spec), len(w)), tmp_path / "angle.wav")
+    mag = stft_magnitude(w)
+    steps = AttackConfig.epsilon * np.sign(rng.standard_normal(mag.shape))
+    adv = np.maximum(mag + steps, 0.0)
+    assert _pcm16(resynthesize(w, adv), tmp_path / "phasor.wav") == _pcm16(
+        _angle_synthesis(w, adv), tmp_path / "angle.wav")
 
 
 def test_zero_magnitude_bins_synthesize_with_phasor_one(tmp_path):
@@ -449,16 +454,15 @@ def test_zero_magnitude_bins_synthesize_with_phasor_one(tmp_path):
     middle of each window, where a phasor of 0 would drop it from the file.
     """
     w = _silent_stretch()
-    spec = stft(w)
-    zero = spec.magnitude == 0
+    mag = stft_magnitude(w)
+    zero = mag == 0
     assert zero.sum() >= 40 * N_BINS
-    assert np.all(np.angle(spec.spectrum[zero]) == 0.0)
-    np.testing.assert_array_equal(spec.phasor[zero], 1.0)
-    adv = spec.magnitude.copy()
+    assert np.all(np.angle(ref.stft(w).spectrum[zero]) == 0.0)
+    adv = mag.copy()
     adv[zero & (np.arange(N_BINS) % 2 == 0)] += AttackConfig.alpha
-    raised = _pcm16(istft(adv * spec.phasor, len(w)), tmp_path / "phasor.wav")
-    assert raised == _pcm16(istft(adv * ref.angle_phasor(spec), len(w)), tmp_path / "angle.wav")
-    assert raised != _pcm16(istft(spec.spectrum, len(w)), tmp_path / "clean.wav")
+    raised = _pcm16(resynthesize(w, adv), tmp_path / "phasor.wav")
+    assert raised == _pcm16(_angle_synthesis(w, adv), tmp_path / "angle.wav")
+    assert raised != _pcm16(resynthesize(w, mag), tmp_path / "clean.wav")
 
 
 def test_resynthesize_matches_whole_arrays_over_a_zero_magnitude_stretch():
@@ -468,20 +472,27 @@ def test_resynthesize_matches_whole_arrays_over_a_zero_magnitude_stretch():
     zero = spec.magnitude == 0
     adv = spec.magnitude.copy()
     adv[zero & (np.arange(N_BINS) % 2 == 0)] += AttackConfig.alpha
-    expected = ref.istft(adv * spec.phasor, len(w)).samples
+    expected = ref.istft(adv * ref.phasor(spec), len(w)).samples
     assert ref.bitwise_equal(resynthesize(w, adv).samples, expected)
     assert not ref.bitwise_equal(expected, ref.istft(spec.spectrum, len(w)).samples)
 
 
 @pytest.mark.parametrize("method", ["fgsm", "ifgsm"])
 def test_protect_utterance_matches_angle_synthesis(tmp_path, monkeypatch, method):
+    """The same PCM16 samples with the attack's `resynthesize` swapped for
+    whole-array synthesis through the clean angle, over silent frames. At
+    1e-6 of the level every energy is on the log floor, so the first step
+    is the all-ones escape: it raises the bins of the silent frames, whose
+    phasor is then read (a sign step leaves a bin of |S| = 0 where it is)."""
     ws = init_random(EncoderConfig(), 0)
-    w = _silent_stretch()
-    protected, _ = protect_utterance(w, ws, AttackConfig(), method, 32.0, 0)
-    monkeypatch.setattr(Spectrogram, "phasor", property(ref.angle_phasor))
-    through_angles, _ = protect_utterance(w, ws, AttackConfig(), method, 32.0, 0)
-    assert _pcm16(protected, tmp_path / "phasor.wav") == _pcm16(
-        through_angles, tmp_path / "angle.wav")
+    loud = _silent_stretch()
+    for w in (loud, Waveform(loud.samples * 1e-6, CANONICAL_RATE)):
+        protected, _ = protect_utterance(w, ws, AttackConfig(), method, 32.0, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(attack, "resynthesize", _angle_synthesis)
+            through_angles, _ = protect_utterance(w, ws, AttackConfig(), method, 32.0, 0)
+        assert _pcm16(protected, tmp_path / "phasor.wav") == _pcm16(
+            through_angles, tmp_path / "angle.wav")
 
 
 def test_protect_utterance_matches_reference_ops(tmp_path):

@@ -299,8 +299,7 @@ class TestBackward:
         tracemalloc.start()
         try:
             out = np.empty((1, 1001 * 64))
-            for _ in encoder._conv(1001, 64, kernels,
-                                   lambda lo, hi: encoder._frames(grad, lo, hi), out):
+            for _ in encoder._conv(1001, 64, kernels, lambda lo, hi: grad[:, lo:hi], out):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -5,18 +5,20 @@ Usage, from the root of a checkout:
   python3 tools/phase_peaks.py SRC SECONDS
 
 SRC is a directory holding a `voicecloak` package, such as the `src/` of a
-checkout. The script makes SECONDS of the benchmark's synthetic speech
-(`bench/corpus.py`, seed SEED, speaker 3, utterance 0) and random default
-weights, runs `protect_utterance` with `ifgsm` for ITERATIONS steps (every
-step peaks alike) and writes the result with `write_wav`, as `protect`
-does. The samples and the weights are made before tracing starts, so
-everything the call makes and holds is counted: the clean magnitude, the
-iterate, and each phase's own arrays.
+checkout. The script writes SECONDS of the benchmark's synthetic speech
+(`bench/corpus.py`, seed SEED, speaker 3, utterance 0) to a PCM16 WAV and
+makes random default weights before tracing starts. The traced call does
+what `protect` does with one file: it passes `read_wav` of that file
+straight to `protect_utterance`, keeping no reference, so the input is
+held as its int16 samples through the attack; runs `ifgsm` for ITERATIONS
+steps (every step peaks alike); and writes the result with `write_wav`.
+So everything a protected file makes and holds is counted: its samples,
+the clean magnitude, the iterate, and each phase's own arrays.
 
 A phase is one of the functions in PHASES, called through the name that
-`voicecloak.attack` binds (`write_wav` is called by this script). For each,
-it prints the highest `tracemalloc` peak reached inside any of its calls,
-in MiB, nested calls included: `embed` holds a `forward`, and `forward`
+`voicecloak.attack` binds (`read_wav` and `write_wav` are called by this
+script). For each, it prints the highest `tracemalloc` peak reached inside
+any of its calls, in MiB, nested calls included: `embed` holds a `forward`, and `forward`
 and `backward` count the attack step's passes and `embed`'s. A warm-up
 call runs first, so caches (the filterbank) are not charged. Nothing is
 written outside a temporary directory.
@@ -34,11 +36,13 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 13
 ITERATIONS = 2
-# (phase, name bound in voicecloak.attack), in the order a protected file meets them
+# (phase, name bound in voicecloak.attack or, for the WAV edges, audio_io), in the
+# order a protected file meets them
 PHASES = (
-    ("analysis", "stft_magnitude"), ("embed", "embed"), ("mel_energies", "mel_energies"),
-    ("forward", "forward"), ("backward", "backward"), ("sign step", "_sign_step"),
-    ("resynthesize", "resynthesize"), ("snr_db", "snr_db"), ("write_wav", "write_wav"),
+    ("read_wav", "read_wav"), ("analysis", "stft_magnitude"), ("embed", "embed"),
+    ("mel_energies", "mel_energies"), ("forward", "forward"), ("backward", "backward"),
+    ("sign step", "_sign_step"), ("resynthesize", "resynthesize"), ("snr_db", "snr_db"),
+    ("write_wav", "write_wav"),
 )
 
 
@@ -85,21 +89,27 @@ def phase_peaks(seconds: float) -> dict[str, float]:
     import corpus
     from voicecloak import attack, audio_io, encoder
 
-    w = audio_io.Waveform(corpus.utterance(SEED, 3, 0, seconds), audio_io.CANONICAL_RATE)
     ws = encoder.init_random(encoder.EncoderConfig(), 42)
     cfg = attack.AttackConfig(iterations=ITERATIONS)
     watch = PhaseWatch()
     for phase, name in PHASES:
-        if name != "write_wav":
+        if name not in ("read_wav", "write_wav"):
             setattr(attack, name, watch.wrap(phase, getattr(attack, name)))
+    read_wav = watch.wrap("read_wav", audio_io.read_wav)
     write_wav = watch.wrap("write_wav", audio_io.write_wav)
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out.wav"
-        write_wav(out, attack.protect_utterance(w, ws, cfg, "ifgsm", 32.0, 0)[0])  # warm-up
+        clean, out = Path(tmp) / "in.wav", Path(tmp) / "out.wav"
+        audio_io.write_wav(clean, audio_io.Waveform(corpus.utterance(SEED, 3, 0, seconds),
+                                                    audio_io.CANONICAL_RATE))
+
+        def protect_file():  # keeps no reference to the input, as `protect` does
+            write_wav(out, attack.protect_utterance(read_wav(clean), ws, cfg, "ifgsm", 32.0, 0)[0])
+
+        protect_file()  # warm-up
         watch.peaks.clear()
         tracemalloc.start()
         try:
-            write_wav(out, attack.protect_utterance(w, ws, cfg, "ifgsm", 32.0, 0)[0])
+            protect_file()
         finally:
             tracemalloc.stop()
     return {phase: round(watch.peaks[phase] / 2**20, 2) for phase, _ in PHASES}
