@@ -93,21 +93,27 @@ class ProtectionReport:
 
 def sign_matrix(g: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """Entrywise sign with sign(0) = 0, into out (a new array if None), which
-    should not be g: NumPy's sign into its own input runs several times slower."""
-    if not np.all(np.isfinite(g)):
+    should not be g: NumPy's sign into its own input runs several times slower.
+    g's finiteness is read from its least and greatest entries, with no mask."""
+    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
         raise ValueError("gradient contains non-finite entries")
     return np.sign(g, out=out)
 
 
-def clip_linf(x_tilde: np.ndarray, x: np.ndarray, epsilon: float) -> np.ndarray:
+def clip_linf(
+    x_tilde: np.ndarray, x: np.ndarray, epsilon: float, bounds: np.ndarray | None
+) -> np.ndarray:
     """Project onto the epsilon-band around x, then onto [0, inf).
 
     The projection is written over x_tilde, which is returned; x is only
-    read. `ifgsm` calls it a block of rows at a time, so its bounds are small.
+    read. The band's bounds x - epsilon and x + epsilon go into bounds[0]
+    and bounds[1], two arrays of x's shape, or new ones if bounds is None.
     """
     if x_tilde.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_tilde.shape} vs {x.shape}")
-    np.clip(x_tilde, x - epsilon, x + epsilon, out=x_tilde)
+    lower, upper = np.empty((2, *x.shape)) if bounds is None else bounds
+    np.maximum(x_tilde, np.subtract(x, epsilon, out=lower), out=x_tilde)
+    np.minimum(x_tilde, np.add(x, epsilon, out=upper), out=x_tilde)
     return np.maximum(x_tilde, 0.0, out=x_tilde)
 
 
@@ -161,7 +167,7 @@ def ifgsm(
         if not _sign_step(x_tilde, x, grad_energy, mel, blocks, cfg):
             for rows in blocks:
                 x_tilde[rows] += cfg.alpha
-                clip_linf(x_tilde[rows], x[rows], cfg.epsilon)
+                clip_linf(x_tilde[rows], x[rows], cfg.epsilon, None)
         del grad_energy  # not held through the next step's forward pass
     trajectory.append(cosine_loss(e_ref, embed(x_tilde, ws)))
     return AttackResult(adv_magnitude=x_tilde, loss_trajectory=trajectory)
@@ -169,18 +175,20 @@ def ifgsm(
 
 def _sign_step(x_tilde, x, grad_energy, mel, blocks, cfg) -> bool:
     """Add alpha times the sign of each block's gradient to x_tilde's rows and
-    project them; False if every sign was 0. The block buffers of gradient
-    and sign are made here, so the encoder's passes can reuse their memory."""
-    grad, sign = np.empty((2, max(b.stop - b.start for b in blocks), x.shape[1]))
+    project them; False if every sign was 0. Two block buffers, made here so
+    the encoder's passes can reuse their memory, hold in turn the gradient
+    and 2 * mag, the gradient and the sign, then the band's two bounds: a
+    block makes no other array of its size."""
+    buffers = np.empty((2, max(b.stop - b.start for b in blocks), x.shape[1]))
     moved = False
     for rows in blocks:
-        n = rows.stop - rows.start
-        step = sign_matrix(log_mel_backward(grad_energy[rows], x_tilde[rows], mel, grad[:n]),
-                           sign[:n])
+        grad, sign = pair = buffers[:, : rows.stop - rows.start]
+        step = sign_matrix(log_mel_backward(grad_energy[rows], x_tilde[rows], mel, grad, sign),
+                           sign)
         moved = moved or step.any()
         step *= cfg.alpha
         x_tilde[rows] += step
-        clip_linf(x_tilde[rows], x[rows], cfg.epsilon)
+        clip_linf(x_tilde[rows], x[rows], cfg.epsilon, pair)
     return moved
 
 

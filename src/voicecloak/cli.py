@@ -170,8 +170,9 @@ _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS NumPy loaded, or None."""
+def _openblas():
+    """The lookup name -> ctypes function or None of the symbols of the
+    OpenBLAS NumPy loaded ("get_num_threads" and the like), or None."""
     paths = set()
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
@@ -188,13 +189,33 @@ def _openblas_threads():
             continue
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get and set_:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    return get, set_
+                if all(hasattr(lib, f"{prefix}_{verb}_num_threads{suffix}")
+                       for verb in ("get", "set")):
+                    return lambda name: getattr(lib, f"{prefix}_{name}{suffix}", None)
     return None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS NumPy loaded, or None."""
+    symbol = _openblas()
+    if symbol is None:
+        return None
+    get, set_ = symbol("get_num_threads"), symbol("set_num_threads")
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+def _openblas_corename() -> str | None:
+    """The kernel the OpenBLAS NumPy loaded picked for this CPU at load time,
+    such as "SkylakeX" or "Haswell", or None. The bits of a product can
+    depend on it, not only on the library's build."""
+    corename = _openblas() and _openblas()("get_corename")
+    if not corename:
+        return None
+    corename.restype, corename.argtypes = ctypes.c_char_p, []
+    return corename().decode("ascii", "replace")
 
 
 # The OpenBLAS count is process-wide, so the record of who changed it is too.

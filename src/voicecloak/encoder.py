@@ -20,19 +20,23 @@ length-normalized here, the cosine loss normalizes.
 Summation order is fixed, so results are reproducible bit for bit:
 
 * a convolution is one BLAS GEMM (`np.matmul`) per block of output frames
-  (`row_blocks`, from even frames) of the kernels, flattened to
-  [C_out, C_in*9], against explicit im2col rows ordered (c_in, dt, df).
-  Each output column is the same `kernels @ column` dot product whichever
-  block holds it, so the blocks change no bit of the result. A block reads
-  its frames and one halo frame a side in one call, and one more call for
-  each halo frame that wraps. No conv output or ReLU-input gradient
-  of a whole map is made: `forward` pools each block as it comes,
-  `backward` builds each block's gradient at the ReLU input (pooling
-  backward times mask) from the pooled one. Going back, a block's im2col
-  rows are capped at 0.56 MiB, 64 frames at the default config. Given
-  `LogEnergies`, the first layer logs each block of energies as it reads
-  it and the last transposed convolution divides each output block into
-  the energies' rows, so no features or feature gradient are made either;
+  (`row_blocks`, from even frames) of the kernels, laid out as
+  [C_out*3, C_in*3] with rows (c_out, dt) and columns (c_in, df), against
+  im2col rows ordered (c_in, df) that hold only the three frequency shifts
+  of each input channel, over the block and its two halo frames. Each
+  output column is the same dot product whichever block holds it. Then
+  output frame t is tap dt 0 of frame t - 1 plus tap dt 1 of frame t, and
+  then plus tap dt 2 of frame t + 1, in that order, so the blocks change
+  no bit of the result. A block reads its frames and one halo frame a side
+  in one call, and one more call for each halo frame that wraps. No conv
+  output or ReLU-input gradient of a whole map is made: `forward` pools
+  each block as it comes, `backward` builds each block's gradient at the
+  ReLU input (pooling backward times mask) from the pooled one. A block's
+  im2col rows and taps together are capped at 0.56 MiB, 128 frames at the
+  default config. Given `LogEnergies`, the first layer logs each block of
+  energies as it reads it and the last transposed convolution divides each
+  output block into the energies' rows, so no features or feature gradient
+  are made either;
 * 2x2 pooling adds the top pair and the bottom pair first,
   ((a + b) + (c + d)) / 4, where a, b are the upper row; when the pooled
   map has a single band it adds left to right, (((a + b) + c) + d) / 4.
@@ -198,27 +202,33 @@ def _conv(t: int, f: int, kernels: np.ndarray, rows, out):
     block [s, e) of `row_blocks`, written into out[:, s * f : e * f] of out
     [C_out, t * f], or if out is None into a block buffer. rows(lo, hi) gives
     the map's frames [lo, hi), 0 <= lo < hi <= t. A block reads s - 1 to
-    e + 1 in one call, and each halo frame that wraps from the other end."""
+    e + 1 in one call, and one more call for each halo frame that wraps."""
     c_out, c_in = kernels.shape[:2]
-    weights = kernels.reshape(c_out, c_in * 9)
-    blocks = row_blocks(t, c_out * f, c_in * 9 * f)
-    longest = max(b.stop - b.start for b in blocks)
-    # cols[c, dt, df, i, j] = frame s + i + dt - 1, band j + df - 1, and 0 outside the bands;
-    # a shorter block uses the first n frames of each row
-    cols = np.empty((c_in * 9, longest * f))
-    view = cols.reshape(c_in, 3, 3, longest, f)
-    view[:, :, 0, :, 0] = view[:, :, 2, :, -1] = 0.0  # no fill below writes these
-    taps = [(view[:, dt, df, :, f_out], dt, f_in)
-            for dt in range(3) for df, (f_out, f_in) in enumerate(_BAND_SHIFTS)]
-    buffer = np.empty((c_out, longest * f)) if out is None else None
+    weights = kernels.transpose(0, 2, 1, 3).reshape(c_out * 3, c_in * 3)  # rows (o, dt)
+    blocks = row_blocks(t, c_out * f, (c_in + c_out) * 3 * f)
+    span = max(b.stop - b.start for b in blocks) + 2  # a block's frames and its two halos
+    # cols[c, df, i, j] = frame s - 1 + i, band j + df - 1, and 0 outside the bands;
+    # a shorter block uses the first n + 2 frames of each row
+    cols = np.empty((c_in * 3, span * f))
+    view = cols.reshape(c_in, 3, span, f)
+    view[:, 0, :, 0] = view[:, 2, :, -1] = 0.0  # no fill below writes these
+    shifts = [(view[:, df, :, f_out], f_in) for df, (f_out, f_in) in enumerate(_BAND_SHIFTS)]
+    y = np.empty((c_out, 3, span * f))  # y[o, dt, i]: time tap dt of frame s - 1 + i
+    buffer = np.empty((c_out, (span - 2) * f)) if out is None else None
     for s, e in ((b.start, b.stop) for b in blocks):
-        src, n = rows(max(s - 1, 0), min(e + 1, t)), e - s
-        if s == 0 or e == t:  # the wrap: the halo frame from the map's other end
-            src = np.concatenate([rows(t - 1, t)] * (s == 0) + [src] + [rows(0, 1)] * (e == t), 1)
-        for tap, dt, f_in in taps:
-            tap[:, :n] = src[:, dt : dt + n, f_in]
+        n = e - s
+        frames = [(int(s == 0), rows(max(s - 1, 0), min(e + 1, t)))]  # (first cols frame, map)
+        if s == 0:  # the wrap: each halo frame from the map's other end
+            frames.append((0, rows(t - 1, t)))
+        if e == t:
+            frames.append((n + 1, rows(0, 1)))
+        for at, src in frames:
+            for shift, f_in in shifts:
+                shift[:, at : at + src.shape[1]] = src[:, :, f_in]
+        np.matmul(weights, cols[:, : (n + 2) * f], out=y.reshape(c_out * 3, -1)[:, : (n + 2) * f])
         dest = buffer[:, : n * f] if out is None else out[:, s * f : e * f]
-        np.matmul(weights, cols[:, : n * f], out=dest)
+        np.add(y[:, 0, : n * f], y[:, 1, f : (n + 1) * f], out=dest)
+        dest += y[:, 2, 2 * f : (n + 2) * f]
         yield s, e, dest.reshape(c_out, n, f)
 
 

@@ -27,13 +27,24 @@ Conventions, fixed here once so that analysis and synthesis agree exactly:
 * the filterbank product, its backward GEMM and the encoder's convolutions
   go a block of `row_blocks` at a time: an even number of rows, at least
   BLOCK_FRAMES and MIN_BLOCK_OUTPUTS outputs, a tail under half a block
-  joined to the one before, so that no GEMM is small enough (about 1200
-  outputs) to take OpenBLAS's path with other bits. A convolution's blocks
-  are also capped at IM2COL_VALUES values of im2col rows (the default
-  encoder's first forward block, 0.56 MiB), down to MIN_BLOCK_OUTPUTS
-  outputs over all its output channels: the default encoder's backward
-  convolutions go 64 rows at a time, its forward ones 128. A map that is
-  one block without the cap stays one product.
+  joined to the one before, so that no convolution GEMM is small enough
+  (about 1200 outputs) to take OpenBLAS's path with other bits. A
+  convolution's blocks are also capped at
+  IM2COL_VALUES values of im2col rows and time-tap outputs together (0.56
+  MiB), down to MIN_BLOCK_OUTPUTS outputs over all its output channels:
+  every convolution of the default encoder goes 128 rows at a time. A map
+  that is one block without the cap stays one product;
+* the filterbank products skip its zeros, by the band rule of
+  `_band_plan`: each group of MEL_GROUP consecutive filters gets its
+  energies from one GEMM over its band, the bins from the group's first
+  nonzero to its last, against a C-ordered [bins x filters] copy of it; the
+  gradient's bins are cut where each band starts, and each piece is one
+  GEMM with the filters from the first to the last that is nonzero there.
+  On OpenBLAS's SkylakeX kernel every such GEMM adds its terms in order
+  whatever its row count, so a block has the bits of the same rows of the
+  whole map; with the transposed view of a group's filters, a GEMM of
+  about 1200 outputs or fewer (128 rows of 8 filters) would take a path
+  with other bits.
 
 All numerics are float64 so gradient checks against finite differences
 stay tight.
@@ -41,6 +52,7 @@ stay tight.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,8 +76,9 @@ _CHUNKS = -(-WIN_LENGTH // HOP_LENGTH)  # hop-sized slots one window spans
 # the encoder's convolutions, the FFTs, the step
 BLOCK_FRAMES = 128
 MIN_BLOCK_OUTPUTS = 4096  # output entries of a blocked product's smallest GEMM
-IM2COL_VALUES = 9 * BLOCK_FRAMES * 64  # a convolution block's im2col cap: 0.56 MiB
+IM2COL_VALUES = 9 * BLOCK_FRAMES * 64  # a convolution block's im2col and tap cap: 0.56 MiB
 NORM_FRAMES = 6  # frames of the map whose squared-window sum normalizes synthesis
+MEL_GROUP = 8  # consecutive filters whose energies are one product over their band
 
 
 @dataclass
@@ -273,13 +286,52 @@ def _mel_matrix(fft_size: int, n_mels: int) -> np.ndarray:
             " reduce n_mels or increase fft_size"
         )
     weights.flags.writeable = False
+    _BANDS[id(weights)] = _band_plan(weights)
+    weakref.finalize(weights, _BANDS.pop, id(weights))
     return weights
+
+
+_BANDS: dict[int, tuple[tuple, tuple]] = {}  # `_band_plan` of each live matrix of _mel_matrix
+
+
+def _band_plan(mel: np.ndarray) -> tuple[tuple, tuple]:
+    """(groups, spans) of the filterbank mel, from its nonzeros. Each group is
+    (filters, bins, weights): MEL_GROUP consecutive filters, their band from
+    the group's first nonzero bin to its last, and mel[filters, bins].T as a
+    C-ordered copy. Each span is (bins, filters): the bins from one group's
+    band start to the next one's (from bin 0 before the first, to the last
+    bin after the last), and the filters from the first to the last with a
+    nonzero there, none if no filter has one."""
+    live = mel != 0
+    n_mels, n_bins = mel.shape
+    groups = []
+    for g0 in range(0, n_mels, MEL_GROUP):
+        filters = slice(g0, min(g0 + MEL_GROUP, n_mels))
+        cols = np.flatnonzero(live[filters].any(axis=0))
+        bins = slice(int(cols[0]), int(cols[-1]) + 1) if len(cols) else slice(0, 0)
+        weights = np.ascontiguousarray(mel[filters, bins].T)
+        weights.flags.writeable = False
+        groups.append((filters, bins, weights))
+    edges = sorted({0, n_bins, *(bins.start for _, bins, _ in groups)})
+    spans = []
+    for c0, c1 in zip(edges, edges[1:]):
+        rows = np.flatnonzero(live[:, c0:c1].any(axis=1))
+        filters = slice(int(rows[0]), int(rows[-1]) + 1) if len(rows) else slice(0, 0)
+        spans.append((slice(c0, c1), filters))
+    return tuple(groups), tuple(spans)
+
+
+def _bands(mel: np.ndarray) -> tuple[tuple, tuple]:
+    """`_band_plan(mel)`, built with the matrix for `mel_matrix`'s, else on each call."""
+    plan = _BANDS.get(id(mel))
+    return _band_plan(mel) if plan is None else plan
 
 
 @lru_cache(maxsize=64)
 def row_blocks(n_rows: int, width: int, reads: int) -> tuple[slice, ...]:
     """The row blocks of a product with `width` outputs per row, whose rows
-    each read `reads` values of im2col rows, or 0 (see the module docstring)."""
+    each hold `reads` values of im2col rows and taps, or 0 (see the module
+    docstring)."""
     least = 2 * -(-MIN_BLOCK_OUTPUTS // (2 * width))  # even
     size = max(BLOCK_FRAMES, least)
     if reads and 2 * n_rows >= 3 * size:  # a map of one block stays one product
@@ -292,14 +344,17 @@ def row_blocks(n_rows: int, width: int, reads: int) -> tuple[slice, ...]:
 
 def mel_energies(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
     """Filterbank energies mag^2 . mel^T, [frames x n_mels], squared into one
-    buffer a block of `row_blocks` at a time, so no mag^2 of mag's size is made."""
+    buffer a block of `row_blocks` at a time, so no mag^2 of mag's size is made.
+    Each group of filters is one product over its band (`_band_plan`)."""
     if mag.shape[1] != mel.shape[1]:
         raise ValueError(f"bins mismatch: magnitude {mag.shape[1]} vs filterbank {mel.shape[1]}")
     energies, blocks = np.empty((len(mag), len(mel))), row_blocks(len(mag), len(mel), 0)
     squares = np.empty((max((b.stop - b.start for b in blocks), default=0), mag.shape[1]))
+    groups, _ = _bands(mel)
     for rows in blocks:
         block = np.square(mag[rows], out=squares[: rows.stop - rows.start])
-        np.matmul(block, mel.T, out=energies[rows])
+        for filters, bins, weights in groups:
+            np.matmul(block[:, bins], weights, out=energies[rows, filters])
     return energies
 
 
@@ -326,14 +381,19 @@ def log_energies_backward(grad_out: np.ndarray, energies: np.ndarray) -> np.ndar
 
 
 def log_mel_backward(
-    grad_energy: np.ndarray, mag: np.ndarray, mel: np.ndarray, out: np.ndarray | None
+    grad_energy: np.ndarray, mag: np.ndarray, mel: np.ndarray, out: np.ndarray | None,
+    twice: np.ndarray | None,
 ) -> np.ndarray:
     """Gradient of log_mel with respect to rows of mag, from the gradient with
     respect to their energies (`log_energies_backward`): grad_energy . mel,
-    into out (a new array if None), scaled there by 2 * mag and returned.
+    into out, one product per span of `_band_plan`, scaled there by mag + mag
+    formed in twice (each a new array if None) and returned.
     On the blocks of `row_blocks(*mag.shape)` it has the whole call's bits."""
-    grad_mag = np.matmul(grad_energy, mel, out=out)
-    grad_mag *= 2.0 * mag
+    grad_mag = np.empty(mag.shape) if out is None else out
+    _, spans = _bands(mel)
+    for bins, filters in spans:
+        np.matmul(grad_energy[:, filters], mel[filters, bins], out=grad_mag[:, bins])
+    grad_mag *= np.add(mag, mag, out=twice)
     return grad_mag
 
 

@@ -1,14 +1,16 @@
 """The program's numerics as first written, kept as an oracle that shares
 no code with the program's own versions.
 
-These are the `sliding_window_view` + `tensordot` convolution, the
-reshape-mean pooling and the `np.repeat` pooling backward, an encoder
-`forward` and `backward` built from them on whole maps, the mel filterbank
-built one filter at a time, the whole-matrix filterbank product, and the
-gradient step that computed the filterbank energies once for the features
-and again for the log-mel backward pass (`loss_and_energy_grad` stops at
-the energies' gradient). The faster versions in
-`voicecloak` must reproduce them bit for bit.
+These are the `sliding_window_view` + `tensordot` convolution (one
+product per time tap of the whole padded map, the taps then added dt 0 +
+dt 1, then + dt 2), the reshape-mean pooling and the `np.repeat` pooling
+backward, an encoder `forward` and `backward` built from them on whole
+maps, the mel filterbank built one filter at a time, the filterbank
+products as whole-map band products (`mel_bands`, found from the matrix's
+own nonzeros), and the gradient step that computed the filterbank energies
+once for the features and again for the log-mel backward pass
+(`loss_and_energy_grad` stops at the energies' gradient). The faster
+versions in `voicecloak` must reproduce them bit for bit.
 
 `ifgsm` is the attack loop with every step allocating: the log
 compression, the log-mel backward's quotient and product, the sign, the
@@ -33,8 +35,8 @@ from voicecloak.audio_io import CANONICAL_RATE, Waveform
 from voicecloak.encoder import cosine_loss, cosine_loss_grad
 from voicecloak.metrics import snr_db
 from voicecloak.spectral import (
-    FFT_SIZE, HOP_LENGTH, LOG_FLOOR, WIN_LENGTH, WINDOW, WINDOW_SUM_EPS, Spectrogram, hz_to_mel,
-    mel_to_hz,
+    FFT_SIZE, HOP_LENGTH, LOG_FLOOR, MEL_GROUP, WIN_LENGTH, WINDOW, WINDOW_SUM_EPS, Spectrogram,
+    hz_to_mel, mel_to_hz,
 )
 
 
@@ -57,15 +59,49 @@ def mel_matrix(fft_size: int, n_mels: int) -> np.ndarray:
     return weights
 
 
+def mel_bands(mel: np.ndarray) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """((first filter, end), (first bin, end)) of each MEL_GROUP filters:
+    the bins from the first column with a nonzero in those rows to the last."""
+    bands = []
+    for f0 in range(0, len(mel), MEL_GROUP):
+        f1 = min(f0 + MEL_GROUP, len(mel))
+        cols = np.flatnonzero(np.any(mel[f0:f1] != 0.0, axis=0))
+        bands.append(((f0, f1), (cols[0], cols[-1] + 1) if len(cols) else (0, 0)))
+    return bands
+
+
 def mel_energies(mag: np.ndarray, mel: np.ndarray) -> np.ndarray:
-    return (mag**2) @ mel.T
+    """mag^2 . mel^T, each group's energies one whole-map product over its band."""
+    squares = mag**2
+    out = np.zeros((len(mag), len(mel)))
+    for (f0, f1), (b0, b1) in mel_bands(mel):
+        out[:, f0:f1] = squares[:, b0:b1] @ np.ascontiguousarray(mel[f0:f1, b0:b1].T)
+    return out
+
+
+def mel_product_backward(grad: np.ndarray, mel: np.ndarray) -> np.ndarray:
+    """grad . mel, the bins cut where each band of `mel_bands` starts, each
+    piece one whole-map product with the rows of mel from the first to the
+    last that is nonzero in it; 0 where no row is."""
+    edges = sorted({0, mel.shape[1], *(band[0] for _, band in mel_bands(mel))})
+    out = np.zeros((len(grad), mel.shape[1]))
+    for c0, c1 in zip(edges, edges[1:]):
+        rows = np.flatnonzero(np.any(mel[:, c0:c1] != 0.0, axis=1))
+        if len(rows):
+            f0, f1 = rows[0], rows[-1] + 1
+            out[:, c0:c1] = grad[:, f0:f1] @ mel[f0:f1, c0:c1]
+    return out
 
 
 def conv_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Per time tap dt, one product over (c_in, df) of the whole padded map;
+    then each output frame's taps added (dt 0 + dt 1) + dt 2."""
+    t = x.shape[1]
     xp = np.concatenate([x[:, -1:, :], x, x[:, :1, :]], axis=1)
     xp = np.pad(xp, ((0, 0), (0, 0), (1, 1)))
-    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [C_in, T, F, 3, 3]
-    return np.tensordot(kernels, windows, axes=([1, 2, 3], [0, 3, 4]))
+    windows = sliding_window_view(xp, 3, axis=2)  # [C_in, T + 2, F, 3]
+    taps = np.tensordot(kernels, windows, axes=([1, 3], [0, 3]))  # [C_out, 3, T + 2, F]
+    return (taps[:, 0, 0:t] + taps[:, 1, 1 : t + 1]) + taps[:, 2, 2 : t + 2]
 
 
 def avgpool2(x: np.ndarray) -> np.ndarray:
@@ -129,7 +165,7 @@ def log_backward(grad_out, energies):
 
 
 def log_mel_backward(grad_out, mag, mel, energies):
-    return (log_backward(grad_out, energies) @ mel) * (2.0 * mag)
+    return mel_product_backward(log_backward(grad_out, energies), mel) * (2.0 * mag)
 
 
 def loss_and_grad(x_tilde, mel, ws, e_ref):

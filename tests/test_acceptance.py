@@ -59,7 +59,7 @@ def test_criterion_01_gradient_matches_finite_differences(mel64):
                 break
         assert ws is not None, f"no live encoder draw for instance {i}"
         _, grad_energy = loss_and_grad(x, mel64, ws, e_ref)
-        grad = log_mel_backward(grad_energy, x, mel64, None)
+        grad = log_mel_backward(grad_energy, x, mel64, None, None)
 
         def evaluate(mag, ws=ws, e_ref=e_ref):
             """Loss plus the piecewise-linearity pattern at this point."""

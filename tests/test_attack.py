@@ -82,16 +82,16 @@ class TestAttackConfig:
 class TestClipAndSign:
     def test_clip_projects_into_band(self):
         x = np.array([1.0, 1.0, 1.0])
-        out = clip_linf(np.array([1.5, 0.5, 1.1]), x, 0.2)
+        out = clip_linf(np.array([1.5, 0.5, 1.1]), x, 0.2, None)
         np.testing.assert_allclose(out, [1.2, 0.8, 1.1])
 
     def test_clip_clamps_negative_results(self):
-        out = clip_linf(np.array([-0.5]), np.array([0.05]), 0.2)
+        out = clip_linf(np.array([-0.5]), np.array([0.05]), 0.2, None)
         assert out[0] == 0.0
 
     def test_clip_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            clip_linf(np.zeros(3), np.zeros(4), 0.1)
+            clip_linf(np.zeros(3), np.zeros(4), 0.1, None)
 
     def test_sign_of_zero_is_zero(self):
         np.testing.assert_array_equal(
@@ -101,6 +101,15 @@ class TestClipAndSign:
     def test_sign_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             sign_matrix(np.array([np.nan]), np.empty(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sign_rejects_one_non_finite_entry_among_finite_ones(self, bad):
+        """The check reads only the least and greatest entries: a NaN makes
+        both NaN, and an infinity is one of them."""
+        g = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        g[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sign_matrix(g, np.empty_like(g))
 
 
 class TestIfgsm:
@@ -159,7 +168,7 @@ class TestIfgsm:
         e_ref, _ = forward(log_mel(tiny, mel), ws)
         _, grad_energy = loss_and_grad(tiny, mel, ws, e_ref)
         np.testing.assert_array_equal(grad_energy, np.zeros((8, 64)))
-        np.testing.assert_array_equal(log_mel_backward(grad_energy, tiny, mel, None), 0.0)
+        np.testing.assert_array_equal(log_mel_backward(grad_energy, tiny, mel, None, None), 0.0)
         result = ifgsm(tiny, ws, e_ref, AttackConfig(epsilon=0.001, alpha=0.0005, iterations=1))
         assert np.array_equal(result.adv_magnitude, tiny + 0.0005)
 
@@ -186,7 +195,7 @@ class TestGradient:
         loss, grad_energy = loss_and_grad(x, mel, ws, e_ref)
         assert loss == cosine_loss(e_ref, embed(x, ws))
         assert grad_energy.shape == (len(x), SMALL_CFG.n_mels)
-        grad = log_mel_backward(grad_energy, x, mel, None)
+        grad = log_mel_backward(grad_energy, x, mel, None, None)
         assert grad.shape == x.shape
         assert np.all(np.isfinite(grad))
 

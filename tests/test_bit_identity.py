@@ -195,11 +195,11 @@ def test_ten_second_fgsm_matches_reference_ops(monkeypatch):
 def test_zero_gradient_fallback_and_zero_clamp_match_reference_ops():
     """Magnitudes under the log floor: with e_ref = embed(x) the first gradient
     is exactly zero, so the first step is the all-ones fallback, and later
-    steps push entries below zero, onto the clamp."""
+    steps push entries below zero, onto the clamp (204 of them after 15 steps)."""
     ws = init_random(EncoderConfig(), 0)
     x = np.full((301, N_BINS), 1e-7)
     e_ref = attack.embed(x, ws)
-    cfg = AttackConfig(iterations=10)
+    cfg = AttackConfig(iterations=15)
     first = ifgsm(x, ws, e_ref, AttackConfig(iterations=1))
     assert np.array_equal(first.adv_magnitude, x + cfg.alpha)
     fast = ifgsm(x, ws, e_ref, cfg)
@@ -224,36 +224,34 @@ def test_log_mel_backward_writes_its_energy_gradient_over_the_energies():
     expected = ref.log_mel_backward(grad_out, mag, mel, clean_energies)
     grad_energy = log_energies_backward(grad_out, energies)
     assert grad_energy is energies
-    assert ref.bitwise_equal(log_mel_backward(grad_energy, mag, mel, None), expected)
+    assert ref.bitwise_equal(log_mel_backward(grad_energy, mag, mel, None, None), expected)
     assert ref.bitwise_equal(grad_out, clean_grad_out) and ref.bitwise_equal(mag, clean_mag)
     live = clean_energies > LOG_FLOOR
     assert 0 < live.sum() < live.size
     assert ref.bitwise_equal(energies, np.where(live, grad_out / clean_energies, 0.0))
 
 
-def test_blocked_products_match_the_whole_matrix_products():
+def test_blocked_products_match_the_whole_map_band_products():
     """`mel_energies` and the gradient product of `log_mel_backward` over
-    `row_blocks`, against the whole-matrix products, at every frame count to
-    700 and at 1001 and 3001. On OpenBLAS a GEMM of fewer than about 1200
-    outputs takes another path with other bits: 128-row blocks at 8 and 16
-    mels, or a short tail block of the 257-bin gradient, would not match.
-    A map of one block is the whole product, so only maps of more are run."""
+    `row_blocks`, against whole-map band products, at every frame count to
+    700 and at 1001 and 3001. Each group's product takes a C-ordered
+    [bins x filters] copy of its filters: with the transposed view of the
+    filterbank, OpenBLAS takes another path with other bits for a block of
+    about 1200 outputs or fewer, as 128 rows of 8 filters are."""
     rng = np.random.default_rng(29)
     mag = rng.uniform(0.0, 0.2, (3001, N_BINS))
-    twice, blocked = 2.0 * mag, np.empty_like(mag)
+    twice, blocked, scratch = 2.0 * mag, np.empty_like(mag), np.empty_like(mag)
     for n_mels in (8, 16, 64):
         mel = mel_matrix(512, n_mels)
         grad_energy = _scaled(rng, (len(mag), n_mels))
         for t in [*range(1, 701), 1001, 3001]:
-            if len(row_blocks(t, n_mels, 0)) > 1:
-                expected = ref.mel_energies(mag[:t], mel)
-                assert ref.bitwise_equal(mel_energies(mag[:t], mel), expected), (n_mels, t)
-            if len(row_blocks(t, N_BINS, 0)) > 1:
-                for rows in row_blocks(t, N_BINS, 0):
-                    log_mel_backward(grad_energy[rows], mag[rows], mel, blocked[rows])
-                whole = grad_energy[:t] @ mel
-                whole *= twice[:t]
-                assert ref.bitwise_equal(blocked[:t], whole), (n_mels, t)
+            expected = ref.mel_energies(mag[:t], mel)
+            assert ref.bitwise_equal(mel_energies(mag[:t], mel), expected), (n_mels, t)
+            for rows in row_blocks(t, N_BINS, 0):
+                log_mel_backward(grad_energy[rows], mag[rows], mel, blocked[rows], scratch[rows])
+            whole = ref.mel_product_backward(grad_energy[:t], mel)
+            whole *= twice[:t]
+            assert ref.bitwise_equal(blocked[:t], whole), (n_mels, t)
 
 
 def _pcm16(w: Waveform, path) -> bytes:
@@ -405,6 +403,23 @@ def test_ten_second_ifgsm_holds_no_other_array_of_the_magnitudes_size():
     ifgsm(x, ws, e_ref, cfg)  # the filterbank is cached
     _, peak = _traced_peak(lambda: ifgsm(x, ws, e_ref, cfg))
     assert peak - x.nbytes < 1.3 * x.nbytes  # x itself was made before tracing
+
+
+def test_ten_second_sign_step_makes_no_block_array_beyond_its_two_buffers():
+    """One `_sign_step` on 10 s traces its two 128-row buffers and 4 % of a
+    block more. Each block's isfinite mask, 2 * mag and the band's two bounds
+    made as new arrays put 2.0 blocks more at the projection, where both
+    bounds are held."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 0.2, (1001, N_BINS))
+    x_tilde, mel = x.copy(), mel_matrix(512, 64)
+    grad_energy = rng.standard_normal((len(x), 64))
+    blocks, cfg = row_blocks(len(x), N_BINS, 0), AttackConfig()
+    attack._sign_step(x_tilde, x, grad_energy, mel, blocks, cfg)  # the filterbank is cached
+    moved, peak = _traced_peak(lambda: attack._sign_step(x_tilde, x, grad_energy, mel, blocks, cfg))
+    block = max(b.stop - b.start for b in blocks) * N_BINS * 8
+    assert moved and len(blocks) > 2
+    assert peak - 2 * block < 0.5 * block
 
 
 def test_ten_second_resynthesis_holds_no_phasor_or_irfft_copy():

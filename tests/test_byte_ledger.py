@@ -14,9 +14,11 @@ same change, and says which lines moved and why:
 
   PYTHONPATH=src python3 tests/test_byte_ledger.py > tests/byte_ledger.txt
 
-The float bits of reports and archives can differ under another NumPy or
-BLAS build. The ledger's first lines record the build that wrote it, and a
-mismatch names both builds, so such a mismatch reads as one.
+The float bits of reports, archives and protected WAVs can differ under
+another NumPy or BLAS build, and under another of the kernels OpenBLAS
+picks at load time for the CPU it runs on. The ledger's first lines record
+the build and the kernel that wrote it, and a mismatch names both, so such
+a mismatch reads as one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from click.testing import CliRunner
 from synth import speaker_key, speaker_utterance
 from voicecloak.attack import METHODS
 from voicecloak.audio_io import write_wav
-from voicecloak.cli import cli
+from voicecloak.cli import _openblas_corename, cli
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 _spec = importlib.util.spec_from_file_location("output_digests", TOOL)
@@ -46,10 +48,11 @@ TRIALS = [((0, 0), (0, 1), "target"), ((0, 1), (0, 0), "target"),
 
 
 def build_lines() -> list[str]:
-    """The NumPy version and BLAS build of this process, as ledger lines."""
+    """The NumPy version, BLAS build and runtime BLAS kernel of this process,
+    as ledger lines."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
-    return [f"# numpy {np.__version__}", f"# blas {build}"]
+    return [f"# numpy {np.__version__}", f"# blas {build}", f"# kernel {_openblas_corename()}"]
 
 
 def run_chain(root: Path) -> None:
@@ -94,10 +97,11 @@ def test_every_byte_of_the_chain_matches_the_ledger(tmp_path):
     run_chain(tmp_path)
     got = ledger_lines(tmp_path)
     expected = LEDGER.read_text(encoding="utf-8").splitlines()
-    moved = [line for line in got[2:] if line not in expected]
+    header = len(build_lines())
+    moved = [line for line in got[header:] if line not in expected]
     assert got == expected, (
-        f"{LEDGER.name} was written under {'; '.join(expected[:2])},"
-        f" this run is under {'; '.join(got[:2])}; lines not in the ledger: {moved}")
+        f"{LEDGER.name} was written under {'; '.join(expected[:header])},"
+        f" this run is under {'; '.join(got[:header])}; lines not in the ledger: {moved}")
 
 
 if __name__ == "__main__":

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
+from voicecloak import spectral
 from voicecloak.audio_io import CANONICAL_RATE, Waveform
 from voicecloak.spectral import (
     FFT_SIZE,
     HOP_LENGTH,
     LOG_FLOOR,
+    MEL_GROUP,
     N_BINS,
     WIN_LENGTH,
     WINDOW,
@@ -187,6 +189,30 @@ class TestMelFilterbank:
             mel[0, 0] = 1.0
 
 
+    @pytest.mark.parametrize("n_mels", [8, 16, 64])
+    def test_every_nonzero_lies_in_its_groups_band(self, n_mels):
+        """The band plan of the filterbank products, with no product run: each
+        group of MEL_GROUP filters holds all its nonzeros in its band, whose
+        first and last bins hold one; each span of the backward product has
+        every nonzero of its bins among its filters, and the spans cover the
+        bins in order."""
+        mel = mel_matrix(512, n_mels)
+        groups, spans = spectral._bands(mel)
+        assert [filters for filters, _, _ in groups] == [
+            slice(f, min(f + MEL_GROUP, n_mels)) for f in range(0, n_mels, MEL_GROUP)]
+        for filters, bins, weights in groups:
+            outside = mel[filters].copy()
+            outside[:, bins] = 0.0
+            assert not outside.any(), (filters, bins)
+            assert mel[filters, bins.start].any() and mel[filters, bins.stop - 1].any()
+            assert weights.flags.c_contiguous and np.array_equal(weights, mel[filters, bins].T)
+        assert [bins.start for bins, _ in spans] == [0] + [bins.stop for bins, _ in spans[:-1]]
+        assert spans[-1][0].stop == N_BINS
+        for bins, filters in spans:
+            outside = mel[:, bins].copy()
+            outside[filters] = 0.0
+            assert not outside.any(), (bins, filters)
+
     def test_one_matrix_per_parameter_set(self):
         assert mel_matrix() is mel_matrix(512, 64) is mel_matrix(fft_size=512)
         assert mel_matrix(n_mels=64, fft_size=512) is mel_matrix(512, n_mels=64)
@@ -217,7 +243,7 @@ class TestLogMel:
         mag = rng.uniform(0.01, 0.2, (5, 129))
         grad_out = rng.standard_normal((5, 16))
         grad_energy = log_energies_backward(grad_out, mel_energies(mag, mel))
-        grad = log_mel_backward(grad_energy, mag, mel, None)
+        grad = log_mel_backward(grad_energy, mag, mel, None, None)
         h = 1e-6
         for i, j in [(0, 3), (1, 40), (2, 64), (3, 100), (4, 128)]:
             up, down = mag.copy(), mag.copy()
@@ -234,7 +260,7 @@ class TestLogMel:
         mag = np.full((4, 129), 1e-8)  # energies ~1e-16, below the floor
         grad_energy = log_energies_backward(np.ones((4, 16)), mel_energies(mag, mel))
         np.testing.assert_array_equal(grad_energy, np.zeros((4, 16)))
-        grad = log_mel_backward(grad_energy, mag, mel, None)
+        grad = log_mel_backward(grad_energy, mag, mel, None, None)
         np.testing.assert_array_equal(grad, np.zeros_like(mag))
 
     def test_backward_shape_validation(self, mel64):
